@@ -12,10 +12,9 @@
 // Two gates, both hard failures:
 //
 //   1. Identity — per fleet arm, the serve report digest, metrics digest and
-//      fleet-trace digest must be byte-identical across --jobs values and
-//      with the engine-run memo cache on vs off.  Backend work is real
-//      simulated device work, so it must replay exactly like every other
-//      part of the simulation.
+//      fleet-trace digest must be byte-identical across --jobs values.
+//      Backend work is real simulated device work, so it must replay
+//      exactly like every other part of the simulation.
 //   2. Reclaim — on the write-heavy mix the all-ZNS fleet must charge
 //      strictly less device-side reclaim time than the all-FTL fleet (the
 //      paper-level claim this PR reproduces).  Conservation is asserted on
@@ -24,10 +23,6 @@
 //
 // Flags (strict parsing, exit 2 on malformed values — the PR 2 convention):
 //   --backend ftl|zns|mixed|all  fleet arms to sweep                  [all]
-//   --sim-cache on|off           memo cache in the cached arm         [on]
-//   --span on|off                extent data plane in the main arms   [on]
-//                                (an opposite-plane arm always runs and
-//                                must produce byte-identical digests)
 //   --jobs N                     worker threads for simulation batches
 //   --quick                      smaller grid (sanitizer CI)
 #include <cstdint>
@@ -142,8 +137,6 @@ bool conserves(const serve::ServeReport& r) {
 int main(int argc, char** argv) {
   const unsigned jobs = exec::jobs_from_args(argc, argv);
   const bool quick = exec::flag_present(argc, argv, "--quick");
-  const bool sim_cache = exec::on_off_flag(argc, argv, "--sim-cache", true);
-  const bool span_io = exec::on_off_flag(argc, argv, "--span", true);
   const std::vector<const char*> backend_names = {"ftl", "zns", "mixed",
                                                   "all"};
   const std::size_t backend_pick =
@@ -164,12 +157,10 @@ int main(int argc, char** argv) {
   bench::print_header(
       "Storage backends: FTL vs ZNS vs mixed fleets, persisting serve "
       "workloads, identity- and reclaim-gated");
-  std::printf("fleet %zu, %llu jobs per run; cached arm: sim-cache %s, "
-              "span %s, --jobs %u vs --jobs 1 vs cache-off vs span-%s — "
+  std::printf("fleet %zu, %llu jobs per run; --jobs %u vs --jobs 1 — "
               "identical digests required\n\n",
               fleet, static_cast<unsigned long long>(total_jobs),
-              sim_cache ? "on" : "off", span_io ? "on" : "off", parallel_jobs,
-              span_io ? "off" : "on");
+              parallel_jobs);
   std::printf("%11s %7s | %10s %10s %8s %7s | %5s %5s\n", "mix", "fleet",
               "reclaim s", "host pg", "int pg", "wa", "ident", "cons");
   bench::print_rule();
@@ -183,30 +174,13 @@ int main(int argc, char** argv) {
   for (const auto& mix : make_mixes()) {
     for (const auto arm : arms) {
       auto config = make_config(arm, mix, fleet, total_jobs, parallel_jobs);
-      config.sim_cache = sim_cache;
-      config.span_io = span_io;
       const auto parallel = serve::serve(config);
 
       config.jobs = 1;
       const auto serial = serve::serve(config);
 
-      config.jobs = parallel_jobs;
-      config.sim_cache = false;
-      config.plan_cache = false;
-      const auto uncached = serve::serve(config);
-
-      // The storage data plane is contract-exact: flipping --span must
-      // replay to the same bytes as every other arm.
-      config.sim_cache = sim_cache;
-      config.plan_cache = true;
-      config.span_io = !span_io;
-      const auto opposite = serve::serve(config);
-
-      const bool identical = digests_of(parallel) == digests_of(serial) &&
-                             digests_of(parallel) == digests_of(uncached) &&
-                             digests_of(parallel) == digests_of(opposite);
-      const bool conserved = conserves(parallel) && conserves(serial) &&
-                             conserves(uncached) && conserves(opposite);
+      const bool identical = digests_of(parallel) == digests_of(serial);
+      const bool conserved = conserves(parallel) && conserves(serial);
       const auto totals = storage_of(parallel);
       // The write-heavy mix must genuinely drive the backends.
       const bool driven =

@@ -93,23 +93,6 @@ unsigned jobs_from_args(int argc, char** argv) {
       u64_flag(argc, argv, "--jobs", default_jobs(), 1, 1024));
 }
 
-std::optional<bool> parse_on_off(const char* text) {
-  if (text == nullptr) return std::nullopt;
-  if (std::strcmp(text, "on") == 0) return true;
-  if (std::strcmp(text, "off") == 0) return false;
-  return std::nullopt;
-}
-
-bool on_off_flag(int argc, char** argv, const char* name, bool fallback) {
-  const char* text = flag_value(argc, argv, name);
-  if (text == nullptr) return fallback;
-  const auto v = parse_on_off(text);
-  if (!v.has_value()) {
-    die(std::string(name) + ": '" + text + "' is not 'on' or 'off'");
-  }
-  return *v;
-}
-
 std::optional<std::size_t> parse_enum(
     const char* text, const std::vector<const char*>& choices) {
   if (text == nullptr || text[0] == '\0') return std::nullopt;

@@ -42,17 +42,6 @@ namespace isp::exec {
 /// value of zero, or a missing argument.
 [[nodiscard]] unsigned jobs_from_args(int argc, char** argv);
 
-/// Parse an on/off toggle value: exactly "on" or "off" — no case folding,
-/// no 1/0/true/false aliases.  Returns nullopt on anything else (pure —
-/// unit-testable without exiting).
-[[nodiscard]] std::optional<bool> parse_on_off(const char* text);
-
-/// Parse `--name on|off` (or `--name=on|off`).  Returns `fallback` when the
-/// flag is absent.  Exits with status 2 on a missing value or anything that
-/// is not exactly "on" or "off".
-[[nodiscard]] bool on_off_flag(int argc, char** argv, const char* name,
-                               bool fallback);
-
 /// Parse an enumerated flag value against a closed choice list: exact match
 /// only — no case folding, no prefixes, no aliases.  Returns the index into
 /// `choices` or nullopt on anything else, nullptr and empty strings

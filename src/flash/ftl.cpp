@@ -628,14 +628,9 @@ FtlRecovery Ftl::recover() {
 
   ++stats_.recoveries;
   // The remount contract: every invariant holds before the first IO.  The
-  // default check is incremental (O(blocks) summaries + the dirty extent);
-  // the exhaustive sweep stays behind the config toggle, and the property
-  // suite proves the two agree.
-  if (config_.exhaustive_remount_verify) {
-    check_invariants();
-  } else {
-    check_invariants_incremental();
-  }
+  // check is incremental (O(blocks) summaries + the dirty extent); the
+  // property suite runs the exhaustive sweep after every remount too.
+  check_invariants_incremental();
   return rec;
 }
 

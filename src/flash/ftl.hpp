@@ -69,13 +69,6 @@ struct FtlConfig {
   /// Stop GC when free blocks recover to this many.
   std::uint32_t gc_high_watermark = 4;
   FtlJournalConfig journal;
-  /// Remount verification mode.  false (default): incremental — O(blocks)
-  /// summary cross-checks over the whole device plus deep per-page checks
-  /// only on the blocks dirtied since the last checkpoint fold.  true: the
-  /// exhaustive check_invariants() sweep on every remount — same outcome
-  /// (the property suite proves the two agree), O(device) cost; the debug
-  /// toggle for soak runs.
-  bool exhaustive_remount_verify = false;
 };
 
 struct FtlStats {
@@ -200,8 +193,8 @@ class Ftl final : public StorageBackend {
   /// The remount-time subset of check_invariants(): O(blocks) bitmap
   /// popcount cross-checks over the whole device, deep per-page checks only
   /// on the blocks dirtied since the last checkpoint fold.  recover() runs
-  /// this by default (FtlConfig::exhaustive_remount_verify switches to the
-  /// full sweep); public so tests can prove the two modes agree.
+  /// this on every remount; public so tests can check it alongside the
+  /// full sweep.
   void check_invariants_incremental() const;
 
  private:

@@ -19,7 +19,7 @@
 // wait, so it revalidates on those two and is otherwise recombined from the
 // cached core — the same arithmetic net_profit_under_contention would run,
 // on identical inputs, so cached and fresh bids are indistinguishable
-// (serve_test asserts byte-identical reports with the cache on or off).
+// (serve_test pins the serving reports to golden digests).
 //
 // Invalidation is purely by comparison: nothing is evicted, a stale slot is
 // simply overwritten on the next miss.  The cache is O(classes × lanes)

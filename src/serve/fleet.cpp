@@ -80,14 +80,6 @@ std::size_t Fleet::busy_devices_after(SimTime t) const {
   return static_cast<std::size_t>(device_busy_sorted_.end() - it);
 }
 
-std::size_t Fleet::busy_devices_after_scan(SimTime t) const {
-  std::size_t n = 0;
-  for (std::size_t lane = 0; lane < config_.devices.size(); ++lane) {
-    if (busy_until_[lane] > t) ++n;
-  }
-  return n;
-}
-
 double Fleet::contended_link_share(std::size_t lane,
                                    std::size_t busy_devices) const {
   const double provisioned = device(lane).link_share;

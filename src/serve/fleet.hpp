@@ -111,12 +111,8 @@ class Fleet {
 
   /// Devices (not host lanes) still busy strictly after `t` — O(log n) off
   /// the sorted busy index (PR 7).  Dead lanes count through their clamped
-  /// busy_until, exactly like the reference scan.
+  /// busy_until.
   [[nodiscard]] std::size_t busy_devices_after(SimTime t) const;
-
-  /// The pre-index O(devices) reference scan, kept for the legacy
-  /// (`plan_cache` off) decision path and the index property tests.
-  [[nodiscard]] std::size_t busy_devices_after_scan(SimTime t) const;
 
   /// Link share a device gets when `busy_devices` devices (including
   /// itself) are drawing on the host link: provisioned share capped by
@@ -195,9 +191,8 @@ class Fleet {
 
   /// The earliest instant any schedulable lane could start a job arriving
   /// at `arrival` (gate- and kill-aware; infinity when no lane qualifies).
-  /// Equivalent to the legacy scan over all lanes, but walks the
-  /// busy-ordered set and stops as soon as no later lane can improve the
-  /// bound.
+  /// Walks the busy-ordered set and stops as soon as no later lane can
+  /// improve the bound (FleetIndex tests check it against a linear scan).
   [[nodiscard]] SimTime earliest_feasible_start(SimTime arrival) const;
 
   /// The earliest busy_until over schedulable, unclaimed lanes — the next

@@ -17,9 +17,9 @@
 // wrong result.  All cache operations happen on the serial decision thread
 // in wave submission order, and eviction is FIFO by insertion sequence —
 // the cache's behaviour is a deterministic function of the dispatch stream,
-// which is why serve() stays byte-identical across `--jobs` values and with
-// the cache on or off (asserted in serve_test, gated in
-// bench/serve_hotpath).
+// which is why serve() stays byte-identical across `--jobs` values and
+// across memo capacities (serve_test pins golden report and metrics digests
+// and checks a two-entry bound against the default).
 #pragma once
 
 #include <cstdint>

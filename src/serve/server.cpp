@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "apps/registry.hpp"
@@ -157,7 +156,6 @@ SimResult simulate_dispatch(const ServeConfig& config, const Profile& profile,
   // backend-internal reclaim traffic stalls the device inside the measured
   // service time.
   rc.engine.drive_storage = profile.persist;
-  rc.engine.span_io = config.span_io;
   rc.engine.fault = config.fault;
   rc.engine.fault.seed = splitmix64(config.seed ^ (0xf1ee7000ULL + d.job.id));
   if (config.power_loss_job >= 0 &&
@@ -266,19 +264,16 @@ struct LaneBid {
 /// is tried instead; only when even that misses is DeadlineExpired
 /// returned.
 ///
-/// Hot path (PR 7): when `bids` is non-null the device loop consults the
-/// epoch-versioned bid cache — a lane whose state epochs and candidate
-/// start match the cached slot reuses the finish-time integral, contended
-/// share and completion projection; the Equation-1 profit additionally
-/// revalidates on (arrival, host_wait).  `indexed` selects the O(log n)
-/// busy-device count off the fleet's sorted index over the legacy scan.
-/// Both are exact: cached and fresh bids are bit-identical.
+/// Hot path: the device loop consults the epoch-versioned bid cache — a
+/// lane whose state epochs and candidate start match the cached slot reuses
+/// the finish-time integral, contended share and completion projection; the
+/// Equation-1 profit additionally revalidates on (arrival, host_wait).
+/// Cached and fresh bids are bit-identical.
 Place choose_lane(const Fleet& fleet, const std::vector<bool>& claimed,
-                  const std::vector<SimTime>& kill_at,
                   const std::vector<CircuitBreaker>& breakers,
                   const std::vector<sim::AvailabilitySchedule>& scheds,
                   const Profile& profile, const QueuedJob& job,
-                  BidCache* bids, bool indexed, Dispatch& out) {
+                  BidCache& bids, Dispatch& out) {
   const BytesPerSecond bw = fleet.config().system.link.bandwidth;
   const std::size_t device_count = fleet.device_count();
   const Seconds page_program =
@@ -329,70 +324,44 @@ Place choose_lane(const Fleet& fleet, const std::vector<bool>& claimed,
     }
     const SimTime start =
         std::max({fleet.busy_until(lane), job.ready, brk.ready_at()});
-    if (start >= kill_at[lane]) continue;  // lane is dead by then
+    if (start >= fleet.kill_at(lane)) continue;  // lane is dead by then
 
     // Core placement terms: reused when the lane's state epochs and the
     // candidate start still match the cached slot.
-    CachedBid* cb = bids != nullptr ? &bids->slot(job.job_class, lane)
-                                    : nullptr;
-    const bool core_hit = cb != nullptr && cb->core_valid &&
-                          cb->lane_epoch == fleet.lane_epoch(lane) &&
-                          cb->fleet_epoch == fleet.fleet_epoch() &&
-                          cb->start == start;
-    SimTime compute_done;
-    SimTime done = SimTime::infinity();
-    double share = 1.0;
-    double avail_eff = 1.0;
-    if (core_hit) {
-      ++bids->hits;
-      if (cb->starved) continue;  // still starved: same schedule, same start
-      compute_done = cb->compute_done;
-      done = cb->done;
-      share = cb->share;
-      avail_eff = cb->avail_eff;
+    CachedBid& cb = bids.slot(job.job_class, lane);
+    if (cb.core_valid && cb.lane_epoch == fleet.lane_epoch(lane) &&
+        cb.fleet_epoch == fleet.fleet_epoch() && cb.start == start) {
+      ++bids.hits;
     } else {
+      ++bids.misses;
       // The lane's *derated* schedule: base CSE availability scaled down by
       // the lane's observed reclaim pressure (serial fold phase keeps it in
-      // step with occupy(), so the lane epoch covers it).
-      const auto& sched = scheds[lane];
-      compute_done = sched.finish_time(start, profile.csd_work);
-      const bool starved = compute_done == SimTime::infinity();
-      if (!starved) {
+      // step with occupy(), so the lane epoch covers it).  Overwriting the
+      // slot also drops its cached profit.
+      cb = CachedBid{};
+      cb.core_valid = true;
+      cb.lane_epoch = fleet.lane_epoch(lane);
+      cb.fleet_epoch = fleet.fleet_epoch();
+      cb.start = start;
+      cb.compute_done = scheds[lane].finish_time(start, profile.csd_work);
+      cb.starved = cb.compute_done == SimTime::infinity();
+      if (!cb.starved) {
         const std::size_t busy =
-            std::min((indexed ? fleet.busy_devices_after(start)
-                              : fleet.busy_devices_after_scan(start)) +
-                         1,
-                     device_count);
-        share = fleet.contended_link_share(lane, busy);
-        done = compute_done + profile.ds_processed / (bw * share);
+            std::min(fleet.busy_devices_after(start) + 1, device_count);
+        cb.share = fleet.contended_link_share(lane, busy);
+        cb.done = cb.compute_done + profile.ds_processed / (bw * cb.share);
         // Effective CSE fraction over exactly the window the job would
         // occupy.
-        avail_eff =
+        cb.avail_eff =
             profile.csd_work.value() > 0.0
-                ? profile.csd_work.value() / (compute_done - start).value()
+                ? profile.csd_work.value() / (cb.compute_done - start).value()
                 : 1.0;
       }
-      if (cb != nullptr) {
-        ++bids->misses;
-        cb->core_valid = true;
-        cb->profit_valid = false;
-        cb->lane_epoch = fleet.lane_epoch(lane);
-        cb->fleet_epoch = fleet.fleet_epoch();
-        cb->start = start;
-        cb->starved = starved;
-        cb->compute_done = compute_done;
-        cb->done = done;
-        cb->share = share;
-        cb->avail_eff = avail_eff;
-      }
-      if (starved) continue;  // starved device
     }
+    if (cb.starved) continue;  // starved device: same schedule, same start
 
-    Seconds profit;
-    if (core_hit && cb->profit_valid && cb->arrival == job.arrival &&
-        cb->host_wait == host_wait) {
-      profit = cb->profit;
-    } else {
+    if (!(cb.profit_valid && cb.arrival == job.arrival &&
+          cb.host_wait == host_wait)) {
       const plan::Eq1Terms terms{.ds_raw = profile.ds_raw,
                                  .ct_host = profile.host_work + host_wait,
                                  .ct_device = profile.csd_work,
@@ -417,24 +386,21 @@ Place choose_lane(const Fleet& fleet, const std::vector<bool>& claimed,
       const plan::Eq1Contention contention{
           .queue_wait =
               std::max(Seconds::zero(), fleet.busy_until(lane) - job.arrival),
-          .cse_availability = std::clamp(avail_eff, 1e-6, 1.0),
-          .link_share = share,
+          .cse_availability = std::clamp(cb.avail_eff, 1e-6, 1.0),
+          .link_share = cb.share,
           .reclaim_wait = reclaim_wait,
           .persist_cost = persist_cost};
-      profit = plan::net_profit_under_contention(terms, contention);
-      if (cb != nullptr) {
-        cb->profit_valid = true;
-        cb->arrival = job.arrival;
-        cb->host_wait = host_wait;
-        cb->profit = profit;
-      }
+      cb.profit_valid = true;
+      cb.arrival = job.arrival;
+      cb.host_wait = host_wait;
+      cb.profit = plan::net_profit_under_contention(terms, contention);
     }
     const LaneBid bid{.lane = lane,
                       .on_host = false,
                       .start = start,
-                      .done = done,
-                      .share = share,
-                      .profit = profit};
+                      .done = cb.done,
+                      .share = cb.share,
+                      .profit = cb.profit};
     consider_earliest(bid);
     if (!have_device || bid.done < best_device.done) {
       have_device = true;
@@ -483,41 +449,30 @@ ServeReport serve(const ServeConfig& config) {
   // schedule min-folded with a seed-deterministic exponential first arrival
   // per device when a DeviceFailure rate is armed.  Decisions only ever
   // *react* to a death (a lane is skipped once its candidate start reaches
-  // its kill instant); they never steer around a future one.
-  std::vector<SimTime> kill_at(fleet.device_count(), SimTime::infinity());
+  // its kill instant); they never steer around a future one.  The fleet
+  // holds the schedule (set_kill_at min-folds), so its ready-order and
+  // feasibility queries skip doomed lanes.
   for (const auto& k : config.kill_devices) {
     ISP_CHECK(k.device < fleet.device_count(),
               "kill-device " << k.device << " is not a CSD lane (fleet has "
                              << fleet.device_count() << " devices)");
     ISP_CHECK(k.at.seconds() >= 0.0, "kill-device time must be non-negative");
-    kill_at[k.device] = std::min(kill_at[k.device], k.at);
+    fleet.set_kill_at(k.device, k.at);
   }
   const double fail_rate = config.fault.rate(fault::Site::DeviceFailure);
   if (fail_rate > 0.0) {
     for (std::size_t k = 0; k < fleet.device_count(); ++k) {
       const double u =
           hash_unit(splitmix64(config.seed ^ (0xDEF1CE00ULL + k)));
-      kill_at[k] = std::min(
-          kill_at[k], SimTime::zero() + Seconds{-std::log1p(-u) / fail_rate});
+      fleet.set_kill_at(
+          k, SimTime::zero() + Seconds{-std::log1p(-u) / fail_rate});
     }
   }
-  // Mirror the kill schedule into the fleet's incremental index so its
-  // ready-order and feasibility queries skip doomed lanes exactly like the
-  // legacy scans do.
-  for (std::size_t k = 0; k < fleet.device_count(); ++k) {
-    if (kill_at[k] < SimTime::infinity()) fleet.set_kill_at(k, kill_at[k]);
-  }
 
-  // Hot-path caches (PR 7).  Both are exact — serve() output is
-  // byte-identical with them on or off; the flags exist for the benchmark's
-  // off-arm and for bisecting.
-  const bool hotpath = config.plan_cache;
-  std::optional<BidCache> bid_cache;
-  if (config.plan_cache) {
-    bid_cache.emplace(config.job_classes.size(), fleet.device_count());
-  }
-  std::optional<SimMemoCache> memo;
-  if (config.sim_cache) memo.emplace(config.sim_cache_capacity);
+  // Hot-path caches.  Both are exact: they change how much work the
+  // decision and execution phases redo, never what serve() reports.
+  BidCache bid_cache(config.job_classes.size(), fleet.device_count());
+  SimMemoCache memo(config.sim_cache_capacity);
 
   // Per-device derated CSE schedules: a lane that keeps stalling on backend
   // reclaim (FTL GC / ZNS copy-forward) loses a quantized slice of its CSE
@@ -551,31 +506,6 @@ ServeReport serve(const ServeConfig& config) {
     breakers.emplace_back(config.breaker);
   }
 
-  const auto lane_kill = [&](std::size_t lane) {
-    return lane < kill_at.size() ? kill_at[lane] : SimTime::infinity();
-  };
-
-  // The earliest instant any living lane could start a job arriving now —
-  // the admission-time deadline feasibility bound.  Future dispatches only
-  // push busy_until later, so this is a true lower bound.  The hot path
-  // answers off the fleet's ready-order index (breaker gates are mirrored
-  // into it after every breaker mutation below); the legacy scan stays as
-  // the plan_cache-off reference.
-  const auto earliest_feasible_start = [&](SimTime arrival) {
-    if (hotpath) return fleet.earliest_feasible_start(arrival);
-    SimTime best = SimTime::infinity();
-    for (std::size_t lane = 0; lane < fleet.lane_count(); ++lane) {
-      if (!fleet.alive(lane)) continue;
-      SimTime start = std::max(fleet.busy_until(lane), arrival);
-      if (lane < fleet.device_count()) {
-        start = std::max(start, breakers[lane].ready_at());
-      }
-      if (start >= lane_kill(lane)) continue;
-      best = std::min(best, start);
-    }
-    return best;
-  };
-
   // Deepest each tenant's queue ever got (serial bookkeeping, so the gauge
   // is deterministic by construction).
   std::vector<std::size_t> max_queue(config.tenants.size(), 0);
@@ -590,8 +520,13 @@ ServeReport serve(const ServeConfig& config) {
       outcome.tenant = job.tenant;
       outcome.job_class = job.job_class;
       outcome.arrival = job.arrival;
+      // The earliest instant any living lane could start the job — the
+      // admission-time deadline feasibility bound.  Future dispatches only
+      // push busy_until later, so this is a true lower bound; the fleet's
+      // ready-order index answers it (breaker gates are mirrored into it
+      // after every breaker mutation below).
       const Status st =
-          admission.offer(job, earliest_feasible_start(job.arrival));
+          admission.offer(job, fleet.earliest_feasible_start(job.arrival));
       if (!st.is_ok()) {
         if (st.code() == StatusCode::DeadlineExceeded) {
           outcome.deadline_rejected = true;
@@ -618,21 +553,15 @@ ServeReport serve(const ServeConfig& config) {
     wave.clear();
     claimed.assign(fleet.lane_count(), false);
     while (wave.size() < fleet.lane_count()) {
-      SimTime t;
-      if (hotpath) {
-        // First unclaimed entry in busy_until order — the index already
-        // excludes dead and doomed lanes.
-        t = fleet.next_free(claimed);
-      } else {
-        t = SimTime::infinity();
-        for (std::size_t lane = 0; lane < fleet.lane_count(); ++lane) {
-          if (claimed[lane] || !fleet.alive(lane)) continue;
-          // A lane already committed past its death can never free up
-          // again; letting it pin `t` would stall admission forever.
-          if (fleet.busy_until(lane) >= lane_kill(lane)) continue;
-          t = std::min(t, fleet.busy_until(lane));
-        }
-      }
+      // First unclaimed lane in busy_until order — the index already
+      // excludes dead and doomed lanes.
+      const SimTime t = fleet.next_free(claimed);
+      // Every schedulable lane is claimed (lane_count() still counts dead
+      // lanes): close the wave rather than admit up to infinity, which
+      // would flood the bounded queues with the whole remaining arrival
+      // stream.  An empty wave falls through to the flush-and-abandon path
+      // below, so every job still resolves.
+      if (t == SimTime::infinity() && !wave.empty()) break;
       admit_up_to(t);
       if (!admission.any_queued()) {
         if (wave.empty() && next_arrival < arrivals.size()) {
@@ -644,10 +573,9 @@ ServeReport serve(const ServeConfig& config) {
       }
       const auto job = admission.pick();
       Dispatch d;
-      const Place placed = choose_lane(
-          fleet, claimed, kill_at, breakers, lane_sched,
-          *profiles[job->job_class], *job, bid_cache ? &*bid_cache : nullptr,
-          hotpath, d);
+      const Place placed =
+          choose_lane(fleet, claimed, breakers, lane_sched,
+                      *profiles[job->job_class], *job, bid_cache, d);
       if (placed == Place::DeadlineExpired) {
         // Skip the expired job loudly: typed per-tenant counter, resolved
         // at the deadline — or at the death that re-enqueued it, when the
@@ -690,65 +618,55 @@ ServeReport serve(const ServeConfig& config) {
     if (wave.empty()) break;  // queues drained, no arrivals left
 
     // Execution phase: worker threads run the already-scheduled engine
-    // simulations; results come back in submission order.  With the memo
-    // cache on, a serial key pass first dedupes the wave against the cache
-    // *and against itself* — only distinct missing keys reach the workers,
-    // and everything folds back in submission order, so the wave's outputs
-    // are byte-identical with the cache off (asserted in serve_test).
+    // simulations; results come back in submission order.  A serial key
+    // pass first dedupes the wave against the memo cache *and against
+    // itself* — only distinct missing keys reach the workers, and
+    // everything folds back in submission order, so the wave's outputs are
+    // exactly what one fresh engine run per dispatch would produce.
     std::vector<SimResult> results(wave.size());
-    if (memo) {
-      struct Miss {
-        SimKey key;
-        std::size_t first;  // wave index that owns the fresh engine run
-      };
-      std::vector<Miss> misses;
-      std::vector<std::ptrdiff_t> from_miss(wave.size(), -1);
-      for (std::size_t i = 0; i < wave.size(); ++i) {
-        SimKey key = make_sim_key(config, wave[i]);
-        std::ptrdiff_t pending = -1;
-        for (std::size_t m = 0; m < misses.size(); ++m) {
-          if (misses[m].key == key) {
-            pending = static_cast<std::ptrdiff_t>(m);
-            break;
-          }
-        }
-        if (pending >= 0) {  // duplicate within this wave
-          from_miss[i] = pending;
-          ++report.sim_cache_hits;
-          continue;
-        }
-        if (const SimResult* hit = memo->find(key)) {
-          results[i] = *hit;
-          ++report.sim_cache_hits;
-          continue;
-        }
-        from_miss[i] = static_cast<std::ptrdiff_t>(misses.size());
-        misses.push_back(Miss{std::move(key), i});
-        ++report.sim_cache_misses;
-      }
-      const auto fresh = exec::run_batch(
-          misses.size(),
-          [&](std::size_t m) {
-            const auto& d = wave[misses[m].first];
-            return simulate_dispatch(config, *profiles[d.job.job_class], d);
-          },
-          config.jobs);
+    struct Miss {
+      SimKey key;
+      std::size_t first;  // wave index that owns the fresh engine run
+    };
+    std::vector<Miss> misses;
+    std::vector<std::ptrdiff_t> from_miss(wave.size(), -1);
+    for (std::size_t i = 0; i < wave.size(); ++i) {
+      SimKey key = make_sim_key(config, wave[i]);
+      std::ptrdiff_t pending = -1;
       for (std::size_t m = 0; m < misses.size(); ++m) {
-        memo->insert(misses[m].key, fresh[m]);
-      }
-      for (std::size_t i = 0; i < wave.size(); ++i) {
-        if (from_miss[i] >= 0) {
-          results[i] = fresh[static_cast<std::size_t>(from_miss[i])];
+        if (misses[m].key == key) {
+          pending = static_cast<std::ptrdiff_t>(m);
+          break;
         }
       }
-    } else {
-      results = exec::run_batch(
-          wave.size(),
-          [&](std::size_t i) {
-            return simulate_dispatch(config, *profiles[wave[i].job.job_class],
-                                     wave[i]);
-          },
-          config.jobs);
+      if (pending >= 0) {  // duplicate within this wave
+        from_miss[i] = pending;
+        ++report.sim_cache_hits;
+        continue;
+      }
+      if (const SimResult* hit = memo.find(key)) {
+        results[i] = *hit;
+        ++report.sim_cache_hits;
+        continue;
+      }
+      from_miss[i] = static_cast<std::ptrdiff_t>(misses.size());
+      misses.push_back(Miss{std::move(key), i});
+      ++report.sim_cache_misses;
+    }
+    const auto fresh = exec::run_batch(
+        misses.size(),
+        [&](std::size_t m) {
+          const auto& d = wave[misses[m].first];
+          return simulate_dispatch(config, *profiles[d.job.job_class], d);
+        },
+        config.jobs);
+    for (std::size_t m = 0; m < misses.size(); ++m) {
+      memo.insert(misses[m].key, fresh[m]);
+    }
+    for (std::size_t i = 0; i < wave.size(); ++i) {
+      if (from_miss[i] >= 0) {
+        results[i] = fresh[static_cast<std::size_t>(from_miss[i])];
+      }
     }
 
     for (std::size_t i = 0; i < wave.size(); ++i) {
@@ -756,7 +674,7 @@ ServeReport serve(const ServeConfig& config) {
       const auto& r = results[i];
       auto& outcome = report.outcomes[d.job.id];
       const SimTime end = d.start + r.service;
-      const SimTime death = d.on_host ? SimTime::infinity() : kill_at[d.lane];
+      const SimTime death = fleet.kill_at(d.lane);  // infinity on host lanes
       if (end > death) {
         // The lane died under the job: occupancy truncates at the death,
         // the job's work is lost, and the job either re-enters its tenant
@@ -853,8 +771,8 @@ ServeReport serve(const ServeConfig& config) {
   // Deaths that happened inside the observed horizon but caught the lane
   // idle still count as failures.
   for (std::size_t k = 0; k < fleet.device_count(); ++k) {
-    if (fleet.alive(k) && kill_at[k] <= report.makespan) {
-      fleet.mark_dead(k, kill_at[k]);
+    if (fleet.alive(k) && fleet.kill_at(k) <= report.makespan) {
+      fleet.mark_dead(k, fleet.kill_at(k));
     }
   }
 
@@ -865,11 +783,9 @@ ServeReport serve(const ServeConfig& config) {
   report.total_jobs = config.total_jobs;
   report.offered_load = config.offered_load;
   report.seed = config.seed;
-  if (memo) report.sim_cache_evictions = memo->evictions();
-  if (bid_cache) {
-    report.bid_cache_hits = bid_cache->hits;
-    report.bid_cache_misses = bid_cache->misses;
-  }
+  report.sim_cache_evictions = memo.evictions();
+  report.bid_cache_hits = bid_cache.hits;
+  report.bid_cache_misses = bid_cache.misses;
   std::vector<double> latencies;
   latencies.reserve(report.outcomes.size());
   for (const auto& o : report.outcomes) {

@@ -123,26 +123,13 @@ struct ServeConfig {
   std::uint32_t retry_budget = 2;
   /// Per-CSD-lane health circuit breaker (health-aware placement).
   BreakerConfig breaker;
-  // Hot-path toggles (PR 7).  Both caches are *exact*: reports, metrics and
-  // trace artifacts are byte-identical with them on or off (asserted in
-  // serve_test, gated in bench/serve_hotpath) — they only change how much
-  // work the decision and execution phases redo.
-  /// Incremental lane-state index + per-(class, lane) Equation-1 bid cache
-  /// in the wave decision phase; off falls back to the O(lanes) scans.
-  bool plan_cache = true;
-  /// Digest-verified engine-run memo cache: a dispatch whose simulation
-  /// inputs (class, lane kind, rebased availability, contended link share,
-  /// derived fault seed) exactly match an already-run simulation reuses its
-  /// result instead of re-running the engine.
-  bool sim_cache = true;
-  /// Bound on distinct memoized engine runs (FIFO eviction, deterministic).
+  /// Bound on distinct memoized engine runs (>= 1; FIFO eviction,
+  /// deterministic).  The digest-verified memo cache (serve/memo.hpp) is
+  /// exact: a dispatch whose simulation inputs match an already-run
+  /// simulation reuses its result, so the bound only changes how many
+  /// engine runs serve() performs — a tight bound is how a caller forces
+  /// fresh runs.
   std::size_t sim_cache_capacity = 512;
-  /// Extent-shaped storage traffic (PR 10): persisting dispatches issue
-  /// their dataset mounts and write-backs through the backends' span fast
-  /// path.  Exact like the caches above — the span paths are bit-for-bit
-  /// the scalar loops, so every report/metrics/trace artifact is
-  /// byte-identical with this on or off.
-  bool span_io = true;
   ObsOptions obs;
 };
 
@@ -255,8 +242,9 @@ struct ServeReport {
   std::uint64_t digest = 0;
 
   // Hot-path cache statistics (PR 7) — diagnostics only.  Deliberately
-  // excluded from to_json(), the digest and the metrics registry so every
-  // exported artifact stays byte-identical with the caches on or off.
+  // excluded from to_json(), the digest and the metrics registry: the
+  // caches are exact, so exported artifacts never depend on how often they
+  // hit (e.g. under a tighter sim_cache_capacity).
   std::uint64_t sim_cache_hits = 0;
   std::uint64_t sim_cache_misses = 0;
   std::uint64_t sim_cache_evictions = 0;

@@ -690,14 +690,10 @@ flash::StorageRecovery ZnsDevice::recover() {
 
   ++stats_.recoveries;
   // The remount contract: every invariant holds before the first IO.  The
-  // default check is incremental (summaries for all zones, deep page checks
-  // only where the device wrote since the last fold); the exhaustive sweep
-  // stays available as a debug mode.
-  if (config_.exhaustive_remount_verify) {
-    check_invariants();
-  } else {
-    check_invariants_incremental();
-  }
+  // check is incremental (summaries for all zones, deep page checks only
+  // where the device wrote since the last fold); the property suite runs
+  // the exhaustive sweep after every remount too.
+  check_invariants_incremental();
   return rec;
 }
 

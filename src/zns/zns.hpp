@@ -92,11 +92,6 @@ struct ZnsConfig {
   /// Stop reclaiming when Empty data zones recover to this many.
   std::uint32_t reclaim_high_watermark = 4;
   flash::JournalConfig journal;
-  /// Remount verification mode, mirroring FtlConfig: false (default) runs
-  /// the incremental check (O(zones) summaries + deep checks on the zones
-  /// dirtied since the last fold); true runs the exhaustive
-  /// check_invariants() sweep on every remount.
-  bool exhaustive_remount_verify = false;
 };
 
 struct ZnsStats {
@@ -159,9 +154,8 @@ class ZnsDevice final : public flash::StorageBackend {
   void check_invariants() const override;
   /// The remount-time subset of check_invariants(): O(zones) summary
   /// cross-checks, deep per-page checks only on zones dirtied since the
-  /// last checkpoint fold.  recover() runs this by default
-  /// (ZnsConfig::exhaustive_remount_verify switches to the full sweep);
-  /// public so tests can prove the two modes agree.
+  /// last checkpoint fold.  recover() runs this on every remount; public so
+  /// tests can check it alongside the full sweep.
   void check_invariants_incremental() const;
 
   // ---- Zone management (the ZNS command set) ---------------------------

@@ -265,62 +265,6 @@ TEST(Cli, KillFlagsCollectsRepeatsInOrderAndBothSpellings) {
       kill_flags(1, const_cast<char**>(argv_none), "--kill-device").empty());
 }
 
-TEST(Cli, ParseOnOffAcceptsExactlyOnAndOff) {
-  ASSERT_TRUE(parse_on_off("on").has_value());
-  EXPECT_TRUE(*parse_on_off("on"));
-  ASSERT_TRUE(parse_on_off("off").has_value());
-  EXPECT_FALSE(*parse_on_off("off"));
-}
-
-TEST(Cli, ParseOnOffRejectsEveryMalformedShape) {
-  const char* bad[] = {
-      "",      // empty
-      "On",    // no case folding
-      "ON",    //
-      "OFF",   //
-      "true",  // no boolean aliases
-      "false",  //
-      "1",     // no numeric aliases
-      "0",     //
-      "yes",   //
-      "no",    //
-      " on",   // leading whitespace
-      "on ",   // trailing whitespace
-      "off2",  // trailing junk
-  };
-  for (const char* text : bad) {
-    EXPECT_FALSE(parse_on_off(text).has_value()) << "\"" << text << "\"";
-  }
-  EXPECT_FALSE(parse_on_off(nullptr).has_value());
-}
-
-TEST(Cli, OnOffFlagParsesBothSpellingsAndFallsBack) {
-  const char* argv[] = {"prog", "--plan-cache", "off", "--sim-cache=on"};
-  EXPECT_FALSE(
-      on_off_flag(4, const_cast<char**>(argv), "--plan-cache", true));
-  EXPECT_TRUE(on_off_flag(4, const_cast<char**>(argv), "--sim-cache", false));
-  // Absent flag: the fallback decides, whichever way it points.
-  EXPECT_TRUE(on_off_flag(4, const_cast<char**>(argv), "--missing", true));
-  EXPECT_FALSE(on_off_flag(4, const_cast<char**>(argv), "--missing", false));
-}
-
-TEST(Cli, SpanFlagParsesStrictlyAndDefaultsOn) {
-  // The benches expose the storage data plane toggle as `--span on|off`
-  // through on_off_flag, so it inherits the strict exit-2 grammar: both
-  // spellings parse, anything else is rejected by parse_on_off.
-  const char* argv[] = {"prog", "--span", "off"};
-  EXPECT_FALSE(on_off_flag(3, const_cast<char**>(argv), "--span", true));
-  const char* argv_eq[] = {"prog", "--span=on"};
-  EXPECT_TRUE(on_off_flag(2, const_cast<char**>(argv_eq), "--span", false));
-  // Absent: spans stay on, matching EngineOptions/ServeConfig defaults.
-  const char* argv_none[] = {"prog"};
-  EXPECT_TRUE(on_off_flag(1, const_cast<char**>(argv_none), "--span", true));
-  const char* span_bad[] = {"On", "Off", "spans", "on,off", "enabled"};
-  for (const char* text : span_bad) {
-    EXPECT_FALSE(parse_on_off(text).has_value()) << "\"" << text << "\"";
-  }
-}
-
 TEST(Cli, ParseEnumMatchesExactChoiceOnly) {
   const std::vector<const char*> choices = {"ftl", "zns", "mixed"};
   ASSERT_TRUE(parse_enum("ftl", choices).has_value());

@@ -284,12 +284,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FtlChurn,
 // the same operation list and demands exact equality, through GC churn and
 // across crash/remount cycles.
 
-FtlConfig journaled_small(bool exhaustive = false) {
+FtlConfig journaled_small() {
   FtlConfig config = small_ftl();
   config.geometry.page_bytes = Bytes{64};  // journal pages fill in 4 entries
   config.journal.enabled = true;
   config.journal.checkpoint_interval_pages = 4;
-  config.exhaustive_remount_verify = exhaustive;
   return config;
 }
 
@@ -423,33 +422,22 @@ TEST(FtlSpanCrash, FiftyPointSweepMatchesScalarTwin) {
   }
 }
 
-// Incremental remount verification (the default) and the exhaustive sweep
-// must agree: same recovery outcome, same post-remount state, and both
-// checkers pass on the same device at every remount.
+// recover() runs the incremental remount check; the exhaustive sweep must
+// agree with it — both checkers pass on the device at every remount.
 TEST(FtlSpanCrash, IncrementalAndExhaustiveRemountVerifyAgree) {
-  Ftl incremental(journaled_small(/*exhaustive=*/false));
-  Ftl exhaustive(journaled_small(/*exhaustive=*/true));
-  const auto ops =
-      random_span_ops(0xabcdULL, incremental.logical_pages(), 150, 0.2);
+  Ftl ftl(journaled_small());
+  const auto ops = random_span_ops(0xabcdULL, ftl.logical_pages(), 150, 0.2);
   std::size_t cursor = 0;
   for (int cycle = 0; cycle < 3; ++cycle) {
     for (std::size_t i = 0; i < 40; ++i, ++cursor) {
-      apply_span(incremental, ops[cursor % ops.size()]);
-      apply_span(exhaustive, ops[cursor % ops.size()]);
+      apply_span(ftl, ops[cursor % ops.size()]);
     }
-    incremental.power_loss();
-    exhaustive.power_loss();
-    const auto rec_a = incremental.recover();
-    const auto rec_b = exhaustive.recover();
-    EXPECT_EQ(rec_a.mappings_recovered, rec_b.mappings_recovered);
-    EXPECT_EQ(rec_a.pages_scanned, rec_b.pages_scanned);
-    // Both verification modes hold on both devices at the remount point.
-    incremental.check_invariants();
-    incremental.check_invariants_incremental();
-    exhaustive.check_invariants();
-    exhaustive.check_invariants_incremental();
+    ftl.power_loss();
+    const auto rec = ftl.recover();
+    EXPECT_GT(rec.mappings_recovered, 0u);
+    ftl.check_invariants();
+    ftl.check_invariants_incremental();
   }
-  expect_identical(incremental, exhaustive);
 }
 
 TEST(FtlSpan, ReadSpanMatchesTranslateLoop) {
