@@ -25,11 +25,6 @@ Seconds Cse::compute_seconds(Seconds work, std::uint32_t threads) const {
   return work / (static_cast<double>(usable) * core_speed_vs_host());
 }
 
-SimTime Cse::compute_finish(SimTime t0, Seconds work,
-                            std::uint32_t threads) const {
-  return availability_.finish_time(t0, compute_seconds(work, threads));
-}
-
 void Cse::set_availability(sim::AvailabilitySchedule schedule) {
   availability_ = std::move(schedule);
 }

@@ -55,10 +55,6 @@ class Cse {
   [[nodiscard]] Seconds compute_seconds(Seconds work,
                                         std::uint32_t threads) const;
 
-  /// Completion under the availability schedule, starting at t0.
-  [[nodiscard]] SimTime compute_finish(SimTime t0, Seconds work,
-                                       std::uint32_t threads) const;
-
   void set_availability(sim::AvailabilitySchedule schedule);
   [[nodiscard]] const sim::AvailabilitySchedule& availability() const {
     return availability_;

@@ -102,13 +102,6 @@ struct StorageCounters {
     return static_cast<double>(host_pages + reclaim_pages + meta_pages) /
            static_cast<double>(host_pages);
   }
-  /// Fraction of write bandwidth spent on background storage management.
-  [[nodiscard]] double reclaim_pressure() const {
-    const std::uint64_t internal = reclaim_pages + meta_pages;
-    if (host_pages + internal == 0) return 0.0;
-    return static_cast<double>(internal) /
-           static_cast<double>(host_pages + internal);
-  }
 };
 
 /// The storage-management model of one device.  Implementations are untimed

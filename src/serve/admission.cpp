@@ -123,9 +123,4 @@ const TenantStats& AdmissionController::stats(std::uint32_t tenant) const {
   return tenants_[tenant].stats;
 }
 
-const TenantConfig& AdmissionController::tenant(std::uint32_t tenant) const {
-  ISP_CHECK(tenant < tenants_.size(), "unknown tenant " << tenant);
-  return tenants_[tenant].config;
-}
-
 }  // namespace isp::serve

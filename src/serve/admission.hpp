@@ -114,7 +114,6 @@ class AdmissionController {
   void note_retry_exhausted(std::uint32_t tenant, bool was_placed);
 
   [[nodiscard]] const TenantStats& stats(std::uint32_t tenant) const;
-  [[nodiscard]] const TenantConfig& tenant(std::uint32_t tenant) const;
 
  private:
   struct TenantState {

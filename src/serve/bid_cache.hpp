@@ -10,11 +10,13 @@
 //   (job class, lane state epoch, fleet epoch, candidate start)
 //
 // where the epochs come from Fleet's incremental index: the lane epoch
-// covers the lane's own busy_until / death / breaker gate, and the fleet
-// epoch covers every device's busy_until (the shared link-contention
-// input).  A slot whose epochs and start still match is a *core* hit —
-// finish_time, the contended share, the projected completion and the
-// effective availability are reused bit for bit.  The Equation-1 profit
+// covers the lane's own busy_until / death / breaker gate / storage stats
+// (and with them the reclaim-derated CSE schedule the finish time
+// integrates, which Fleet::note_storage re-derives), and the fleet epoch
+// covers every device's busy_until (the shared link-contention input).  A
+// slot whose epochs and start still match is a *core* hit — finish_time,
+// the contended share, the projected completion and the effective
+// availability are reused bit for bit.  The Equation-1 profit
 // additionally depends on the job's arrival (queue wait) and the host-side
 // wait, so it revalidates on those two and is otherwise recombined from the
 // cached core — the same arithmetic net_profit_under_contention would run,
@@ -42,7 +44,6 @@ struct CachedBid {
   bool core_valid = false;
   bool starved = false;  // schedule starves the work: finish_time infinite
   SimTime start;
-  SimTime compute_done;
   SimTime done;
   double share = 1.0;
   double avail_eff = 1.0;

@@ -1,5 +1,6 @@
 #include "serve/breaker.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -87,10 +88,8 @@ void CircuitBreaker::decay_to(SimTime now) {
   // Same-wave queries may arrive a hair out of order (per-job ready times
   // are not monotone across tenants); treat a non-advancing clock as the
   // same instant rather than growing the score back.
-  if (now <= last_) return;
-  score_ *=
-      std::exp(-(now - last_).value() / config_.decay_tau.value());
-  last_ = now;
+  score_ = score(now);
+  last_ = std::max(last_, now);
 }
 
 void CircuitBreaker::transition(BreakerState to, SimTime at) {

@@ -60,7 +60,6 @@ struct BreakerTransition {
 
 class CircuitBreaker {
  public:
-  CircuitBreaker() = default;
   explicit CircuitBreaker(BreakerConfig config);
 
   [[nodiscard]] const BreakerConfig& config() const { return config_; }

@@ -1,6 +1,7 @@
 #include "serve/fleet.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/error.hpp"
@@ -32,24 +33,16 @@ FleetConfig FleetConfig::make(std::size_t devices, std::size_t host_lanes,
     DeviceConfig d;
     d.cse_availability =
         sim::AvailabilitySchedule::constant(1.0 - skew * static_cast<double>(k % 4));
-    switch (mix) {
-      case BackendMix::Ftl:
-        d.backend = flash::BackendKind::Ftl;
-        break;
-      case BackendMix::Zns:
-        d.backend = flash::BackendKind::Zns;
-        break;
-      case BackendMix::Mixed:
-        d.backend =
-            (k % 2 == 0) ? flash::BackendKind::Ftl : flash::BackendKind::Zns;
-        break;
-    }
+    const bool zns =
+        mix == BackendMix::Zns || (mix == BackendMix::Mixed && k % 2 == 1);
+    d.backend = zns ? flash::BackendKind::Zns : flash::BackendKind::Ftl;
     config.devices.push_back(std::move(d));
   }
   return config;
 }
 
-Fleet::Fleet(FleetConfig config) : config_(std::move(config)) {
+Fleet::Fleet(FleetConfig config, BreakerConfig breaker)
+    : config_(std::move(config)) {
   ISP_CHECK(!config_.devices.empty(), "a fleet needs at least one device");
   ISP_CHECK(config_.link_fan_out >= 1, "link fan-out must be at least 1");
   for (const auto& d : config_.devices) {
@@ -58,9 +51,10 @@ Fleet::Fleet(FleetConfig config) : config_(std::move(config)) {
   }
   busy_until_.assign(lane_count(), SimTime::zero());
   stats_.assign(lane_count(), LaneStats{});
-  gate_.assign(lane_count(), SimTime::zero());
   kill_at_.assign(lane_count(), SimTime::infinity());
   epoch_.assign(lane_count(), 0);
+  breakers_.assign(device_count(), CircuitBreaker(breaker));
+  derating_.resize(device_count());
   for (std::size_t lane = 0; lane < lane_count(); ++lane) {
     ready_order_.emplace(SimTime::zero(), lane);
   }
@@ -119,6 +113,16 @@ void Fleet::note_storage(std::size_t lane, std::uint64_t host_pages,
   stats_[lane].storage_internal_pages += internal_pages;
   stats_[lane].storage_resets += resets;
   stats_[lane].reclaim_time += reclaim_time;
+  ++epoch_[lane];
+  if (is_host_lane(lane)) return;
+  const double busy = stats_[lane].busy.value();
+  const double p = std::min(
+      busy > 0.0 ? stats_[lane].reclaim_time.value() / busy : 0.0, 0.5);
+  const double q = std::floor(p * 64.0) / 64.0;
+  Derating& d = derating_[lane];
+  if (q == d.derate) return;
+  d.derate = q;
+  d.schedule = config_.devices[lane].cse_availability.scaled(1.0 - q);
 }
 
 void Fleet::mark_dead(std::size_t lane, SimTime at) {
@@ -174,14 +178,6 @@ void Fleet::set_kill_at(std::size_t lane, SimTime at) {
   ++epoch_[lane];
 }
 
-void Fleet::set_gate(std::size_t lane, SimTime at) {
-  ISP_CHECK(lane < config_.devices.size(),
-            "breaker gates are per-device; lane " << lane << " is host");
-  if (gate_[lane] == at) return;  // quiet breakers don't invalidate bids
-  gate_[lane] = at;
-  ++epoch_[lane];
-}
-
 SimTime Fleet::earliest_feasible_start(SimTime arrival) const {
   SimTime best = SimTime::infinity();
   for (const auto& [busy, lane] : ready_order_) {
@@ -189,7 +185,9 @@ SimTime Fleet::earliest_feasible_start(SimTime arrival) const {
     // the bound, no later entry can start earlier either.
     if (busy >= best) break;
     SimTime start = std::max(busy, arrival);
-    start = std::max(start, gate_[lane]);
+    if (!is_host_lane(lane)) {  // host lanes have no breaker gate
+      start = std::max(start, breakers_[lane].ready_at());
+    }
     if (start >= kill_at_[lane]) continue;
     best = std::min(best, start);
     if (best <= arrival) break;  // can't start before the job exists
@@ -202,6 +200,50 @@ SimTime Fleet::next_free(const std::vector<bool>& claimed) const {
     if (!claimed[lane]) return busy;
   }
   return SimTime::infinity();
+}
+
+// ---- Device health and reclaim derating ----------------------------------
+
+const CircuitBreaker& Fleet::breaker(std::size_t lane) const {
+  ISP_CHECK(lane < config_.devices.size(),
+            "breakers are per-device; lane " << lane << " is a host lane");
+  return breakers_[lane];
+}
+
+CircuitBreaker& Fleet::mutable_breaker(std::size_t lane) {
+  ISP_CHECK(lane < config_.devices.size(),
+            "breakers are per-device; lane " << lane << " is a host lane");
+  return breakers_[lane];
+}
+
+// Each breaker mutation bumps the lane epoch only when the gate moves.
+void Fleet::begin_probe(std::size_t lane, SimTime start) {
+  CircuitBreaker& brk = mutable_breaker(lane);
+  const SimTime gate = brk.ready_at();
+  brk.begin_probe(start);
+  if (brk.ready_at() != gate) ++epoch_[lane];
+}
+
+void Fleet::abort_probe(std::size_t lane) {
+  // No transition: the breaker stays HalfOpen, so its gate cannot move.
+  mutable_breaker(lane).abort_probe();
+}
+
+void Fleet::record_health(std::size_t lane, SimTime now, double severity) {
+  CircuitBreaker& brk = mutable_breaker(lane);
+  const SimTime gate = brk.ready_at();
+  if (brk.probe_in_flight()) {
+    brk.probe_result(now, severity == 0.0);
+  } else {
+    brk.record_outcome(now, severity);
+  }
+  if (brk.ready_at() != gate) ++epoch_[lane];
+}
+
+const sim::AvailabilitySchedule& Fleet::cse_schedule(std::size_t lane) const {
+  const DeviceConfig& base = device(lane);  // host lanes have no CSE
+  const auto& derated = derating_[lane].schedule;
+  return derated ? *derated : base.cse_availability;
 }
 
 }  // namespace isp::serve

@@ -8,18 +8,22 @@
 // time and what it has served so far; it never runs simulations itself —
 // the server dispatches jobs, runs each job's engine simulation through
 // exec::run_batch, and reports the measured service time back via occupy().
+// It also owns the per-device state placement reads besides the busy
+// clocks: each CSD's health breaker and its reclaim-derated CSE schedule.
 //
 // Lanes [0, devices) are CSDs; lanes [devices, devices + host_lanes) are
 // host fallback slots for jobs Equation 1 prices off the device path.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "common/units.hpp"
 #include "flash/backend.hpp"
+#include "serve/breaker.hpp"
 #include "sim/availability.hpp"
 #include "system/config.hpp"
 
@@ -90,7 +94,8 @@ struct LaneStats {
 
 class Fleet {
  public:
-  explicit Fleet(FleetConfig config);
+  /// Every device lane gets its own health breaker built from `breaker`.
+  explicit Fleet(FleetConfig config, BreakerConfig breaker = {});
 
   [[nodiscard]] const FleetConfig& config() const { return config_; }
   [[nodiscard]] std::size_t device_count() const {
@@ -129,8 +134,9 @@ class Fleet {
                     std::uint32_t power_losses, std::uint64_t faults);
 
   /// Fold a finished storage-driven job's backend activity into the lane's
-  /// stats (serial fold phase only, adjacent to occupy() so the epoch bump
-  /// covers the change for cached bids).
+  /// stats and, on a device lane, re-derive its reclaim derating (see
+  /// cse_schedule()).  Bumps the lane epoch: the stats feed the Equation-1
+  /// reclaim-wait and persist-cost terms.
   void note_storage(std::size_t lane, std::uint64_t host_pages,
                     std::uint64_t internal_pages, std::uint64_t resets,
                     Seconds reclaim_time);
@@ -160,11 +166,13 @@ class Fleet {
   // "devices busy after t" — that were all O(lanes) scans.  The index keeps
   // a busy-ordered set of the *schedulable* lanes (living, not yet doomed
   // by a registered kill) plus a sorted vector of every device lane's
-  // busy_until, updated on occupy / mark_dead / gate changes, so each query
-  // is O(log lanes).  Epochs version the state for the Eq.1 bid cache: a
+  // busy_until, updated on occupy / mark_dead, so each query is
+  // O(log lanes).  Epochs version the state for the Eq.1 bid cache: a
   // lane's cached bid is valid only while its lane epoch (own busy / death
-  // / breaker gate) and the fleet epoch (any device's busy or death — the
-  // link-contention input) both still match.
+  // / breaker gate / storage stats) and the fleet epoch (any device's busy
+  // or death — the link-contention input) both still match.  The fleet
+  // owns every input that versioning covers, breakers and derated
+  // schedules included, so no caller has to keep a copy in step.
 
   /// Register the lane's scheduled death (min-folds with earlier calls).
   /// serve() registers the full kill schedule before the first wave; a lane
@@ -175,13 +183,8 @@ class Fleet {
     return kill_at_[lane];
   }
 
-  /// Mirror of the lane's breaker delayed-start gate (ready_at()); devices
-  /// only.  No-op when unchanged, so a quiet breaker never invalidates
-  /// cached bids.
-  void set_gate(std::size_t lane, SimTime at);
-  [[nodiscard]] SimTime gate(std::size_t lane) const { return gate_[lane]; }
-
-  /// Bumped whenever this lane's busy_until, death or gate changes.
+  /// Bumped whenever this lane's busy_until, death, breaker gate or storage
+  /// stats change.
   [[nodiscard]] std::uint64_t lane_epoch(std::size_t lane) const {
     return epoch_[lane];
   }
@@ -190,19 +193,56 @@ class Fleet {
   [[nodiscard]] std::uint64_t fleet_epoch() const { return fleet_epoch_; }
 
   /// The earliest instant any schedulable lane could start a job arriving
-  /// at `arrival` (gate- and kill-aware; infinity when no lane qualifies).
-  /// Walks the busy-ordered set and stops as soon as no later lane can
-  /// improve the bound (FleetIndex tests check it against a linear scan).
+  /// at `arrival` (breaker- and kill-aware; infinity when no lane
+  /// qualifies).  Walks the busy-ordered set and stops as soon as no later
+  /// lane can improve the bound (FleetIndex tests check it against a linear
+  /// scan).
   [[nodiscard]] SimTime earliest_feasible_start(SimTime arrival) const;
 
   /// The earliest busy_until over schedulable, unclaimed lanes — the next
   /// wave decision instant.  Infinity when every such lane is claimed.
   [[nodiscard]] SimTime next_free(const std::vector<bool>& claimed) const;
 
+  // ---- Device health and reclaim derating --------------------------------
+  //
+  // Each breaker mutation bumps the lane epoch only when the breaker's
+  // ready_at() gate actually moves, so a quiet outcome never invalidates
+  // cached bids.  Host lanes have neither a breaker nor a derating.
+
+  /// The device lane's health breaker (see serve/breaker.hpp).
+  [[nodiscard]] const CircuitBreaker& breaker(std::size_t lane) const;
+  /// The dispatch starting at `start` is the lane's HalfOpen probe.
+  void begin_probe(std::size_t lane, SimTime start);
+  /// The lane's in-flight probe was lost to its death.
+  void abort_probe(std::size_t lane);
+  /// Fold a finished job's severity into the lane's breaker.  While a probe
+  /// is in flight the finished job *is* the probe (a lane runs one job per
+  /// wave): it resolves HalfOpen instead, clean iff severity is zero.
+  void record_health(std::size_t lane, SimTime now, double severity);
+
+  /// Fraction of the device's CSE capacity withheld for reclaim pressure:
+  /// reclaim stall over busy time, capped at 1/2, quantised down to 1/64
+  /// (zero for host lanes).
+  [[nodiscard]] double derate(std::size_t lane) const {
+    return is_host_lane(lane) ? 0.0 : derating_[lane].derate;
+  }
+  /// The device's base CSE schedule scaled by 1 − derate(lane): what
+  /// placement prices and dispatches run against.
+  [[nodiscard]] const sim::AvailabilitySchedule& cse_schedule(
+      std::size_t lane) const;
+
  private:
+  /// A device lane's reclaim derating; see derate() and cse_schedule().
+  struct Derating {
+    double derate = 0.0;
+    std::optional<sim::AvailabilitySchedule> schedule;  // base × (1 − derate)
+  };
+
   /// Re-seat `lane` in the index after its busy_until moved from
   /// `old_busy`, and bump the epochs.
   void reindex(std::size_t lane, SimTime old_busy);
+  /// breaker(lane), writable; host lanes fail the same check.
+  CircuitBreaker& mutable_breaker(std::size_t lane);
 
   FleetConfig config_;
   std::vector<SimTime> busy_until_;
@@ -211,8 +251,9 @@ class Fleet {
   std::set<std::pair<SimTime, std::size_t>> ready_order_;
   /// Every device lane's busy_until (dead lanes clamped), ascending.
   std::vector<SimTime> device_busy_sorted_;
-  std::vector<SimTime> gate_;     // breaker ready_at mirror; host lanes 0
   std::vector<SimTime> kill_at_;  // scheduled death; infinity = never
+  std::vector<CircuitBreaker> breakers_;  // one per device lane
+  std::vector<Derating> derating_;        // one per device lane
   std::vector<std::uint64_t> epoch_;
   std::uint64_t fleet_epoch_ = 0;
 };

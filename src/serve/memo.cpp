@@ -1,19 +1,11 @@
 #include "serve/memo.hpp"
 
+#include <iterator>
+
 #include "common/digest.hpp"
 #include "common/error.hpp"
 
 namespace isp::serve {
-
-bool SimKey::operator==(const SimKey& other) const {
-  return job_class == other.job_class && on_host == other.on_host &&
-         backend == other.backend &&
-         link_share_bits == other.link_share_bits &&
-         faulted == other.faulted && fault_seed == other.fault_seed &&
-         power_loss_armed == other.power_loss_armed &&
-         power_loss_after == other.power_loss_after &&
-         schedule == other.schedule;
-}
 
 std::uint64_t SimKey::digest() const {
   std::uint64_t h = kFnvOffset;
@@ -32,41 +24,27 @@ SimMemoCache::SimMemoCache(std::size_t capacity) : capacity_(capacity) {
 }
 
 const SimResult* SimMemoCache::find(const SimKey& key) const {
-  const auto bucket = buckets_.find(key.digest());
-  if (bucket == buckets_.end()) return nullptr;
-  for (const auto& entry : bucket->second) {
+  auto [it, end] = index_.equal_range(key.digest());
+  for (; it != end; ++it) {
     // Digest-verified: the full key must match, not just its hash.
-    if (entry.key == key) return &entry.value;
+    if (it->second->key == key) return &it->second->value;
   }
   return nullptr;
 }
 
 void SimMemoCache::insert(const SimKey& key, const SimResult& value) {
   ISP_CHECK(find(key) == nullptr, "memo cache double insert");
-  while (live_ >= capacity_) {
-    const auto [digest, seq] = fifo_.front();
+  if (fifo_.size() == capacity_) {
+    auto [it, end] = index_.equal_range(fifo_.front().key.digest());
+    while (it != end && it->second != fifo_.begin()) ++it;
+    ISP_CHECK(it != end, "memo cache FIFO lost its entry");
+    index_.erase(it);
     fifo_.pop_front();
-    auto bucket = buckets_.find(digest);
-    ISP_CHECK(bucket != buckets_.end(), "memo cache FIFO lost its bucket");
-    auto& entries = bucket->second;
-    bool erased = false;
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      if (entries[i].seq == seq) {
-        entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(i));
-        erased = true;
-        break;
-      }
-    }
-    ISP_CHECK(erased, "memo cache FIFO lost its entry");
-    if (entries.empty()) buckets_.erase(bucket);
-    --live_;
     ++evictions_;
   }
   const std::uint64_t digest = key.digest();
-  buckets_[digest].push_back(Entry{key, value, next_seq_});
-  fifo_.emplace_back(digest, next_seq_);
-  ++next_seq_;
-  ++live_;
+  fifo_.push_back(Entry{key, value});
+  index_.emplace(digest, std::prev(fifo_.end()));
 }
 
 }  // namespace isp::serve

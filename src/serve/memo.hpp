@@ -23,9 +23,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <list>
+#include <optional>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -90,7 +90,8 @@ struct SimKey {
   /// to the dispatch instant (default-constructed for host lanes).
   sim::AvailabilitySchedule schedule;
 
-  [[nodiscard]] bool operator==(const SimKey& other) const;
+  /// Field by field; schedule equality ignores its query cursor.
+  [[nodiscard]] bool operator==(const SimKey& other) const = default;
   /// FNV-1a over every field — the bucket key.  Hits are still verified
   /// against the full key.
   [[nodiscard]] std::uint64_t digest() const;
@@ -112,26 +113,51 @@ class SimMemoCache {
   /// capacity.  `key` must not already be present.
   void insert(const SimKey& key, const SimResult& value);
 
-  [[nodiscard]] std::size_t size() const { return live_; }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
+  [[nodiscard]] std::size_t size() const { return fifo_.size(); }
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
 
  private:
   struct Entry {
     SimKey key;
     SimResult value;
-    std::uint64_t seq = 0;  // insertion sequence, for FIFO eviction
   };
 
   std::size_t capacity_;
-  std::size_t live_ = 0;
-  std::uint64_t next_seq_ = 0;
   std::uint64_t evictions_ = 0;
+  /// Live entries in insertion order — the FIFO eviction queue.
+  std::list<Entry> fifo_;
   /// digest -> entries with that digest (usually exactly one; a genuine
   /// FNV collision just means a longer verify chain).
-  std::unordered_map<std::uint64_t, std::vector<Entry>> buckets_;
-  /// Insertion order as (digest, seq) pairs — the FIFO eviction queue.
-  std::deque<std::pair<std::uint64_t, std::uint64_t>> fifo_;
+  std::unordered_multimap<std::uint64_t, std::list<Entry>::iterator> index_;
+};
+
+/// One wave's distinct memo misses in first-seen order.  Lookups bucket by
+/// the caller's digest (SimKey::digest() when serving) and verify the full
+/// key, so two keys that share a digest stay two misses.
+class WaveMisses {
+ public:
+  struct Miss {
+    SimKey key;
+    std::size_t first;  // wave index that owns the fresh engine run
+  };
+
+  /// The index of the earlier miss whose key equals `key`; otherwise record
+  /// `key` as a new miss owned by wave index `first` and return nullopt.
+  std::optional<std::size_t> dedupe(SimKey key, std::uint64_t digest,
+                                    std::size_t first) {
+    auto [it, end] = index_.equal_range(digest);
+    for (; it != end; ++it) {
+      if (misses_[it->second].key == key) return it->second;
+    }
+    index_.emplace(digest, misses_.size());
+    misses_.push_back(Miss{std::move(key), first});
+    return std::nullopt;
+  }
+  [[nodiscard]] const std::vector<Miss>& misses() const { return misses_; }
+
+ private:
+  std::vector<Miss> misses_;
+  std::unordered_multimap<std::uint64_t, std::size_t> index_;  // digest→miss
 };
 
 }  // namespace isp::serve

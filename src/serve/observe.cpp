@@ -16,10 +16,9 @@ std::string num(double v) {
   return buf;
 }
 
-std::string lane_name(std::int32_t lane, std::size_t fleet_size) {
-  const auto l = static_cast<std::size_t>(lane);
-  if (l < fleet_size) return "csd" + std::to_string(l);
-  return "host" + std::to_string(l - fleet_size);
+std::string lane_name(std::size_t lane, std::size_t fleet_size) {
+  if (lane < fleet_size) return "csd" + std::to_string(lane);
+  return "host" + std::to_string(lane - fleet_size);
 }
 
 /// Strip one trailing newline so components embed cleanly.
@@ -35,13 +34,9 @@ obs::Timeline to_fleet_timeline(const ServeReport& report) {
 
   for (const auto& o : report.outcomes) {
     const std::string job = "job" + std::to_string(o.id);
-    if (o.rejected) {
-      timeline.instant("admission", job + " rejected", o.arrival.seconds(),
-                       {{"tenant", std::to_string(o.tenant)}});
-      continue;
-    }
-    if (o.deadline_rejected) {
-      timeline.instant("admission", job + " deadline-rejected",
+    if (o.rejected || o.deadline_rejected) {
+      timeline.instant("admission",
+                       job + (o.rejected ? " rejected" : " deadline-rejected"),
                        o.arrival.seconds(),
                        {{"tenant", std::to_string(o.tenant)}});
       continue;
@@ -56,8 +51,7 @@ obs::Timeline to_fleet_timeline(const ServeReport& report) {
     SimTime wait_from = o.arrival;
     for (std::size_t a = 0; a < o.lost_attempts.size(); ++a) {
       const auto& lost = o.lost_attempts[a];
-      const std::string lost_lane =
-          lane_name(static_cast<std::int32_t>(lost.lane), report.fleet_size);
+      const std::string lost_lane = lane_name(lost.lane, report.fleet_size);
       timeline.complete(queue_track, job + " [queue-wait]",
                         wait_from.seconds(), (lost.start - wait_from).value());
       timeline.complete(lost_lane, job + " [lost]", lost.start.seconds(),
@@ -85,7 +79,8 @@ obs::Timeline to_fleet_timeline(const ServeReport& report) {
     timeline.complete(queue_track, job + " [queue-wait]",
                       wait_from.seconds(), (o.start - wait_from).value());
 
-    const std::string lane = lane_name(o.lane, report.fleet_size);
+    const std::string lane =
+        lane_name(static_cast<std::size_t>(o.lane), report.fleet_size);
     timeline.instant(lane, job + " [placement]", o.start.seconds(),
                      {{"eq1_profit_s", num(o.eq1_profit.value())},
                       {"on_host", o.on_host ? "true" : "false"},
@@ -141,19 +136,17 @@ obs::Timeline to_fleet_timeline(const ServeReport& report) {
        lane < report.fleet_size && lane < report.lanes.size(); ++lane) {
     const auto& ls = report.lanes[lane];
     if (ls.died_at == SimTime::infinity()) continue;
-    timeline.instant(lane_name(static_cast<std::int32_t>(lane),
-                               report.fleet_size),
-                     "device-failure", ls.died_at.seconds(),
+    timeline.instant(lane_name(lane, report.fleet_size), "device-failure",
+                     ls.died_at.seconds(),
                      {{"lost_jobs", std::to_string(ls.lost_jobs)}});
   }
   for (std::size_t lane = 0; lane < report.breaker_transitions.size();
        ++lane) {
     for (const auto& tr : report.breaker_transitions[lane]) {
-      timeline.instant(
-          lane_name(static_cast<std::int32_t>(lane), report.fleet_size),
-          "breaker " + std::string(to_string(tr.from)) + "->" +
-              std::string(to_string(tr.to)),
-          tr.time.seconds(), {{"score", num(tr.score)}});
+      timeline.instant(lane_name(lane, report.fleet_size),
+                       "breaker " + std::string(to_string(tr.from)) + "->" +
+                           std::string(to_string(tr.to)),
+                       tr.time.seconds(), {{"score", num(tr.score)}});
     }
   }
   return timeline;

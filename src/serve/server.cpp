@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "apps/registry.hpp"
@@ -33,7 +34,6 @@ struct Profile {
   Seconds csd_work;        // planner's T_csd
   Bytes ds_raw;            // stored input the host path pulls over the link
   Bytes ds_processed;      // intermediates the device ships back
-  bool persist = false;    // class drives the lane's storage backend
   /// Flash pages the persisted outputs program per run (before write
   /// amplification) — the Equation-1 persist-cost input.
   std::uint64_t persist_pages = 0;
@@ -53,7 +53,6 @@ std::vector<std::shared_ptr<const Profile>> build_profiles(
           // anything writes its outputs to flash.  Marked before the
           // profiling run so the cached plan, estimates and projected
           // latencies all price the write-back the dispatches will pay.
-          profile->persist = true;
           for (std::size_t i = profile->program.line_count(); i-- > 0;) {
             if (!profile->program.lines()[i].outputs.empty()) {
               profile->program.line_mut(i).writes_storage = true;
@@ -94,26 +93,21 @@ std::vector<std::shared_ptr<const Profile>> build_profiles(
       config.jobs);
 }
 
-struct Arrival {
-  QueuedJob job;
-};
-
-std::vector<Arrival> generate_arrivals(const ServeConfig& config) {
+std::vector<QueuedJob> generate_arrivals(const ServeConfig& config) {
   Rng rng(config.seed);
-  std::vector<Arrival> arrivals;
+  std::vector<QueuedJob> arrivals;
   arrivals.reserve(config.total_jobs);
   SimTime t = SimTime::zero();
   for (std::uint64_t j = 0; j < config.total_jobs; ++j) {
     const double u = rng.next_double();
     t += Seconds{-std::log(1.0 - u) / config.offered_load};
-    Arrival a;
-    a.job.id = j;
-    a.job.tenant = static_cast<std::uint32_t>(
+    QueuedJob& job = arrivals.emplace_back();
+    job.id = j;
+    job.tenant = static_cast<std::uint32_t>(
         rng.uniform_u64(0, config.tenants.size() - 1));
-    a.job.job_class = static_cast<std::uint32_t>(
+    job.job_class = static_cast<std::uint32_t>(
         rng.uniform_u64(0, config.job_classes.size() - 1));
-    a.job.arrival = t;
-    arrivals.push_back(a);
+    job.arrival = t;
   }
   return arrivals;
 }
@@ -124,12 +118,8 @@ struct Dispatch {
   QueuedJob job;
   std::size_t lane = 0;
   bool on_host = false;
-  /// This dispatch is the lane breaker's HalfOpen probe.
-  bool is_probe = false;
   SimTime start;
   double link_share = 1.0;
-  /// Storage backend of the dispatch lane (ignored for host lanes).
-  flash::BackendKind backend = flash::BackendKind::Ftl;
   Seconds eq1_profit;
   /// The device's availability as seen from `start` — precomputed in the
   /// serial decision phase because rebased()/fraction_at() move the
@@ -145,7 +135,7 @@ SimResult simulate_dispatch(const ServeConfig& config, const Profile& profile,
   system::SystemConfig sc = config.fleet.system;
   if (!d.on_host) {
     sc.link.bandwidth = sc.link.bandwidth * d.link_share;
-    sc.csd.backend = d.backend;
+    sc.csd.backend = config.fleet.devices[d.lane].backend;
   }
   system::SystemModel system(sc);
 
@@ -155,7 +145,7 @@ SimResult simulate_dispatch(const ServeConfig& config, const Profile& profile,
   // as live mappings, outputs go through write()/zone_append, and the
   // backend-internal reclaim traffic stalls the device inside the measured
   // service time.
-  rc.engine.drive_storage = profile.persist;
+  rc.engine.drive_storage = config.job_classes[d.job.job_class].persist;
   rc.engine.fault = config.fault;
   rc.engine.fault.seed = splitmix64(config.seed ^ (0xf1ee7000ULL + d.job.id));
   if (config.power_loss_job >= 0 &&
@@ -218,8 +208,9 @@ SimKey make_sim_key(const ServeConfig& config, const Dispatch& d) {
   SimKey key;
   key.job_class = d.job.job_class;
   key.on_host = d.on_host;
-  key.backend =
-      d.on_host ? 0 : 1 + static_cast<std::uint32_t>(d.backend);
+  key.backend = d.on_host ? 0
+                          : 1 + static_cast<std::uint32_t>(
+                                    config.fleet.devices[d.lane].backend);
   key.link_share_bits = double_bits(d.on_host ? 1.0 : d.link_share);
   const bool armed =
       config.power_loss_job >= 0 &&
@@ -251,6 +242,88 @@ struct LaneBid {
   Seconds profit;
 };
 
+/// Device lane `lane`'s Equation-1 bid for `job` starting at `start`,
+/// through the epoch-versioned bid cache: a slot whose state epochs and
+/// candidate start still match reuses the finish-time integral, contended
+/// share and completion projection; the profit additionally revalidates on
+/// (arrival, host_wait).  Cached and fresh bids are bit-identical.  A
+/// starved slot (the schedule never finishes the work) carries no profit.
+const CachedBid& price_device(const Fleet& fleet, std::size_t lane,
+                              SimTime start, const Profile& profile,
+                              const QueuedJob& job, Seconds host_wait,
+                              BidCache& bids) {
+  const BytesPerSecond bw = fleet.config().system.link.bandwidth;
+  CachedBid& cb = bids.slot(job.job_class, lane);
+  if (cb.core_valid && cb.lane_epoch == fleet.lane_epoch(lane) &&
+      cb.fleet_epoch == fleet.fleet_epoch() && cb.start == start) {
+    ++bids.hits;
+  } else {
+    ++bids.misses;
+    // The lane's *derated* schedule: base CSE availability scaled down by
+    // the lane's observed reclaim pressure (the fleet re-derives it under
+    // the lane epoch).  Overwriting the slot also drops its cached profit.
+    cb = CachedBid{};
+    cb.core_valid = true;
+    cb.lane_epoch = fleet.lane_epoch(lane);
+    cb.fleet_epoch = fleet.fleet_epoch();
+    cb.start = start;
+    const SimTime compute_done =
+        fleet.cse_schedule(lane).finish_time(start, profile.csd_work);
+    cb.starved = compute_done == SimTime::infinity();
+    if (!cb.starved) {
+      const std::size_t busy = std::min(fleet.busy_devices_after(start) + 1,
+                                        fleet.device_count());
+      cb.share = fleet.contended_link_share(lane, busy);
+      cb.done = compute_done + profile.ds_processed / (bw * cb.share);
+      // Effective CSE fraction over exactly the window the job would
+      // occupy.
+      cb.avail_eff =
+          profile.csd_work.value() > 0.0
+              ? profile.csd_work.value() / (compute_done - start).value()
+              : 1.0;
+    }
+  }
+  if (cb.starved ||
+      (cb.profit_valid && cb.arrival == job.arrival &&
+       cb.host_wait == host_wait)) {
+    return cb;
+  }
+  const plan::Eq1Terms terms{.ds_raw = profile.ds_raw,
+                             .ct_host = profile.host_work + host_wait,
+                             .ct_device = profile.csd_work,
+                             .ds_processed = profile.ds_processed,
+                             .bw_d2h = bw};
+  // Backend-specific device-side terms: the reclaim stall this lane has
+  // historically charged per job (FTL GC vs ZNS copy-forward price very
+  // differently), and the NAND-program cost of the class's persisted pages
+  // inflated by the lane's observed write amplification.  Both fold from
+  // completed jobs through note_storage(), whose lane-epoch bump keeps
+  // cached bids exact.
+  const auto& ls = fleet.stats(lane);
+  const Seconds reclaim_wait =
+      ls.jobs > 0
+          ? Seconds{ls.reclaim_time.value() / static_cast<double>(ls.jobs)}
+          : Seconds::zero();
+  const Seconds persist_cost =
+      fleet.config().system.csd.nand_timing.page_program *
+      (static_cast<double>(profile.persist_pages) *
+       ls.storage_write_amplification());
+  // The wait this job would actually experience on the device: the time
+  // from its arrival until the lane's queued work drains.
+  const plan::Eq1Contention contention{
+      .queue_wait =
+          std::max(Seconds::zero(), fleet.busy_until(lane) - job.arrival),
+      .cse_availability = std::clamp(cb.avail_eff, 1e-6, 1.0),
+      .link_share = cb.share,
+      .reclaim_wait = reclaim_wait,
+      .persist_cost = persist_cost};
+  cb.profit_valid = true;
+  cb.arrival = job.arrival;
+  cb.host_wait = host_wait;
+  cb.profit = plan::net_profit_under_contention(terms, contention);
+  return cb;
+}
+
 /// Rank the eligible lanes for `job` and decide device vs host fallback by
 /// Equation 1 under contention.  Among devices (and among host lanes) the
 /// projected completion decides; between the best device and the host path,
@@ -263,529 +336,523 @@ struct LaneBid {
 /// cannot start by the job's deadline, the earliest-starting eligible lane
 /// is tried instead; only when even that misses is DeadlineExpired
 /// returned.
-///
-/// Hot path: the device loop consults the epoch-versioned bid cache — a
-/// lane whose state epochs and candidate start match the cached slot reuses
-/// the finish-time integral, contended share and completion projection; the
-/// Equation-1 profit additionally revalidates on (arrival, host_wait).
-/// Cached and fresh bids are bit-identical.
 Place choose_lane(const Fleet& fleet, const std::vector<bool>& claimed,
-                  const std::vector<CircuitBreaker>& breakers,
-                  const std::vector<sim::AvailabilitySchedule>& scheds,
                   const Profile& profile, const QueuedJob& job,
                   BidCache& bids, Dispatch& out) {
-  const BytesPerSecond bw = fleet.config().system.link.bandwidth;
-  const std::size_t device_count = fleet.device_count();
-  const Seconds page_program =
-      fleet.config().system.csd.nand_timing.page_program;
-
-  bool have_device = false, have_host = false, have_earliest = false;
-  LaneBid best_device, best_host, earliest;
-  const auto consider_earliest = [&](const LaneBid& bid) {
-    if (!have_earliest || bid.start < earliest.start ||
-        (bid.start == earliest.start && bid.lane < earliest.lane)) {
-      have_earliest = true;
+  std::optional<LaneBid> best_device, best_host, earliest;
+  const auto consider = [&](const LaneBid& bid, std::optional<LaneBid>& best) {
+    if (!earliest || bid.start < earliest->start ||
+        (bid.start == earliest->start && bid.lane < earliest->lane)) {
       earliest = bid;
     }
+    if (!best || bid.done < best->done) best = bid;
   };
 
   // Host lanes first: the fallback's own queue wait belongs on Equation 1's
   // host side, so the devices are priced against the host path the job
-  // would actually take.  The winning lane's busy_until rides along so the
-  // host-wait term below doesn't re-read it (the PR 7 hoist).
-  SimTime best_host_busy = SimTime::zero();
+  // would actually take.
   for (std::size_t lane = fleet.device_count(); lane < fleet.lane_count();
        ++lane) {
     if (claimed[lane]) continue;
-    const SimTime busy = fleet.busy_until(lane);
-    const SimTime start = std::max(busy, job.ready);
-    const LaneBid bid{.lane = lane,
-                      .on_host = true,
-                      .start = start,
-                      .done = start + profile.host_work,
-                      .share = 1.0,
-                      .profit = Seconds::zero()};
-    consider_earliest(bid);
-    if (!have_host || bid.done < best_host.done) {
-      have_host = true;
-      best_host = bid;
-      best_host_busy = busy;
-    }
+    const SimTime start = std::max(fleet.busy_until(lane), job.ready);
+    consider(LaneBid{.lane = lane,
+                     .on_host = true,
+                     .start = start,
+                     .done = start + profile.host_work,
+                     .share = 1.0,
+                     .profit = Seconds::zero()},
+             best_host);
   }
   const Seconds host_wait =
-      have_host ? std::max(Seconds::zero(), best_host_busy - job.arrival)
+      best_host ? std::max(Seconds::zero(),
+                           fleet.busy_until(best_host->lane) - job.arrival)
                 : Seconds::zero();
 
   for (std::size_t lane = 0; lane < fleet.device_count(); ++lane) {
     if (claimed[lane] || !fleet.alive(lane)) continue;
-    const CircuitBreaker& brk = breakers[lane];
+    const CircuitBreaker& brk = fleet.breaker(lane);
     if (brk.state() == BreakerState::HalfOpen && brk.probe_in_flight()) {
       continue;  // one probe at a time
     }
     const SimTime start =
         std::max({fleet.busy_until(lane), job.ready, brk.ready_at()});
     if (start >= fleet.kill_at(lane)) continue;  // lane is dead by then
-
-    // Core placement terms: reused when the lane's state epochs and the
-    // candidate start still match the cached slot.
-    CachedBid& cb = bids.slot(job.job_class, lane);
-    if (cb.core_valid && cb.lane_epoch == fleet.lane_epoch(lane) &&
-        cb.fleet_epoch == fleet.fleet_epoch() && cb.start == start) {
-      ++bids.hits;
-    } else {
-      ++bids.misses;
-      // The lane's *derated* schedule: base CSE availability scaled down by
-      // the lane's observed reclaim pressure (serial fold phase keeps it in
-      // step with occupy(), so the lane epoch covers it).  Overwriting the
-      // slot also drops its cached profit.
-      cb = CachedBid{};
-      cb.core_valid = true;
-      cb.lane_epoch = fleet.lane_epoch(lane);
-      cb.fleet_epoch = fleet.fleet_epoch();
-      cb.start = start;
-      cb.compute_done = scheds[lane].finish_time(start, profile.csd_work);
-      cb.starved = cb.compute_done == SimTime::infinity();
-      if (!cb.starved) {
-        const std::size_t busy =
-            std::min(fleet.busy_devices_after(start) + 1, device_count);
-        cb.share = fleet.contended_link_share(lane, busy);
-        cb.done = cb.compute_done + profile.ds_processed / (bw * cb.share);
-        // Effective CSE fraction over exactly the window the job would
-        // occupy.
-        cb.avail_eff =
-            profile.csd_work.value() > 0.0
-                ? profile.csd_work.value() / (cb.compute_done - start).value()
-                : 1.0;
-      }
-    }
+    const CachedBid& cb =
+        price_device(fleet, lane, start, profile, job, host_wait, bids);
     if (cb.starved) continue;  // starved device: same schedule, same start
-
-    if (!(cb.profit_valid && cb.arrival == job.arrival &&
-          cb.host_wait == host_wait)) {
-      const plan::Eq1Terms terms{.ds_raw = profile.ds_raw,
-                                 .ct_host = profile.host_work + host_wait,
-                                 .ct_device = profile.csd_work,
-                                 .ds_processed = profile.ds_processed,
-                                 .bw_d2h = bw};
-      // Backend-specific device-side terms: the reclaim stall this lane has
-      // historically charged per job (FTL GC vs ZNS copy-forward price very
-      // differently), and the NAND-program cost of the class's persisted
-      // pages inflated by the lane's observed write amplification.  Both
-      // fold from completed jobs in the serial phase, so cached bids stay
-      // exact (the occupy() epoch bump covers every change).
-      const auto& ls = fleet.stats(lane);
-      const Seconds reclaim_wait =
-          ls.jobs > 0 ? Seconds{ls.reclaim_time.value() /
-                                static_cast<double>(ls.jobs)}
-                      : Seconds::zero();
-      const Seconds persist_cost =
-          page_program * (static_cast<double>(profile.persist_pages) *
-                          ls.storage_write_amplification());
-      // The wait this job would actually experience on the device: the time
-      // from its arrival until the lane's queued work drains.
-      const plan::Eq1Contention contention{
-          .queue_wait =
-              std::max(Seconds::zero(), fleet.busy_until(lane) - job.arrival),
-          .cse_availability = std::clamp(cb.avail_eff, 1e-6, 1.0),
-          .link_share = cb.share,
-          .reclaim_wait = reclaim_wait,
-          .persist_cost = persist_cost};
-      cb.profit_valid = true;
-      cb.arrival = job.arrival;
-      cb.host_wait = host_wait;
-      cb.profit = plan::net_profit_under_contention(terms, contention);
-    }
-    const LaneBid bid{.lane = lane,
-                      .on_host = false,
-                      .start = start,
-                      .done = cb.done,
-                      .share = cb.share,
-                      .profit = cb.profit};
-    consider_earliest(bid);
-    if (!have_device || bid.done < best_device.done) {
-      have_device = true;
-      best_device = bid;
-    }
+    consider(LaneBid{.lane = lane,
+                     .on_host = false,
+                     .start = start,
+                     .done = cb.done,
+                     .share = cb.share,
+                     .profit = cb.profit},
+             best_device);
   }
 
-  if (!have_device && !have_host) return Place::NoLane;
+  if (!best_device && !best_host) return Place::NoLane;
   // A plan with no CSD lines has nothing to offload; don't burn a device.
   const bool host_wins =
       profile.plan.csd_line_count() == 0 ||
-      (have_host && (!have_device || best_device.profit.value() <= 0.0));
-  LaneBid chosen = (host_wins && have_host) ? best_host : best_device;
+      (best_host && (!best_device || best_device->profit.value() <= 0.0));
+  LaneBid chosen = (host_wins && best_host) ? *best_host : *best_device;
   // Deadline-aware fallback: the Equation-1 pick stands unless it would
   // start past the job's deadline and another lane would not.
   if (chosen.start > job.deadline) {
-    if (earliest.start > job.deadline) return Place::DeadlineExpired;
-    chosen = earliest;
+    if (earliest->start > job.deadline) return Place::DeadlineExpired;
+    chosen = *earliest;
   }
   out.job = job;
   out.lane = chosen.lane;
   out.on_host = chosen.on_host;
   out.start = chosen.start;
   out.link_share = chosen.on_host ? 1.0 : chosen.share;
-  out.eq1_profit = have_device ? best_device.profit : Seconds::zero();
+  out.eq1_profit = best_device ? best_device->profit : Seconds::zero();
   return Place::Ok;
 }
 
-}  // namespace
-
-ServeReport serve(const ServeConfig& config) {
-  ISP_CHECK(!config.tenants.empty(), "serve needs at least one tenant");
-  ISP_CHECK(!config.job_classes.empty(), "serve needs at least one job class");
-  ISP_CHECK(config.total_jobs >= 1, "serve needs at least one job");
-  ISP_CHECK(config.offered_load > 0.0, "offered load must be positive");
-
-  const auto profiles = build_profiles(config);
-  const auto arrivals = generate_arrivals(config);
-
-  Fleet fleet(config.fleet);
-  AdmissionController admission(config.tenants);
-  ServeReport report;
-  report.outcomes.resize(config.total_jobs);
-
-  // Per-device kill schedule, fully known before the loop: the explicit
-  // schedule min-folded with a seed-deterministic exponential first arrival
-  // per device when a DeviceFailure rate is armed.  Decisions only ever
-  // *react* to a death (a lane is skipped once its candidate start reaches
-  // its kill instant); they never steer around a future one.  The fleet
-  // holds the schedule (set_kill_at min-folds), so its ready-order and
-  // feasibility queries skip doomed lanes.
-  for (const auto& k : config.kill_devices) {
-    ISP_CHECK(k.device < fleet.device_count(),
-              "kill-device " << k.device << " is not a CSD lane (fleet has "
-                             << fleet.device_count() << " devices)");
-    ISP_CHECK(k.at.seconds() >= 0.0, "kill-device time must be non-negative");
-    fleet.set_kill_at(k.device, k.at);
-  }
-  const double fail_rate = config.fault.rate(fault::Site::DeviceFailure);
-  if (fail_rate > 0.0) {
-    for (std::size_t k = 0; k < fleet.device_count(); ++k) {
-      const double u =
-          hash_unit(splitmix64(config.seed ^ (0xDEF1CE00ULL + k)));
-      fleet.set_kill_at(
-          k, SimTime::zero() + Seconds{-std::log1p(-u) / fail_rate});
-    }
+/// Everything one serve() call threads through its stages.  The fleet owns
+/// the lane state placement reads (busy clocks, deaths, breakers, derated
+/// schedules, all under its epochs); the rest is admission, the two
+/// caches, the report under construction and the hoisted wave scratch.
+struct ServeState {
+  explicit ServeState(const ServeConfig& c)
+      : config(c),
+        profiles(build_profiles(c)),
+        arrivals(generate_arrivals(c)),
+        fleet(c.fleet, c.breaker),
+        admission(c.tenants),
+        bids(c.job_classes.size(), fleet.device_count()),
+        memo(c.sim_cache_capacity),
+        max_queue(c.tenants.size(), 0) {
+    report.outcomes.resize(c.total_jobs);
+    wave.reserve(fleet.lane_count());
   }
 
+  const ServeConfig& config;
+  const std::vector<std::shared_ptr<const Profile>> profiles;
+  const std::vector<QueuedJob> arrivals;  // Poisson stream, arrival order
+  std::size_t next_arrival = 0;           // first arrival not yet offered
+  Fleet fleet;
+  AdmissionController admission;
   // Hot-path caches.  Both are exact: they change how much work the
-  // decision and execution phases redo, never what serve() reports.
-  BidCache bid_cache(config.job_classes.size(), fleet.device_count());
-  SimMemoCache memo(config.sim_cache_capacity);
-
-  // Per-device derated CSE schedules: a lane that keeps stalling on backend
-  // reclaim (FTL GC / ZNS copy-forward) loses a quantized slice of its CSE
-  // capacity for future placements and dispatches.  The derating factor is
-  // reclaim-stall time over busy time, quantized to 1/64 and capped at 1/2,
-  // updated only in the serial fold phase right after occupy() — so cached
-  // bids stay exact and the derated schedule enters both the engine run and
-  // the memo-cache key through the schedule itself.
-  std::vector<double> lane_derate(fleet.device_count(), 0.0);
-  std::vector<sim::AvailabilitySchedule> lane_sched;
-  lane_sched.reserve(fleet.device_count());
-  for (std::size_t k = 0; k < fleet.device_count(); ++k) {
-    lane_sched.push_back(fleet.device(k).cse_availability);
-  }
-  const auto update_derate = [&](std::size_t lane) {
-    const auto& ls = fleet.stats(lane);
-    const double busy = ls.busy.value();
-    double p = busy > 0.0 ? ls.reclaim_time.value() / busy : 0.0;
-    p = std::min(p, 0.5);
-    const double q = std::floor(p * 64.0) / 64.0;
-    if (q != lane_derate[lane]) {
-      lane_derate[lane] = q;
-      lane_sched[lane] = fleet.device(lane).cse_availability.scaled(1.0 - q);
-    }
-  };
-
-  // One health breaker per CSD lane (host lanes never break).
-  std::vector<CircuitBreaker> breakers;
-  breakers.reserve(fleet.device_count());
-  for (std::size_t k = 0; k < fleet.device_count(); ++k) {
-    breakers.emplace_back(config.breaker);
-  }
-
-  // Deepest each tenant's queue ever got (serial bookkeeping, so the gauge
-  // is deterministic by construction).
-  std::vector<std::size_t> max_queue(config.tenants.size(), 0);
-
-  std::size_t next_arrival = 0;
-  const auto admit_up_to = [&](SimTime t) {
-    while (next_arrival < arrivals.size() &&
-           arrivals[next_arrival].job.arrival <= t) {
-      const auto& job = arrivals[next_arrival].job;
-      auto& outcome = report.outcomes[job.id];
-      outcome.id = job.id;
-      outcome.tenant = job.tenant;
-      outcome.job_class = job.job_class;
-      outcome.arrival = job.arrival;
-      // The earliest instant any living lane could start the job — the
-      // admission-time deadline feasibility bound.  Future dispatches only
-      // push busy_until later, so this is a true lower bound; the fleet's
-      // ready-order index answers it (breaker gates are mirrored into it
-      // after every breaker mutation below).
-      const Status st =
-          admission.offer(job, fleet.earliest_feasible_start(job.arrival));
-      if (!st.is_ok()) {
-        if (st.code() == StatusCode::DeadlineExceeded) {
-          outcome.deadline_rejected = true;
-        } else {
-          outcome.rejected = true;
-        }
-        outcome.resolved = job.arrival;
-      }
-      max_queue[job.tenant] =
-          std::max(max_queue[job.tenant], admission.queued(job.tenant));
-      ++next_arrival;
-    }
-  };
-
-  // Wave scratch, hoisted so the per-wave cost is an assign(), not an
-  // allocation (satellite 6).
+  // decision and execution stages redo, never what serve() reports.
+  BidCache bids;
+  SimMemoCache memo;
+  ServeReport report;
+  /// Deepest each tenant's queue ever got (serial bookkeeping, so the gauge
+  /// is deterministic by construction).
+  std::vector<std::size_t> max_queue;
+  // Wave scratch, hoisted so a wave refills these instead of allocating.
   std::vector<Dispatch> wave;
-  wave.reserve(fleet.lane_count());
   std::vector<bool> claimed;
-  while (true) {
-    // Decision phase (serial): claim at most one job per lane.  Every
-    // unclaimed lane's busy_until is a *measured* quantity from previous
-    // waves, so each decision sees exact state.
-    wave.clear();
-    claimed.assign(fleet.lane_count(), false);
-    while (wave.size() < fleet.lane_count()) {
-      // First unclaimed lane in busy_until order — the index already
-      // excludes dead and doomed lanes.
-      const SimTime t = fleet.next_free(claimed);
-      // Every schedulable lane is claimed (lane_count() still counts dead
-      // lanes): close the wave rather than admit up to infinity, which
-      // would flood the bounded queues with the whole remaining arrival
-      // stream.  An empty wave falls through to the flush-and-abandon path
-      // below, so every job still resolves.
-      if (t == SimTime::infinity() && !wave.empty()) break;
-      admit_up_to(t);
-      if (!admission.any_queued()) {
-        if (wave.empty() && next_arrival < arrivals.size()) {
-          // Idle fleet: jump to the next arrival and retry.
-          admit_up_to(arrivals[next_arrival].job.arrival);
-          continue;
-        }
+};
+
+/// Offer every arrival up to instant `t` to admission.
+void admit_up_to(ServeState& s, SimTime t) {
+  while (s.next_arrival < s.arrivals.size() &&
+         s.arrivals[s.next_arrival].arrival <= t) {
+    const QueuedJob& job = s.arrivals[s.next_arrival++];
+    auto& outcome = s.report.outcomes[job.id];
+    outcome.id = job.id;
+    outcome.tenant = job.tenant;
+    outcome.job_class = job.job_class;
+    outcome.arrival = job.arrival;
+    // The earliest instant any living lane could start the job — the
+    // admission-time deadline feasibility bound.  Future dispatches only
+    // push busy_until later, so this is a true lower bound; the fleet's
+    // ready-order index answers it, breaker gates included.
+    const Status st =
+        s.admission.offer(job, s.fleet.earliest_feasible_start(job.arrival));
+    if (!st.is_ok()) {
+      if (st.code() == StatusCode::DeadlineExceeded) {
+        outcome.deadline_rejected = true;
+      } else {
+        outcome.rejected = true;
+      }
+      outcome.resolved = job.arrival;
+    }
+    s.max_queue[job.tenant] =
+        std::max(s.max_queue[job.tenant], s.admission.queued(job.tenant));
+  }
+}
+
+/// Abandon an admitted job as retry-exhausted, resolved at `at`.
+/// `was_placed`: the job had been dispatched (and lost) rather than found
+/// unplaceable.
+void abandon(ServeState& s, const QueuedJob& job, bool was_placed,
+             SimTime at) {
+  s.admission.note_retry_exhausted(job.tenant, was_placed);
+  auto& outcome = s.report.outcomes[job.id];
+  outcome.retry_exhausted = true;
+  outcome.resolved = at;
+}
+
+/// Decision stage (serial): claim at most one job per lane.  Every
+/// unclaimed lane's busy_until is a *measured* quantity from previous
+/// waves, so each decision sees exact state.  False once the queues are
+/// drained and no arrivals are left.
+bool decide_wave(ServeState& s) {
+  s.wave.clear();
+  s.claimed.assign(s.fleet.lane_count(), false);
+  while (s.wave.size() < s.fleet.lane_count()) {
+    // First unclaimed lane in busy_until order — the index already
+    // excludes dead and doomed lanes.
+    const SimTime t = s.fleet.next_free(s.claimed);
+    // Every schedulable lane is claimed (lane_count() still counts dead
+    // lanes): close the wave rather than admit up to infinity, which would
+    // flood the bounded queues with the whole remaining arrival stream.  An
+    // empty wave falls through to the abandon path below, so every job
+    // still resolves.
+    if (t == SimTime::infinity() && !s.wave.empty()) break;
+    admit_up_to(s, t);
+    if (!s.admission.any_queued()) {
+      if (s.wave.empty() && s.next_arrival < s.arrivals.size()) {
+        // Idle fleet: jump to the next arrival and retry.
+        admit_up_to(s, s.arrivals[s.next_arrival].arrival);
+        continue;
+      }
+      break;
+    }
+    const auto job = s.admission.pick();
+    Dispatch d;
+    const Place placed = choose_lane(s.fleet, s.claimed,
+                                     *s.profiles[job->job_class], *job,
+                                     s.bids, d);
+    if (placed == Place::DeadlineExpired) {
+      // Skip the expired job loudly: typed per-tenant counter, resolved at
+      // the deadline — or at the death that re-enqueued it, when the lane
+      // died after the deadline had already passed (the job's last attempt
+      // span must not outlive its resolution instant).
+      s.admission.note_deadline_missed(job->tenant);
+      auto& outcome = s.report.outcomes[job->id];
+      outcome.deadline_missed = true;
+      outcome.resolved = std::max(job->deadline, job->ready);
+      continue;
+    }
+    if (placed == Place::NoLane) {
+      if (!s.wave.empty()) {
+        // Every living lane is claimed this wave; try again next wave.
+        s.admission.return_front(*job);
         break;
       }
-      const auto job = admission.pick();
-      Dispatch d;
-      const Place placed =
-          choose_lane(fleet, claimed, breakers, lane_sched,
-                      *profiles[job->job_class], *job, bid_cache, d);
-      if (placed == Place::DeadlineExpired) {
-        // Skip the expired job loudly: typed per-tenant counter, resolved
-        // at the deadline — or at the death that re-enqueued it, when the
-        // lane died after the deadline had already passed (the job's last
-        // attempt span must not outlive its resolution instant).
-        admission.note_deadline_missed(job->tenant);
-        auto& outcome = report.outcomes[job->id];
-        outcome.deadline_missed = true;
-        outcome.resolved = std::max(job->deadline, job->ready);
-        continue;
-      }
-      if (placed == Place::NoLane) {
-        if (!wave.empty()) {
-          // Every living lane is claimed this wave; try again next wave.
-          admission.return_front(*job);
-          break;
-        }
-        // An empty wave saw every lane, so no living lane can ever serve
-        // this job (lane starts only move later): abandon it loudly
-        // rather than spin.
-        admission.note_retry_exhausted(job->tenant, /*was_placed=*/false);
-        auto& outcome = report.outcomes[job->id];
-        outcome.retry_exhausted = true;
-        outcome.resolved = std::max(job->ready, job->arrival);
-        continue;
-      }
-      if (!d.on_host) {
-        d.backend = fleet.device(d.lane).backend;
-        d.device_schedule = lane_sched[d.lane].rebased(d.start);
-        if (breakers[d.lane].state() == BreakerState::Open) {
-          // First dispatch at or after the cooldown end is the probe.
-          breakers[d.lane].begin_probe(d.start);
-          d.is_probe = true;
-          fleet.set_gate(d.lane, breakers[d.lane].ready_at());
-        }
-      }
-      claimed[d.lane] = true;
-      wave.push_back(std::move(d));
+      // An empty wave saw every lane, so no living lane can ever serve
+      // this job (lane starts only move later): abandon it loudly rather
+      // than spin.
+      abandon(s, *job, /*was_placed=*/false,
+              std::max(job->ready, job->arrival));
+      continue;
     }
-    if (wave.empty()) break;  // queues drained, no arrivals left
+    if (!d.on_host) {
+      d.device_schedule = s.fleet.cse_schedule(d.lane).rebased(d.start);
+      // First dispatch at or after an Open breaker's cooldown end is the
+      // probe.
+      if (s.fleet.breaker(d.lane).state() == BreakerState::Open) {
+        s.fleet.begin_probe(d.lane, d.start);
+      }
+    }
+    s.claimed[d.lane] = true;
+    s.wave.push_back(std::move(d));
+  }
+  return !s.wave.empty();
+}
 
-    // Execution phase: worker threads run the already-scheduled engine
-    // simulations; results come back in submission order.  A serial key
-    // pass first dedupes the wave against the memo cache *and against
-    // itself* — only distinct missing keys reach the workers, and
-    // everything folds back in submission order, so the wave's outputs are
-    // exactly what one fresh engine run per dispatch would produce.
-    std::vector<SimResult> results(wave.size());
-    struct Miss {
-      SimKey key;
-      std::size_t first;  // wave index that owns the fresh engine run
-    };
-    std::vector<Miss> misses;
-    std::vector<std::ptrdiff_t> from_miss(wave.size(), -1);
-    for (std::size_t i = 0; i < wave.size(); ++i) {
-      SimKey key = make_sim_key(config, wave[i]);
-      std::ptrdiff_t pending = -1;
-      for (std::size_t m = 0; m < misses.size(); ++m) {
-        if (misses[m].key == key) {
-          pending = static_cast<std::ptrdiff_t>(m);
-          break;
-        }
-      }
-      if (pending >= 0) {  // duplicate within this wave
-        from_miss[i] = pending;
-        ++report.sim_cache_hits;
-        continue;
-      }
-      if (const SimResult* hit = memo.find(key)) {
-        results[i] = *hit;
-        ++report.sim_cache_hits;
-        continue;
-      }
-      from_miss[i] = static_cast<std::ptrdiff_t>(misses.size());
-      misses.push_back(Miss{std::move(key), i});
-      ++report.sim_cache_misses;
+/// Execution stage: worker threads run the wave's already-scheduled engine
+/// simulations; results come back in submission order.  A serial key pass
+/// first dedupes the wave against the memo cache *and against itself* —
+/// only distinct missing keys reach the workers, and everything folds back
+/// in submission order, so the wave's outputs are exactly what one fresh
+/// engine run per dispatch would produce.
+std::vector<SimResult> execute_wave(ServeState& s) {
+  std::vector<SimResult> results(s.wave.size());
+  // Misses are rare once the memo is warm, so these stay empty (and
+  // allocation-free) on most waves.
+  WaveMisses pending;
+  std::vector<std::pair<std::size_t, std::size_t>> duplicates;  // (wave, miss)
+  for (std::size_t i = 0; i < s.wave.size(); ++i) {
+    SimKey key = make_sim_key(s.config, s.wave[i]);
+    if (const SimResult* hit = s.memo.find(key)) {
+      results[i] = *hit;
+      ++s.report.sim_cache_hits;
+      continue;
     }
-    const auto fresh = exec::run_batch(
-        misses.size(),
-        [&](std::size_t m) {
-          const auto& d = wave[misses[m].first];
-          return simulate_dispatch(config, *profiles[d.job.job_class], d);
-        },
-        config.jobs);
-    for (std::size_t m = 0; m < misses.size(); ++m) {
-      memo.insert(misses[m].key, fresh[m]);
-    }
-    for (std::size_t i = 0; i < wave.size(); ++i) {
-      if (from_miss[i] >= 0) {
-        results[i] = fresh[static_cast<std::size_t>(from_miss[i])];
-      }
-    }
-
-    for (std::size_t i = 0; i < wave.size(); ++i) {
-      const auto& d = wave[i];
-      const auto& r = results[i];
-      auto& outcome = report.outcomes[d.job.id];
-      const SimTime end = d.start + r.service;
-      const SimTime death = fleet.kill_at(d.lane);  // infinity on host lanes
-      if (end > death) {
-        // The lane died under the job: occupancy truncates at the death,
-        // the job's work is lost, and the job either re-enters its tenant
-        // queue at the head (ready no earlier than the death it witnessed)
-        // or exhausts its serve-layer retry budget.
-        fleet.occupy(d.lane, d.start, death - d.start);
-        fleet.mark_dead(d.lane, death);
-        fleet.note_lost(d.lane);
-        if (d.is_probe) {
-          breakers[d.lane].abort_probe();
-          fleet.set_gate(d.lane, breakers[d.lane].ready_at());
-        }
-        outcome.lost_attempts.push_back(
-            LostAttempt{.lane = static_cast<std::uint32_t>(d.lane),
-                        .start = d.start,
-                        .end = death});
-        report.makespan = std::max(report.makespan, death);
-        if (d.job.attempt < config.retry_budget) {
-          QueuedJob retry = d.job;
-          retry.attempt += 1;
-          retry.ready = death;  // a retry cannot start before the failure
-          admission.requeue_front(retry);
-          outcome.retries += 1;
-        } else {
-          admission.note_retry_exhausted(d.job.tenant, /*was_placed=*/true);
-          outcome.retry_exhausted = true;
-          outcome.resolved = death;
-        }
-        continue;
-      }
-      fleet.occupy(d.lane, d.start, r.service);
-      fleet.note_outcome(d.lane, r.migrations, r.power_losses, r.faults);
-      if (r.storage.driven) {
-        fleet.note_storage(d.lane, r.storage.host_pages,
-                           r.storage.reclaim_pages + r.storage.meta_pages,
-                           r.storage.resets, r.storage.reclaim_time);
-        // Reclaim pressure derates the lane's CSE for future placements —
-        // adjacent to the occupy() epoch bump, so cached bids never see a
-        // stale derating.
-        if (!d.on_host) update_derate(d.lane);
-      }
-      admission.note_completed(d.job.tenant);
-      if (!d.on_host) {
-        // Health feedback: exhausted fault episodes, migrations and power
-        // cycles weigh the lane's breaker score; a probe resolves its
-        // HalfOpen state instead.
-        const double severity = static_cast<double>(r.faults_exhausted) +
-                                2.0 * r.migrations + 4.0 * r.power_losses;
-        if (d.is_probe) {
-          breakers[d.lane].probe_result(end, severity == 0.0);
-        } else {
-          breakers[d.lane].record_outcome(end, severity);
-        }
-        // Keep the fleet index's breaker gate in sync (set_gate is a no-op
-        // unless ready_at actually moved, so quiet outcomes don't
-        // invalidate cached bids).
-        fleet.set_gate(d.lane, breakers[d.lane].ready_at());
-      }
-      outcome.lane = static_cast<std::int32_t>(d.lane);
-      outcome.on_host = d.on_host;
-      outcome.start = d.start;
-      outcome.service = r.service;
-      // Queue wait + service, not (start+service)-arrival: the latter loses
-      // a ulp when start == arrival and would report latency < service.
-      outcome.latency = (d.start - d.job.arrival) + r.service;
-      outcome.resolved = end;
-      outcome.eq1_profit = d.eq1_profit;
-      outcome.migrations = r.migrations;
-      outcome.power_losses = r.power_losses;
-      outcome.faults = r.faults;
-      if (config.obs.enabled) {
-        outcome.queue_wait = d.start - d.job.arrival;
-        outcome.migration_overhead = r.migration_overhead;
-        outcome.recovery_overhead = r.recovery_overhead;
-        outcome.reclaim_time = r.storage.reclaim_time;
-        outcome.storage_internal_pages =
-            r.storage.reclaim_pages + r.storage.meta_pages;
-        outcome.lines_csd = r.lines_csd;
-        outcome.lines_host = r.lines_host;
-        outcome.fault_events = std::move(results[i].fault_events);
-        for (auto& f : outcome.fault_events) {
-          f.time = d.start + (f.time - SimTime::zero());  // job → fleet time
-        }
-        // Submission-order fold of the per-job engine registries: merge is
-        // associative, so this equals one registry fed serially no matter
-        // how many worker threads ran the wave.  Lost attempts are not
-        // merged — the registry reflects service that actually completed.
-        report.metrics.merge(r.metrics);
-      }
-      report.makespan = std::max(report.makespan, end);
+    // Not memoized, so possibly an earlier miss of this wave.
+    const std::uint64_t digest = key.digest();
+    if (const auto m = pending.dedupe(std::move(key), digest, i)) {
+      duplicates.emplace_back(i, *m);
+      ++s.report.sim_cache_hits;
+    } else {
+      ++s.report.sim_cache_misses;
     }
   }
+  const auto& misses = pending.misses();
+  auto fresh = exec::run_batch(
+      misses.size(),
+      [&](std::size_t m) {
+        const auto& d = s.wave[misses[m].first];
+        return simulate_dispatch(s.config, *s.profiles[d.job.job_class], d);
+      },
+      s.config.jobs);
+  for (std::size_t m = 0; m < misses.size(); ++m) {
+    s.memo.insert(misses[m].key, fresh[m]);
+  }
+  for (const auto& [i, m] : duplicates) results[i] = fresh[m];
+  for (std::size_t m = 0; m < misses.size(); ++m) {
+    results[misses[m].first] = std::move(fresh[m]);
+  }
+  return results;
+}
 
+/// The lane died under dispatch `d`: occupancy truncates at the death, the
+/// job's work is lost, and the job either re-enters its tenant queue at the
+/// head (ready no earlier than the death it witnessed) or exhausts its
+/// serve-layer retry budget.
+void fold_lost(ServeState& s, const Dispatch& d) {
+  const SimTime death = s.fleet.kill_at(d.lane);
+  s.fleet.occupy(d.lane, d.start, death - d.start);
+  s.fleet.mark_dead(d.lane, death);
+  s.fleet.note_lost(d.lane);
+  if (s.fleet.breaker(d.lane).probe_in_flight()) s.fleet.abort_probe(d.lane);
+  auto& outcome = s.report.outcomes[d.job.id];
+  outcome.lost_attempts.push_back(
+      LostAttempt{.lane = static_cast<std::uint32_t>(d.lane),
+                  .start = d.start,
+                  .end = death});
+  s.report.makespan = std::max(s.report.makespan, death);
+  if (d.job.attempt < s.config.retry_budget) {
+    QueuedJob retry = d.job;
+    retry.attempt += 1;
+    retry.ready = death;  // a retry cannot start before the failure
+    s.admission.requeue_front(retry);
+    outcome.retries += 1;
+  } else {
+    abandon(s, d.job, /*was_placed=*/true, death);
+  }
+}
+
+/// Dispatch `d` ran to completion with result `r`: advance the lane, feed
+/// its storage and health state, and record the outcome.
+void fold_completed(ServeState& s, const Dispatch& d, SimResult& r) {
+  const SimTime end = d.start + r.service;
+  s.fleet.occupy(d.lane, d.start, r.service);
+  s.fleet.note_outcome(d.lane, r.migrations, r.power_losses, r.faults);
+  if (r.storage.driven) {
+    // Reclaim pressure also derates the lane's CSE for future placements.
+    s.fleet.note_storage(d.lane, r.storage.host_pages,
+                         r.storage.reclaim_pages + r.storage.meta_pages,
+                         r.storage.resets, r.storage.reclaim_time);
+  }
+  s.admission.note_completed(d.job.tenant);
+  if (!d.on_host) {
+    // Health feedback: exhausted fault episodes, migrations and power
+    // cycles weigh the lane's breaker score; a probe resolves its HalfOpen
+    // state instead.
+    s.fleet.record_health(d.lane, end,
+                          static_cast<double>(r.faults_exhausted) +
+                              2.0 * r.migrations + 4.0 * r.power_losses);
+  }
+  auto& outcome = s.report.outcomes[d.job.id];
+  outcome.lane = static_cast<std::int32_t>(d.lane);
+  outcome.on_host = d.on_host;
+  outcome.start = d.start;
+  outcome.service = r.service;
+  // Queue wait + service, not (start+service)-arrival: the latter loses a
+  // ulp when start == arrival and would report latency < service.
+  outcome.latency = (d.start - d.job.arrival) + r.service;
+  outcome.resolved = end;
+  outcome.eq1_profit = d.eq1_profit;
+  outcome.migrations = r.migrations;
+  outcome.power_losses = r.power_losses;
+  outcome.faults = r.faults;
+  if (s.config.obs.enabled) {
+    outcome.queue_wait = d.start - d.job.arrival;
+    outcome.migration_overhead = r.migration_overhead;
+    outcome.recovery_overhead = r.recovery_overhead;
+    outcome.reclaim_time = r.storage.reclaim_time;
+    outcome.storage_internal_pages =
+        r.storage.reclaim_pages + r.storage.meta_pages;
+    outcome.lines_csd = r.lines_csd;
+    outcome.lines_host = r.lines_host;
+    outcome.fault_events = std::move(r.fault_events);
+    for (auto& f : outcome.fault_events) {
+      f.time = d.start + (f.time - SimTime::zero());  // job → fleet time
+    }
+    // Submission-order fold of the per-job engine registries: merge is
+    // associative, so this equals one registry fed serially no matter how
+    // many worker threads ran the wave.  Lost attempts are not merged —
+    // the registry reflects service that actually completed.
+    s.report.metrics.merge(r.metrics);
+  }
+  s.report.makespan = std::max(s.report.makespan, end);
+}
+
+/// Fold stage (serial, submission order): measured service times advance
+/// the lane clocks before the next wave's decisions.
+void fold_wave(ServeState& s, std::vector<SimResult> results) {
+  for (std::size_t i = 0; i < s.wave.size(); ++i) {
+    const Dispatch& d = s.wave[i];
+    // kill_at is infinity on host lanes.
+    if (d.start + results[i].service > s.fleet.kill_at(d.lane)) {
+      fold_lost(s, d);
+    } else {
+      fold_completed(s, d, results[i]);
+    }
+  }
+}
+
+/// FNV-1a over every outcome, lane counter and breaker transition.
+std::uint64_t report_digest(const ServeReport& report) {
+  std::uint64_t h = kFnvOffset;
+  for (const auto& o : report.outcomes) {
+    h = fnv1a(h, o.id);
+    h = fnv1a(h, o.tenant);
+    h = fnv1a(h, o.rejected ? 1 : 0);
+    h = fnv1a(h, (o.deadline_rejected ? 1 : 0) |
+                     (o.deadline_missed ? 2 : 0) |
+                     (o.retry_exhausted ? 4 : 0));
+    h = fnv1a(h, o.retries);
+    h = fnv1a(h, double_bits(o.resolved.seconds()));
+    for (const auto& a : o.lost_attempts) {
+      h = fnv1a(h, a.lane);
+      h = fnv1a(h, double_bits(a.start.seconds()));
+      h = fnv1a(h, double_bits(a.end.seconds()));
+    }
+    h = fnv1a(h, static_cast<std::uint64_t>(
+                     static_cast<std::int64_t>(o.lane)));
+    h = fnv1a(h, double_bits(o.start.seconds()));
+    h = fnv1a(h, double_bits(o.service.value()));
+    h = fnv1a(h, o.migrations);
+    h = fnv1a(h, o.power_losses);
+    h = fnv1a(h, o.faults);
+  }
+  for (const auto& lane : report.lanes) {
+    h = fnv1a(h, lane.jobs);
+    h = fnv1a(h, double_bits(lane.busy.value()));
+    h = fnv1a(h, lane.lost_jobs);
+    h = fnv1a(h, double_bits(lane.died_at.seconds()));
+    h = fnv1a(h, lane.storage_host_pages);
+    h = fnv1a(h, lane.storage_internal_pages);
+    h = fnv1a(h, lane.storage_resets);
+    h = fnv1a(h, double_bits(lane.reclaim_time.value()));
+  }
+  for (const auto& lane_transitions : report.breaker_transitions) {
+    h = fnv1a(h, lane_transitions.size());
+    for (const auto& tr : lane_transitions) {
+      h = fnv1a(h, static_cast<std::uint64_t>(tr.from) * 16 +
+                       static_cast<std::uint64_t>(tr.to));
+      h = fnv1a(h, double_bits(tr.time.seconds()));
+      h = fnv1a(h, double_bits(tr.score));
+    }
+  }
+  return h;
+}
+
+/// Serve-level metrics and snapshots — all derived serially from the
+/// finished aggregates, so they inherit the report's determinism.
+void export_metrics(ServeState& s) {
+  const ServeConfig& config = s.config;
+  ServeReport& report = s.report;
+  auto& m = report.metrics;
+  m.counter("serve.offered").add(config.total_jobs);
+  m.counter("serve.admitted").add(report.admitted);
+  m.counter("serve.rejected").add(report.rejected);
+  m.counter("serve.completed").add(report.completed);
+  m.counter("serve.jobs.csd").add(report.csd_jobs);
+  m.counter("serve.jobs.host").add(report.host_jobs);
+  m.counter("serve.deadline_rejected").add(report.deadline_rejected);
+  m.counter("serve.deadline_missed").add(report.deadline_missed);
+  m.counter("serve.retry_exhausted").add(report.retry_exhausted);
+  m.counter("serve.retried").add(report.retried);
+  m.counter("serve.lost_in_flight").add(report.lost_in_flight);
+  m.counter("serve.devices_failed").add(report.devices_failed);
+  auto& latency_h = m.histogram("serve.latency_s");
+  auto& service_h = m.histogram("serve.service_s");
+  auto& wait_h = m.histogram("serve.queue_wait_s");
+  for (const auto& o : report.outcomes) {
+    if (o.rejected) continue;
+    latency_h.record(o.latency.value());
+    service_h.record(o.service.value());
+    wait_h.record(o.queue_wait.value());
+  }
+  for (std::uint32_t t = 0; t < report.tenants.size(); ++t) {
+    const auto& ts = report.tenants[t];
+    const std::string p = "serve.tenant." + std::to_string(t) + ".";
+    m.counter(p + "offered").add(ts.offered);
+    m.counter(p + "admitted").add(ts.admitted);
+    m.counter(p + "rejected").add(ts.rejected);
+    m.counter(p + "deadline_rejected").add(ts.deadline_rejected);
+    m.counter(p + "dispatched").add(ts.dispatched);
+    m.counter(p + "completed").add(ts.completed);
+    m.counter(p + "deadline_missed").add(ts.deadline_missed);
+    m.counter(p + "retried").add(ts.retried);
+    m.counter(p + "retry_exhausted").add(ts.retry_exhausted);
+    m.gauge(p + "wfq_weight").set(config.tenants[t].weight);
+    m.gauge(p + "max_queue_depth").set(static_cast<double>(s.max_queue[t]));
+  }
+  for (std::size_t lane = 0; lane < report.lanes.size(); ++lane) {
+    const auto& ls = report.lanes[lane];
+    const std::string p = "serve.lane." + std::to_string(lane) + ".";
+    m.counter(p + "jobs").add(ls.jobs);
+    m.counter(p + "migrations").add(ls.migrations);
+    m.counter(p + "power_losses").add(ls.power_losses);
+    m.counter(p + "faults").add(ls.faults);
+    m.counter(p + "lost_jobs").add(ls.lost_jobs);
+    m.gauge(p + "utilization").set(report.utilization(lane));
+    if (ls.died_at < SimTime::infinity()) {
+      m.gauge(p + "died_at_s").set(ls.died_at.seconds());
+    }
+    // Storage-backend activity, only for lanes that actually drove a
+    // backend — persist-free runs keep the clean metric schema.
+    if (ls.storage_host_pages + ls.storage_internal_pages > 0) {
+      m.counter(p + "storage.host_pages").add(ls.storage_host_pages);
+      m.counter(p + "storage.internal_pages").add(ls.storage_internal_pages);
+      m.counter(p + "storage.resets").add(ls.storage_resets);
+      m.gauge(p + "storage.reclaim_time_s").set(ls.reclaim_time.value());
+      m.gauge(p + "storage.wa").set(ls.storage_write_amplification());
+      if (lane < s.fleet.device_count()) {
+        m.gauge(p + "storage.derate").set(s.fleet.derate(lane));
+      }
+    }
+  }
+  // Breaker histories, only for lanes whose breaker actually moved — no
+  // serve.breaker.* noise in a healthy run.
+  for (std::size_t k = 0; k < report.breaker_transitions.size(); ++k) {
+    const auto& trs = report.breaker_transitions[k];
+    if (trs.empty()) continue;
+    const std::string p = "serve.breaker." + std::to_string(k) + ".";
+    std::uint64_t opened = 0, reclosed = 0;
+    for (const auto& tr : trs) {
+      if (tr.to == BreakerState::Open) ++opened;
+      if (tr.to == BreakerState::Closed) ++reclosed;
+    }
+    m.counter(p + "transitions").add(trs.size());
+    m.counter(p + "opened").add(opened);
+    m.counter(p + "reclosed").add(reclosed);
+  }
+  report.snapshots = build_snapshots(report, config.obs);
+}
+
+/// Final stage: aggregate the per-job outcomes and lane/tenant state into
+/// the report — checking that every offered job is accounted exactly once —
+/// then digest it and export the metrics.
+ServeReport finish(ServeState& s) {
+  const ServeConfig& config = s.config;
+  ServeReport& report = s.report;
   // Deaths that happened inside the observed horizon but caught the lane
   // idle still count as failures.
-  for (std::size_t k = 0; k < fleet.device_count(); ++k) {
-    if (fleet.alive(k) && fleet.kill_at(k) <= report.makespan) {
-      fleet.mark_dead(k, fleet.kill_at(k));
+  for (std::size_t k = 0; k < s.fleet.device_count(); ++k) {
+    if (s.fleet.alive(k) && s.fleet.kill_at(k) <= report.makespan) {
+      s.fleet.mark_dead(k, s.fleet.kill_at(k));
     }
   }
-
-  // Aggregate.  Every offered job must be accounted exactly once.
-  report.fleet_size = fleet.device_count();
+  report.fleet_size = s.fleet.device_count();
   report.host_lanes = config.fleet.host_lanes;
   report.tenant_count = config.tenants.size();
   report.total_jobs = config.total_jobs;
   report.offered_load = config.offered_load;
   report.seed = config.seed;
-  report.sim_cache_evictions = memo.evictions();
-  report.bid_cache_hits = bid_cache.hits;
-  report.bid_cache_misses = bid_cache.misses;
+  report.sim_cache_evictions = s.memo.evictions();
+  report.bid_cache_hits = s.bids.hits;
+  report.bid_cache_misses = s.bids.misses;
   std::vector<double> latencies;
   latencies.reserve(report.outcomes.size());
   for (const auto& o : report.outcomes) {
@@ -829,20 +896,20 @@ ServeReport serve(const ServeConfig& config) {
             "admitted jobs leaked: "
                 << report.admitted << " != " << report.completed << " + "
                 << report.deadline_missed << " + " << report.retry_exhausted);
-  report.tenants.reserve(admission.tenant_count());
-  for (std::uint32_t t = 0; t < admission.tenant_count(); ++t) {
-    report.tenants.push_back(admission.stats(t));
+  report.tenants.reserve(s.admission.tenant_count());
+  for (std::uint32_t t = 0; t < s.admission.tenant_count(); ++t) {
+    report.tenants.push_back(s.admission.stats(t));
   }
-  report.lanes.reserve(fleet.lane_count());
-  for (std::size_t lane = 0; lane < fleet.lane_count(); ++lane) {
-    report.lanes.push_back(fleet.stats(lane));
-    if (lane < fleet.device_count() && !fleet.alive(lane)) {
+  report.lanes.reserve(s.fleet.lane_count());
+  for (std::size_t lane = 0; lane < s.fleet.lane_count(); ++lane) {
+    report.lanes.push_back(s.fleet.stats(lane));
+    if (lane < s.fleet.device_count() && !s.fleet.alive(lane)) {
       report.devices_failed += 1;
     }
   }
-  report.breaker_transitions.reserve(fleet.device_count());
-  for (std::size_t k = 0; k < fleet.device_count(); ++k) {
-    report.breaker_transitions.push_back(breakers[k].transitions());
+  report.breaker_transitions.reserve(s.fleet.device_count());
+  for (std::size_t k = 0; k < s.fleet.device_count(); ++k) {
+    report.breaker_transitions.push_back(s.fleet.breaker(k).transitions());
   }
   if (report.makespan.seconds() > 0.0) {
     report.throughput = static_cast<double>(report.completed) /
@@ -850,143 +917,54 @@ ServeReport serve(const ServeConfig& config) {
   }
   report.rejection_rate = static_cast<double>(report.rejected) /
                           static_cast<double>(config.total_jobs);
-  // Exact nearest-rank percentiles over the sorted sample (const ref — the
-  // previous hand-rolled helper took the vector by value, a full copy per
-  // call); the obs histogram's bucketed percentile cross-checks these
-  // within its error bound in serve_test.
+  // Exact nearest-rank percentiles over the sorted sample; the obs
+  // histogram's bucketed percentile cross-checks these within its error
+  // bound in serve_test.
   std::sort(latencies.begin(), latencies.end());
   report.p50_latency = Seconds{obs::percentile_sorted(latencies, 0.50)};
   report.p99_latency = Seconds{obs::percentile_sorted(latencies, 0.99)};
+  report.digest = report_digest(report);
+  if (config.obs.enabled) export_metrics(s);
+  return std::move(report);
+}
 
-  std::uint64_t h = kFnvOffset;
-  for (const auto& o : report.outcomes) {
-    h = fnv1a(h, o.id);
-    h = fnv1a(h, o.tenant);
-    h = fnv1a(h, o.rejected ? 1 : 0);
-    h = fnv1a(h, (o.deadline_rejected ? 1 : 0) |
-                     (o.deadline_missed ? 2 : 0) |
-                     (o.retry_exhausted ? 4 : 0));
-    h = fnv1a(h, o.retries);
-    h = fnv1a(h, double_bits(o.resolved.seconds()));
-    for (const auto& a : o.lost_attempts) {
-      h = fnv1a(h, a.lane);
-      h = fnv1a(h, double_bits(a.start.seconds()));
-      h = fnv1a(h, double_bits(a.end.seconds()));
-    }
-    h = fnv1a(h, static_cast<std::uint64_t>(
-                     static_cast<std::int64_t>(o.lane)));
-    h = fnv1a(h, double_bits(o.start.seconds()));
-    h = fnv1a(h, double_bits(o.service.value()));
-    h = fnv1a(h, o.migrations);
-    h = fnv1a(h, o.power_losses);
-    h = fnv1a(h, o.faults);
-  }
-  for (const auto& lane : report.lanes) {
-    h = fnv1a(h, lane.jobs);
-    h = fnv1a(h, double_bits(lane.busy.value()));
-    h = fnv1a(h, lane.lost_jobs);
-    h = fnv1a(h, double_bits(lane.died_at.seconds()));
-    h = fnv1a(h, lane.storage_host_pages);
-    h = fnv1a(h, lane.storage_internal_pages);
-    h = fnv1a(h, lane.storage_resets);
-    h = fnv1a(h, double_bits(lane.reclaim_time.value()));
-  }
-  for (const auto& lane_transitions : report.breaker_transitions) {
-    h = fnv1a(h, lane_transitions.size());
-    for (const auto& tr : lane_transitions) {
-      h = fnv1a(h, static_cast<std::uint64_t>(tr.from) * 16 +
-                       static_cast<std::uint64_t>(tr.to));
-      h = fnv1a(h, double_bits(tr.time.seconds()));
-      h = fnv1a(h, double_bits(tr.score));
-    }
-  }
-  report.digest = h;
+}  // namespace
 
-  // Serve-level metrics and snapshots — all derived serially from the
-  // finished aggregates, so they inherit the report's determinism.
-  if (config.obs.enabled) {
-    auto& m = report.metrics;
-    m.counter("serve.offered").add(config.total_jobs);
-    m.counter("serve.admitted").add(report.admitted);
-    m.counter("serve.rejected").add(report.rejected);
-    m.counter("serve.completed").add(report.completed);
-    m.counter("serve.jobs.csd").add(report.csd_jobs);
-    m.counter("serve.jobs.host").add(report.host_jobs);
-    m.counter("serve.deadline_rejected").add(report.deadline_rejected);
-    m.counter("serve.deadline_missed").add(report.deadline_missed);
-    m.counter("serve.retry_exhausted").add(report.retry_exhausted);
-    m.counter("serve.retried").add(report.retried);
-    m.counter("serve.lost_in_flight").add(report.lost_in_flight);
-    m.counter("serve.devices_failed").add(report.devices_failed);
-    auto& latency_h = m.histogram("serve.latency_s");
-    auto& service_h = m.histogram("serve.service_s");
-    auto& wait_h = m.histogram("serve.queue_wait_s");
-    for (const auto& o : report.outcomes) {
-      if (o.rejected) continue;
-      latency_h.record(o.latency.value());
-      service_h.record(o.service.value());
-      wait_h.record(o.queue_wait.value());
-    }
-    for (std::uint32_t t = 0; t < report.tenants.size(); ++t) {
-      const auto& ts = report.tenants[t];
-      const std::string p = "serve.tenant." + std::to_string(t) + ".";
-      m.counter(p + "offered").add(ts.offered);
-      m.counter(p + "admitted").add(ts.admitted);
-      m.counter(p + "rejected").add(ts.rejected);
-      m.counter(p + "deadline_rejected").add(ts.deadline_rejected);
-      m.counter(p + "dispatched").add(ts.dispatched);
-      m.counter(p + "completed").add(ts.completed);
-      m.counter(p + "deadline_missed").add(ts.deadline_missed);
-      m.counter(p + "retried").add(ts.retried);
-      m.counter(p + "retry_exhausted").add(ts.retry_exhausted);
-      m.gauge(p + "wfq_weight").set(config.tenants[t].weight);
-      m.gauge(p + "max_queue_depth")
-          .set(static_cast<double>(max_queue[t]));
-    }
-    for (std::size_t lane = 0; lane < report.lanes.size(); ++lane) {
-      const auto& ls = report.lanes[lane];
-      const std::string p = "serve.lane." + std::to_string(lane) + ".";
-      m.counter(p + "jobs").add(ls.jobs);
-      m.counter(p + "migrations").add(ls.migrations);
-      m.counter(p + "power_losses").add(ls.power_losses);
-      m.counter(p + "faults").add(ls.faults);
-      m.counter(p + "lost_jobs").add(ls.lost_jobs);
-      m.gauge(p + "utilization").set(report.utilization(lane));
-      if (ls.died_at < SimTime::infinity()) {
-        m.gauge(p + "died_at_s").set(ls.died_at.seconds());
-      }
-      // Storage-backend activity, only for lanes that actually drove a
-      // backend — persist-free runs keep the clean metric schema.
-      if (ls.storage_host_pages + ls.storage_internal_pages > 0) {
-        m.counter(p + "storage.host_pages").add(ls.storage_host_pages);
-        m.counter(p + "storage.internal_pages")
-            .add(ls.storage_internal_pages);
-        m.counter(p + "storage.resets").add(ls.storage_resets);
-        m.gauge(p + "storage.reclaim_time_s").set(ls.reclaim_time.value());
-        m.gauge(p + "storage.wa").set(ls.storage_write_amplification());
-        if (lane < fleet.device_count()) {
-          m.gauge(p + "storage.derate").set(lane_derate[lane]);
-        }
-      }
-    }
-    // Breaker histories, only for lanes whose breaker actually moved — no
-    // serve.breaker.* noise in a healthy run.
-    for (std::size_t k = 0; k < report.breaker_transitions.size(); ++k) {
-      const auto& trs = report.breaker_transitions[k];
-      if (trs.empty()) continue;
-      const std::string p = "serve.breaker." + std::to_string(k) + ".";
-      std::uint64_t opened = 0, reclosed = 0;
-      for (const auto& tr : trs) {
-        if (tr.to == BreakerState::Open) ++opened;
-        if (tr.to == BreakerState::Closed) ++reclosed;
-      }
-      m.counter(p + "transitions").add(trs.size());
-      m.counter(p + "opened").add(opened);
-      m.counter(p + "reclosed").add(reclosed);
-    }
-    report.snapshots = build_snapshots(report, config.obs);
+ServeReport serve(const ServeConfig& config) {
+  ISP_CHECK(!config.tenants.empty(), "serve needs at least one tenant");
+  ISP_CHECK(!config.job_classes.empty(), "serve needs at least one job class");
+  ISP_CHECK(config.total_jobs >= 1, "serve needs at least one job");
+  ISP_CHECK(config.offered_load > 0.0, "offered load must be positive");
+
+  ServeState s(config);
+  // Per-device kill schedule, fully known before the loop: the explicit
+  // schedule min-folded with a seed-deterministic exponential first arrival
+  // per device when a DeviceFailure rate is armed.  Decisions only ever
+  // *react* to a death (a lane is skipped once its candidate start reaches
+  // its kill instant); they never steer around a future one.  The fleet
+  // holds the schedule (set_kill_at min-folds), so its ready-order and
+  // feasibility queries skip doomed lanes.
+  for (const auto& k : config.kill_devices) {
+    ISP_CHECK(k.device < s.fleet.device_count(),
+              "kill-device " << k.device << " is not a CSD lane (fleet has "
+                             << s.fleet.device_count() << " devices)");
+    ISP_CHECK(k.at.seconds() >= 0.0, "kill-device time must be non-negative");
+    s.fleet.set_kill_at(k.device, k.at);
   }
-  return report;
+  const double fail_rate = config.fault.rate(fault::Site::DeviceFailure);
+  if (fail_rate > 0.0) {
+    for (std::size_t k = 0; k < s.fleet.device_count(); ++k) {
+      const double u =
+          hash_unit(splitmix64(config.seed ^ (0xDEF1CE00ULL + k)));
+      s.fleet.set_kill_at(
+          k, SimTime::zero() + Seconds{-std::log1p(-u) / fail_rate});
+    }
+  }
+
+  // admit → decide → execute (memo + dedupe + run_batch) → fold, wave by
+  // wave, until the queues drain and no arrivals are left.
+  while (decide_wave(s)) fold_wave(s, execute_wave(s));
+  return finish(s);
 }
 
 std::string ServeReport::to_json() const {

@@ -22,6 +22,13 @@
 //      decisions never depend on thread timing: the report is byte-identical
 //      across `jobs` values.
 //
+// In server.cpp the loop is five stage functions over one ServeState:
+// admit_up_to -> decide_wave -> execute_wave (memo + within-wave dedupe +
+// run_batch) -> fold_wave -> finish (aggregate, conservation checks,
+// digest, metrics export).  Lane state that placement reads — busy clocks,
+// deaths, each device's breaker and reclaim-derated CSE schedule — lives in
+// the Fleet under its lane epochs; the stages keep no copy of it.
+//
 // Every dispatched job is a full engine simulation on its own SystemModel
 // (device CSE availability rebased to the dispatch instant, link bandwidth
 // scaled to the contended share, per-job deterministic fault seed), so

@@ -5,16 +5,20 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "apps/registry.hpp"
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/active_runtime.hpp"
 #include "serve/admission.hpp"
 #include "serve/fleet.hpp"
 #include "serve/memo.hpp"
 #include "serve/observe.hpp"
 #include "serve/server.hpp"
 #include "sim/availability.hpp"
+#include "system/model.hpp"
 
 namespace {
 
@@ -906,6 +910,22 @@ TEST(ServeMemo, FindIsDigestBucketedButKeyVerified) {
   EXPECT_NE(key.digest(), sched.digest());
 }
 
+TEST(ServeMemo, WaveMissesSplitKeysThatShareADigest) {
+  serve::WaveMisses pending;
+  serve::SimKey a, b;
+  a.job_class = 1;
+  b.job_class = 2;
+  // Both keys land in one digest bucket: only the full key tells them apart.
+  EXPECT_EQ(pending.dedupe(a, 7, 0), std::nullopt);
+  EXPECT_EQ(pending.dedupe(b, 7, 1), std::nullopt);
+  EXPECT_EQ(pending.dedupe(a, 7, 2), std::optional<std::size_t>{0});
+  EXPECT_EQ(pending.dedupe(b, 7, 3), std::optional<std::size_t>{1});
+  ASSERT_EQ(pending.misses().size(), 2u);
+  EXPECT_EQ(pending.misses()[0].key, a);
+  EXPECT_EQ(pending.misses()[1].key, b);
+  EXPECT_EQ(pending.misses()[1].first, 1u);
+}
+
 TEST(ServeMemo, FifoEvictionByInsertionOrder) {
   serve::SimMemoCache cache(2);
   serve::SimKey a, b, c;
@@ -934,7 +954,7 @@ TEST(ServeMemo, DoubleInsertAndZeroCapacityAreLoudErrors) {
 }
 
 TEST(FleetIndex, EpochsTrackBusyDeathAndGate) {
-  serve::Fleet fleet(serve::FleetConfig::make(2, 1));
+  serve::Fleet fleet(serve::FleetConfig::make(2, 1), tiny_breaker());
   const auto lane0 = fleet.lane_epoch(0);
   const auto lane1 = fleet.lane_epoch(1);
   const auto global = fleet.fleet_epoch();
@@ -944,12 +964,24 @@ TEST(FleetIndex, EpochsTrackBusyDeathAndGate) {
   EXPECT_EQ(fleet.lane_epoch(1), lane1);  // untouched lane keeps its epoch
   EXPECT_GT(fleet.fleet_epoch(), global);  // device busy moved the fleet
 
-  // Gate changes bump the lane epoch only when the gate actually moves.
+  // Breaker outcomes bump the lane epoch only when the gate actually moves.
   const auto before_gate = fleet.lane_epoch(1);
-  fleet.set_gate(1, SimTime::zero());  // already zero: must be a no-op
+  fleet.record_health(1, SimTime{1.0}, 3.0);  // quiet
+  EXPECT_EQ(fleet.breaker(1).ready_at(), SimTime::zero());
   EXPECT_EQ(fleet.lane_epoch(1), before_gate);
-  fleet.set_gate(1, SimTime{2.0});
+  fleet.record_health(1, SimTime{1.0}, 3.0);  // trips
+  EXPECT_EQ(fleet.breaker(1).ready_at(), SimTime{2.0});
   EXPECT_GT(fleet.lane_epoch(1), before_gate);
+  // The probe opens the gate (a move); its clean result re-Closes the
+  // breaker with the gate still open (no move).
+  const auto before_probe = fleet.lane_epoch(1);
+  fleet.begin_probe(1, SimTime{2.0});
+  EXPECT_EQ(fleet.breaker(1).ready_at(), SimTime::zero());
+  EXPECT_GT(fleet.lane_epoch(1), before_probe);
+  const auto before_result = fleet.lane_epoch(1);
+  fleet.record_health(1, SimTime{2.5}, 0.0);
+  EXPECT_EQ(fleet.breaker(1).state(), serve::BreakerState::Closed);
+  EXPECT_EQ(fleet.lane_epoch(1), before_result);
 
   // Host lane occupancy moves its lane epoch but not the fleet epoch (host
   // lanes never draw on the device link).
@@ -965,15 +997,17 @@ TEST(FleetIndex, EpochsTrackBusyDeathAndGate) {
 
 TEST(FleetIndex, QueriesMatchTheLinearScans) {
   // Drive a small fleet through occupies, a death, a kill schedule and a
-  // gate, checking every indexed query against its reference scan.
-  serve::Fleet fleet(serve::FleetConfig::make(4, 2, 0.05));
+  // tripped breaker, checking every indexed query against its reference
+  // scan.
+  serve::Fleet fleet(serve::FleetConfig::make(4, 2, 0.05), tiny_breaker());
   fleet.set_kill_at(3, SimTime{2.5});
   fleet.occupy(0, SimTime::zero(), Seconds{1.0});
   fleet.occupy(1, SimTime{0.5}, Seconds{2.0});
   fleet.occupy(3, SimTime::zero(), Seconds{3.0});  // sails past its death
   fleet.occupy(4, SimTime::zero(), Seconds{0.25});
   fleet.mark_dead(2, SimTime{1.0});
-  fleet.set_gate(0, SimTime{1.75});
+  fleet.record_health(0, SimTime{0.75}, 6.0);
+  ASSERT_EQ(fleet.breaker(0).ready_at(), SimTime{1.75});
 
   const auto reference_busy_after = [&](SimTime t) {
     std::size_t n = 0;
@@ -993,7 +1027,9 @@ TEST(FleetIndex, QueriesMatchTheLinearScans) {
     for (std::size_t lane = 0; lane < fleet.lane_count(); ++lane) {
       if (!fleet.alive(lane)) continue;
       SimTime start = std::max(fleet.busy_until(lane), arrival);
-      start = std::max(start, fleet.gate(lane));
+      if (!fleet.is_host_lane(lane)) {  // host lanes have no breaker gate
+        start = std::max(start, fleet.breaker(lane).ready_at());
+      }
       if (start >= fleet.kill_at(lane)) continue;
       best = std::min(best, start);
     }
@@ -1130,6 +1166,89 @@ TEST(FleetIndex, DoomedLaneNeverSchedulesAgain) {
   std::vector<bool> claimed(fleet.lane_count(), false);
   claimed[1] = true;
   EXPECT_EQ(fleet.next_free(claimed), SimTime::infinity());
+}
+
+// --- Reclaim derating (Fleet::note_storage) -------------------------------
+
+TEST(FleetDerate, ReclaimOverBusyQuantisedToSixtyFourths) {
+  serve::Fleet fleet(serve::FleetConfig::make(2, 1, 0.05));
+  fleet.occupy(1, SimTime::zero(), Seconds{1.0});
+  const auto before = fleet.lane_epoch(1);
+  fleet.note_storage(1, 10, 2, 0, Seconds{0.3});  // 0.3 / 1.0 -> 19.2/64
+  EXPECT_GT(fleet.lane_epoch(1), before);
+  EXPECT_EQ(fleet.derate(1), 19.0 / 64.0);
+  EXPECT_TRUE(fleet.cse_schedule(1) ==
+              fleet.device(1).cse_availability.scaled(1.0 - 19.0 / 64.0));
+  // The untouched device keeps its base schedule.
+  EXPECT_EQ(fleet.derate(0), 0.0);
+  EXPECT_TRUE(fleet.cse_schedule(0) == fleet.device(0).cse_availability);
+}
+
+TEST(FleetDerate, CapsAtHalf) {
+  serve::Fleet fleet(serve::FleetConfig::make(2, 1, 0.05));
+  fleet.occupy(0, SimTime::zero(), Seconds{1.0});
+  fleet.note_storage(0, 10, 2, 0, Seconds{0.5});  // exactly half
+  EXPECT_EQ(fleet.derate(0), 0.5);
+  fleet.occupy(1, SimTime::zero(), Seconds{1.0});
+  fleet.note_storage(1, 10, 2, 0, Seconds{0.9});  // past half
+  EXPECT_EQ(fleet.derate(1), 0.5);
+  EXPECT_TRUE(fleet.cse_schedule(1) ==
+              fleet.device(1).cse_availability.scaled(0.5));
+}
+
+TEST(FleetDerate, UnchangedQuantumKeepsTheSchedule) {
+  serve::Fleet fleet(serve::FleetConfig::make(2, 1, 0.05));
+  fleet.occupy(1, SimTime::zero(), Seconds{1.0});
+  fleet.note_storage(1, 10, 2, 0, Seconds{0.3});
+  const sim::AvailabilitySchedule derated = fleet.cse_schedule(1);
+  // A second fold at the same pressure: 0.6 / 2.0 is still 19/64.
+  fleet.occupy(1, SimTime{1.0}, Seconds{1.0});
+  fleet.note_storage(1, 10, 2, 0, Seconds{0.3});
+  EXPECT_EQ(fleet.derate(1), 19.0 / 64.0);
+  EXPECT_TRUE(fleet.cse_schedule(1) == derated);
+  // A fold that drops the pressure below the quantum re-derives it.
+  fleet.occupy(1, SimTime{2.0}, Seconds{1.0});
+  fleet.note_storage(1, 10, 2, 0, Seconds::zero());  // 0.6 / 3.0 = 12.8/64
+  EXPECT_EQ(fleet.derate(1), 12.0 / 64.0);
+  EXPECT_TRUE(fleet.cse_schedule(1) ==
+              fleet.device(1).cse_availability.scaled(1.0 - 12.0 / 64.0));
+}
+
+TEST(FleetDerate, HostLanesNeverDerate) {
+  serve::Fleet fleet(serve::FleetConfig::make(1, 1));
+  const std::size_t host = fleet.device_count();
+  fleet.occupy(host, SimTime::zero(), Seconds{1.0});
+  fleet.note_storage(host, 10, 2, 0, Seconds{0.9});
+  EXPECT_EQ(fleet.stats(host).reclaim_time, Seconds{0.9});
+  EXPECT_EQ(fleet.derate(host), 0.0);
+  EXPECT_THROW((void)fleet.cse_schedule(host), Error);
+  EXPECT_THROW((void)fleet.breaker(host), Error);
+}
+
+// --- Reduction: one device, one job == the single-device runtime ---------
+
+TEST(ServeReduction, OneDeviceOneJobEqualsActiveRuntime) {
+  for (const char* app : {"tpch-q6", "kmeans", "pagerank", "tpch-q1"}) {
+    serve::ServeConfig config;
+    config.fleet = serve::FleetConfig::make(1, 1, 0.0);
+    config.tenants = {serve::TenantConfig{}};
+    config.job_classes = {serve::JobClass{.app = app, .size_factor = 0.1}};
+    config.total_jobs = 1;
+    const auto report = serve::serve(config);
+    ASSERT_EQ(report.completed, 1u) << app;
+    const auto& outcome = report.outcomes[0];
+    EXPECT_FALSE(outcome.on_host) << app;
+    EXPECT_EQ(outcome.lane, 0) << app;
+
+    apps::AppConfig ac;
+    ac.size_factor = 0.1;
+    system::SystemModel system(config.fleet.system);
+    runtime::ActiveRuntime active(system);
+    runtime::RunConfig rc;
+    rc.mode = config.mode;
+    const auto direct = active.run(apps::make_app(app, ac), rc);
+    EXPECT_EQ(outcome.service.value(), direct.report.total.value()) << app;
+  }
 }
 
 }  // namespace
