@@ -1,6 +1,6 @@
 #include "obs/timeline.hpp"
 
-#include <cstdio>
+#include <charconv>
 #include <fstream>
 
 #include "common/error.hpp"
@@ -22,13 +22,23 @@ void append_escaped(std::string& out, const std::string& s) {
   }
 }
 
-void append_number(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  out += buf;
+}  // namespace
+
+void append_fixed6(std::string& out, double v) {
+  // Room for the widest double in fixed notation: sign, 309 integer
+  // digits, the point and six decimals.
+  char buf[320];
+  const auto [end, ec] =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed, 6);
+  ISP_CHECK(ec == std::errc{}, "fixed-point formatting overflowed");
+  out.append(buf, end);
 }
 
-}  // namespace
+std::string fixed6(double v) {
+  std::string out;
+  append_fixed6(out, v);
+  return out;
+}
 
 void Timeline::complete(
     std::string track, std::string name, double start_s, double duration_s,
@@ -73,10 +83,10 @@ std::string Timeline::to_json() const {
     out += ",\"pid\":1,\"tid\":\"";
     append_escaped(out, e.track);
     out += "\",\"ts\":";
-    append_number(out, e.ts_us);
+    append_fixed6(out, e.ts_us);
     if (e.kind == TraceEvent::Kind::Complete) {
       out += ",\"dur\":";
-      append_number(out, e.dur_us);
+      append_fixed6(out, e.dur_us);
     }
     if (!e.args.empty()) {
       out += ",\"args\":{";

@@ -23,6 +23,15 @@
 
 namespace isp::obs {
 
+/// Append `v` exactly as printf "%.6f" renders it in the C locale
+/// (std::to_chars fixed with precision 6 is specified as that conversion),
+/// without the format-string parse or the locale lookup.  Every fixed-point
+/// number in a trace goes through here.
+void append_fixed6(std::string& out, double v);
+
+/// append_fixed6() into a fresh string, for pre-rendered trace args.
+[[nodiscard]] std::string fixed6(double v);
+
 /// One trace event.  `args` pairs are (key, already-rendered JSON value) —
 /// pass "3" or "\"csd\"" — kept in insertion order.
 struct TraceEvent {

@@ -1,26 +1,11 @@
 #include "runtime/trace.hpp"
 
-#include <cstdio>
 #include <string>
 
 #include "common/error.hpp"
 #include "obs/timeline.hpp"
 
 namespace isp::runtime {
-
-namespace {
-
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  return buf;
-}
-
-std::string num(std::uint64_t v) {
-  return std::to_string(v);
-}
-
-}  // namespace
 
 obs::Timeline to_trace_timeline(const ExecutionReport& report) {
   obs::Timeline timeline;
@@ -54,8 +39,8 @@ obs::Timeline to_trace_timeline(const ExecutionReport& report) {
         "fault:" + std::string(fault::to_string(f.site)) +
             (f.exhausted ? " (exhausted)" : ""),
         f.time.seconds(),
-        {{"faults", num(static_cast<std::uint64_t>(f.faults))},
-         {"penalty_us", num(f.penalty.value() * 1e6)}});
+        {{"faults", std::to_string(f.faults)},
+         {"penalty_us", obs::fixed6(f.penalty.value() * 1e6)}});
   }
   return timeline;
 }

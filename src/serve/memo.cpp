@@ -1,6 +1,7 @@
 #include "serve/memo.hpp"
 
 #include <iterator>
+#include <utility>
 
 #include "common/digest.hpp"
 #include "common/error.hpp"
@@ -32,7 +33,7 @@ const SimResult* SimMemoCache::find(const SimKey& key) const {
   return nullptr;
 }
 
-void SimMemoCache::insert(const SimKey& key, const SimResult& value) {
+void SimMemoCache::insert(const SimKey& key, SimResult value) {
   ISP_CHECK(find(key) == nullptr, "memo cache double insert");
   if (fifo_.size() == capacity_) {
     auto [it, end] = index_.equal_range(fifo_.front().key.digest());
@@ -43,7 +44,7 @@ void SimMemoCache::insert(const SimKey& key, const SimResult& value) {
     ++evictions_;
   }
   const std::uint64_t digest = key.digest();
-  fifo_.push_back(Entry{key, value});
+  fifo_.push_back(Entry{key, std::move(value)});
   index_.emplace(digest, std::prev(fifo_.end()));
 }
 

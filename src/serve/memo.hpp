@@ -105,13 +105,16 @@ class SimMemoCache {
   /// `capacity` bounds the number of live entries (>= 1).
   explicit SimMemoCache(std::size_t capacity);
 
-  /// The cached result for `key`, or nullptr.  The pointer is valid only
-  /// until the next insert() — callers copy immediately.
+  /// The cached result for `key`, or nullptr.  Entries live in a list, so
+  /// the pointer stays valid until an insert() evicts its entry.  serve()
+  /// relies on that: a wave's hits are folded by pointer, and the wave's
+  /// own inserts are deferred to the end of fold_wave().
   [[nodiscard]] const SimResult* find(const SimKey& key) const;
 
   /// Memoize `value` under `key`, evicting the oldest entry first when at
-  /// capacity.  `key` must not already be present.
-  void insert(const SimKey& key, const SimResult& value);
+  /// capacity.  `key` must not already be present.  Taken by value, so a
+  /// fresh result passed as an rvalue moves in instead of being copied.
+  void insert(const SimKey& key, SimResult value);
 
   [[nodiscard]] std::size_t size() const { return fifo_.size(); }
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }

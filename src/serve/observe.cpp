@@ -1,20 +1,16 @@
 #include "serve/observe.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <array>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 
 namespace isp::serve {
 
 namespace {
-
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  return buf;
-}
 
 std::string lane_name(std::size_t lane, std::size_t fleet_size) {
   if (lane < fleet_size) return "csd" + std::to_string(lane);
@@ -82,7 +78,7 @@ obs::Timeline to_fleet_timeline(const ServeReport& report) {
     const std::string lane =
         lane_name(static_cast<std::size_t>(o.lane), report.fleet_size);
     timeline.instant(lane, job + " [placement]", o.start.seconds(),
-                     {{"eq1_profit_s", num(o.eq1_profit.value())},
+                     {{"eq1_profit_s", obs::fixed6(o.eq1_profit.value())},
                       {"on_host", o.on_host ? "true" : "false"},
                       {"class", std::to_string(o.job_class)}});
 
@@ -125,7 +121,7 @@ obs::Timeline to_fleet_timeline(const ServeReport& report) {
                            (f.exhausted ? " (exhausted)" : ""),
                        f.time.seconds(),
                        {{"job", std::to_string(o.id)},
-                        {"penalty_us", num(f.penalty.value() * 1e6)}});
+                        {"penalty_us", obs::fixed6(f.penalty.value() * 1e6)}});
     }
   }
 
@@ -146,7 +142,7 @@ obs::Timeline to_fleet_timeline(const ServeReport& report) {
       timeline.instant(lane_name(lane, report.fleet_size),
                        "breaker " + std::string(to_string(tr.from)) + "->" +
                            std::string(to_string(tr.to)),
-                       tr.time.seconds(), {{"score", num(tr.score)}});
+                       tr.time.seconds(), {{"score", obs::fixed6(tr.score)}});
     }
   }
   return timeline;
@@ -181,89 +177,119 @@ obs::SnapshotSeries build_snapshots(const ServeReport& report,
                        static_cast<double>(options.max_snapshots)};
   }
 
-  const auto snap_at = [&](SimTime t) {
-    std::uint64_t offered = 0, admitted = 0, rejected = 0;
-    std::uint64_t completed = 0, in_flight = 0, queued = 0;
-    std::uint64_t retried = 0, deadline_missed = 0, retry_exhausted = 0;
-    for (const auto& o : report.outcomes) {
-      if (o.arrival > t) continue;
-      ++offered;
-      if (o.rejected || o.deadline_rejected) {
-        ++rejected;
-        continue;
-      }
-      ++admitted;
-      // Re-enqueues that have happened by t: requeue i fires at the end of
-      // lost attempt i (only the first `retries` losses re-enqueued — an
-      // exhausted job's final loss did not).
-      for (std::uint32_t a = 0; a < o.retries; ++a) {
-        if (o.lost_attempts[a].end <= t) ++retried;
-      }
-      if (o.resolved <= t) {
-        // Terminal by t.
-        if (o.deadline_missed) {
-          ++deadline_missed;
-        } else if (o.retry_exhausted) {
-          ++retry_exhausted;
-        } else {
-          ++completed;
-        }
-        continue;
-      }
-      // Still active at t: the job is either inside one of its attempt
-      // spans (in flight) or inside one of its wait gaps (queued).  The
-      // two are computed independently — spans and gaps must tile
-      // [arrival, resolved) exactly, which the check below enforces.
-      bool in_flight_at = false, queued_at = false;
-      SimTime gap_from = o.arrival;
-      for (const auto& a : o.lost_attempts) {
-        if (a.start <= t && t < a.end) in_flight_at = true;
-        if (gap_from <= t && t < a.start) queued_at = true;
-        gap_from = a.end;
-      }
-      if (o.completed() && o.lane >= 0 && o.start <= t &&
-          t < o.start + o.service) {
-        in_flight_at = true;
-      }
-      const SimTime final_wait_to = o.completed() ? o.start : o.resolved;
-      if (gap_from <= t && t < final_wait_to) queued_at = true;
-      ISP_CHECK(in_flight_at != queued_at,
-                "job " << o.id << " is neither in flight nor queued at t="
-                       << t.seconds() << "s — its attempt spans leak");
-      if (in_flight_at) {
-        ++in_flight;
-      } else {
-        ++queued;
-      }
-    }
-    // Conservation at every row: admitted work is always somewhere.
-    ISP_CHECK(admitted == completed + deadline_missed + retry_exhausted +
-                              in_flight + queued,
-              "snapshot row at t=" << t.seconds() << "s leaks jobs: "
-                                   << admitted << " admitted vs "
-                                   << completed << "+" << deadline_missed
-                                   << "+" << retry_exhausted << "+"
-                                   << in_flight << "+" << queued);
-    ISP_CHECK(offered == admitted + rejected,
-              "snapshot row at t=" << t.seconds() << "s loses offers");
-    std::uint64_t breaker_open = 0;
-    for (const auto& transitions : report.breaker_transitions) {
-      BreakerState state = BreakerState::Closed;
-      for (const auto& tr : transitions) {
-        if (tr.time > t) break;
-        state = tr.to;
-      }
-      if (state == BreakerState::Open) ++breaker_open;
-    }
-    series.push(t, {offered, admitted, rejected, completed, in_flight,
-                    queued, retried, deadline_missed, retry_exhausted,
-                    breaker_open});
+  // Row instants, generated as they always were: the accumulated
+  // t += interval sequence below `end`, then `end` itself.  Strictly
+  // increasing, so an event at x counts from row lower_bound(rows, x) on —
+  // the first row with x <= t.
+  std::vector<SimTime> rows;
+  for (SimTime t = SimTime::zero() + interval; t < end; t += interval) {
+    rows.push_back(t);
+  }
+  rows.push_back(end);
+
+  // One sweep: every outcome becomes +1/-1 deltas in a per-row difference
+  // array (an event counts from its row on, a half-open span [a, b) from
+  // row(a) up to row(b)), and a prefix sum emits the rows.  Row k then
+  // counts exactly what a scan of every outcome at t = rows[k] would.
+  enum Column : std::size_t {
+    kOffered, kAdmitted, kRejected, kCompleted, kInFlight, kQueued,
+    kRetried, kDeadlineMissed, kRetryExhausted, kCounted
+  };
+  std::vector<std::array<std::int64_t, kCounted>> delta(rows.size() + 1);
+  const auto row_of = [&](SimTime x) {
+    return static_cast<std::size_t>(
+        std::lower_bound(rows.begin(), rows.end(), x) - rows.begin());
+  };
+  const auto from = [&](Column c, SimTime x) { ++delta[row_of(x)][c]; };
+  const auto span = [&](Column c, SimTime a, SimTime b) {
+    ++delta[row_of(a)][c];
+    --delta[row_of(b)][c];
   };
 
-  for (SimTime t = SimTime::zero() + interval; t < end; t += interval) {
-    snap_at(t);
+  for (const auto& o : report.outcomes) {
+    from(kOffered, o.arrival);
+    if (o.rejected || o.deadline_rejected) {
+      from(kRejected, o.arrival);
+      continue;
+    }
+    from(kAdmitted, o.arrival);
+    // Re-enqueue i fires at the end of lost attempt i (only the first
+    // `retries` losses re-enqueued — an exhausted job's final loss did
+    // not).
+    for (std::uint32_t a = 0; a < o.retries; ++a) {
+      from(kRetried, std::max(o.arrival, o.lost_attempts[a].end));
+    }
+    const SimTime terminal = std::max(o.arrival, o.resolved);
+    if (o.deadline_missed) {
+      from(kDeadlineMissed, terminal);
+    } else if (o.retry_exhausted) {
+      from(kRetryExhausted, terminal);
+    } else {
+      from(kCompleted, terminal);
+    }
+    // Until resolved the job is in one of its wait gaps (queued) or one of
+    // its attempt spans (in flight).  Gaps and spans must tile
+    // [arrival, resolved) in order — each piece starts where the previous
+    // one ended and none runs backwards — so every instant of the job's
+    // life is in exactly one of the two columns.
+    SimTime at = o.arrival;
+    bool tiles = true;
+    const auto piece = [&](Column c, SimTime to) {
+      tiles = tiles && at <= to;
+      if (at < to) span(c, at, to);
+      at = to;
+    };
+    for (const auto& a : o.lost_attempts) {
+      piece(kQueued, a.start);
+      piece(kInFlight, a.end);
+    }
+    if (o.completed()) {
+      piece(kQueued, o.start);
+      piece(kInFlight, o.start + o.service);
+    } else {
+      piece(kQueued, o.resolved);
+    }
+    ISP_CHECK(tiles && at == o.resolved,
+              "job " << o.id << "'s attempt spans and wait gaps do not tile "
+                     << "[arrival, resolved) — its attempt spans leak");
   }
-  snap_at(end);
+
+  // Breaker-open lanes: a per-lane cursor over the transitions up to t.
+  std::vector<std::size_t> cursor(report.breaker_transitions.size(), 0);
+  std::array<std::int64_t, kCounted> count{};
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    const SimTime t = rows[k];
+    for (std::size_t c = 0; c < kCounted; ++c) count[c] += delta[k][c];
+    const auto value = [&](Column c) {
+      return static_cast<std::uint64_t>(count[c]);
+    };
+    // Conservation at every row: admitted work is always somewhere.
+    ISP_CHECK(value(kAdmitted) == value(kCompleted) + value(kDeadlineMissed) +
+                                   value(kRetryExhausted) + value(kInFlight) +
+                                   value(kQueued),
+              "snapshot row at t=" << t.seconds() << "s leaks jobs: "
+                                   << value(kAdmitted) << " admitted vs "
+                                   << value(kCompleted) << "+"
+                                   << value(kDeadlineMissed) << "+"
+                                   << value(kRetryExhausted) << "+"
+                                   << value(kInFlight) << "+"
+                                   << value(kQueued));
+    ISP_CHECK(value(kOffered) == value(kAdmitted) + value(kRejected),
+              "snapshot row at t=" << t.seconds() << "s loses offers");
+    std::uint64_t breaker_open = 0;
+    for (std::size_t lane = 0; lane < cursor.size(); ++lane) {
+      const auto& transitions = report.breaker_transitions[lane];
+      std::size_t& next = cursor[lane];
+      while (next < transitions.size() && transitions[next].time <= t) ++next;
+      if (next > 0 && transitions[next - 1].to == BreakerState::Open) {
+        ++breaker_open;
+      }
+    }
+    series.push(t, {value(kOffered), value(kAdmitted), value(kRejected),
+                    value(kCompleted), value(kInFlight), value(kQueued),
+                    value(kRetried), value(kDeadlineMissed),
+                    value(kRetryExhausted), breaker_open});
+  }
   return series;
 }
 

@@ -30,7 +30,9 @@ namespace isp::serve {
 /// records: rows at t = k·interval plus a final row at the makespan, each
 /// counting offered / admitted / rejected / completed / in_flight / queued
 /// as of t.  At every row `admitted == completed + in_flight + queued` and
-/// `offered == admitted + rejected` (property-tested in serve_test).
+/// `offered == admitted + rejected` (property-tested in serve_test).  One
+/// sweep over the outcomes, O(jobs · log rows + rows · (columns + lanes));
+/// serve_test checks it against the direct per-row scan.
 [[nodiscard]] obs::SnapshotSeries build_snapshots(const ServeReport& report,
                                                   const ObsOptions& options);
 

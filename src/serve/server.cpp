@@ -556,36 +556,46 @@ bool decide_wave(ServeState& s) {
   return !s.wave.empty();
 }
 
+/// One executed wave: a result pointer per wave slot.  Hits point into the
+/// memo, misses and in-wave duplicates into `fresh`, which owns the wave's
+/// engine runs until fold_wave() moves them into the memo.
+struct WaveResults {
+  WaveMisses misses;                   // distinct missing keys, first-seen
+  std::vector<SimResult> fresh;        // one engine run per miss
+  std::vector<const SimResult*> slot;  // per wave index
+};
+
 /// Execution stage: worker threads run the wave's already-scheduled engine
-/// simulations; results come back in submission order.  A serial key pass
-/// first dedupes the wave against the memo cache *and against itself* —
-/// only distinct missing keys reach the workers, and everything folds back
-/// in submission order, so the wave's outputs are exactly what one fresh
-/// engine run per dispatch would produce.
-std::vector<SimResult> execute_wave(ServeState& s) {
-  std::vector<SimResult> results(s.wave.size());
-  // Misses are rare once the memo is warm, so these stay empty (and
+/// simulations.  A serial key pass first dedupes the wave against the memo
+/// cache *and against itself* — only distinct missing keys reach the
+/// workers, and every slot reads its result by pointer, so the wave's
+/// outputs are exactly what one fresh engine run per dispatch would
+/// produce, without copying a result per hit.  Nothing is inserted here:
+/// the hit pointers must outlive the fold (see fold_wave).
+WaveResults execute_wave(ServeState& s) {
+  WaveResults out;
+  out.slot.resize(s.wave.size());
+  // Misses are rare once the memo is warm, so this stays empty (and
   // allocation-free) on most waves.
-  WaveMisses pending;
   std::vector<std::pair<std::size_t, std::size_t>> duplicates;  // (wave, miss)
   for (std::size_t i = 0; i < s.wave.size(); ++i) {
     SimKey key = make_sim_key(s.config, s.wave[i]);
     if (const SimResult* hit = s.memo.find(key)) {
-      results[i] = *hit;
+      out.slot[i] = hit;
       ++s.report.sim_cache_hits;
       continue;
     }
     // Not memoized, so possibly an earlier miss of this wave.
     const std::uint64_t digest = key.digest();
-    if (const auto m = pending.dedupe(std::move(key), digest, i)) {
+    if (const auto m = out.misses.dedupe(std::move(key), digest, i)) {
       duplicates.emplace_back(i, *m);
       ++s.report.sim_cache_hits;
     } else {
       ++s.report.sim_cache_misses;
     }
   }
-  const auto& misses = pending.misses();
-  auto fresh = exec::run_batch(
+  const auto& misses = out.misses.misses();
+  out.fresh = exec::run_batch(
       misses.size(),
       [&](std::size_t m) {
         const auto& d = s.wave[misses[m].first];
@@ -593,13 +603,10 @@ std::vector<SimResult> execute_wave(ServeState& s) {
       },
       s.config.jobs);
   for (std::size_t m = 0; m < misses.size(); ++m) {
-    s.memo.insert(misses[m].key, fresh[m]);
+    out.slot[misses[m].first] = &out.fresh[m];
   }
-  for (const auto& [i, m] : duplicates) results[i] = fresh[m];
-  for (std::size_t m = 0; m < misses.size(); ++m) {
-    results[misses[m].first] = std::move(fresh[m]);
-  }
-  return results;
+  for (const auto& [i, m] : duplicates) out.slot[i] = &out.fresh[m];
+  return out;
 }
 
 /// The lane died under dispatch `d`: occupancy truncates at the death, the
@@ -631,7 +638,7 @@ void fold_lost(ServeState& s, const Dispatch& d) {
 
 /// Dispatch `d` ran to completion with result `r`: advance the lane, feed
 /// its storage and health state, and record the outcome.
-void fold_completed(ServeState& s, const Dispatch& d, SimResult& r) {
+void fold_completed(ServeState& s, const Dispatch& d, const SimResult& r) {
   const SimTime end = d.start + r.service;
   s.fleet.occupy(d.lane, d.start, r.service);
   s.fleet.note_outcome(d.lane, r.migrations, r.power_losses, r.faults);
@@ -672,7 +679,7 @@ void fold_completed(ServeState& s, const Dispatch& d, SimResult& r) {
         r.storage.reclaim_pages + r.storage.meta_pages;
     outcome.lines_csd = r.lines_csd;
     outcome.lines_host = r.lines_host;
-    outcome.fault_events = std::move(r.fault_events);
+    outcome.fault_events = r.fault_events;  // at most max_trace_faults_per_job
     for (auto& f : outcome.fault_events) {
       f.time = d.start + (f.time - SimTime::zero());  // job → fleet time
     }
@@ -686,16 +693,26 @@ void fold_completed(ServeState& s, const Dispatch& d, SimResult& r) {
 }
 
 /// Fold stage (serial, submission order): measured service times advance
-/// the lane clocks before the next wave's decisions.
-void fold_wave(ServeState& s, std::vector<SimResult> results) {
+/// the lane clocks before the next wave's decisions.  The wave's fresh runs
+/// enter the memo only after the fold, in first-seen order: an insert may
+/// evict an entry a hit slot still points at, and no find() happens between
+/// execute_wave's lookups and these inserts, so the cache's contents,
+/// evictions and hit/miss counts are those of inserting straight after the
+/// batch.
+void fold_wave(ServeState& s, WaveResults results) {
   for (std::size_t i = 0; i < s.wave.size(); ++i) {
     const Dispatch& d = s.wave[i];
+    const SimResult& r = *results.slot[i];
     // kill_at is infinity on host lanes.
-    if (d.start + results[i].service > s.fleet.kill_at(d.lane)) {
+    if (d.start + r.service > s.fleet.kill_at(d.lane)) {
       fold_lost(s, d);
     } else {
-      fold_completed(s, d, results[i]);
+      fold_completed(s, d, r);
     }
+  }
+  const auto& misses = results.misses.misses();
+  for (std::size_t m = 0; m < misses.size(); ++m) {
+    s.memo.insert(misses[m].key, std::move(results.fresh[m]));
   }
 }
 

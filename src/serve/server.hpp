@@ -24,8 +24,9 @@
 //
 // In server.cpp the loop is five stage functions over one ServeState:
 // admit_up_to -> decide_wave -> execute_wave (memo + within-wave dedupe +
-// run_batch) -> fold_wave -> finish (aggregate, conservation checks,
-// digest, metrics export).  Lane state that placement reads — busy clocks,
+// run_batch, one result pointer per dispatch) -> fold_wave (reads through
+// the pointers, then inserts the wave's fresh runs into the memo) ->
+// finish (aggregate, conservation checks, digest, metrics export).  Lane state that placement reads — busy clocks,
 // deaths, each device's breaker and reclaim-derated CSE schedule — lives in
 // the Fleet under its lane epochs; the stages keep no copy of it.
 //

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -440,6 +442,57 @@ TEST(Timeline, DigestIsFnvOverSerialisedJson) {
   EXPECT_EQ(t.digest(), obs::fnv1a(obs::kFnvOffset, t.to_json()));
 }
 
+std::string printf_fixed6(double v) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf), "%.6f", v);
+  return buf;
+}
+
+/// The raw text of every `"key":` value in `json`, in order.
+std::vector<std::string> raw_values(const std::string& json,
+                                    const std::string& key) {
+  std::vector<std::string> out;
+  const std::string tag = "\"" + key + "\":";
+  for (auto at = json.find(tag); at != std::string::npos;
+       at = json.find(tag, at)) {
+    at += tag.size();
+    out.push_back(json.substr(at, json.find_first_of(",}", at) - at));
+  }
+  return out;
+}
+
+/// Every ts/dur number to_json() prints is printf "%.6f" of the stored
+/// value, byte for byte.
+void expect_printf_numbers(const obs::Timeline& timeline) {
+  std::vector<std::string> ts, dur;
+  for (const auto& e : timeline.events()) {
+    ts.push_back(printf_fixed6(e.ts_us));
+    if (e.kind == obs::TraceEvent::Kind::Complete) {
+      dur.push_back(printf_fixed6(e.dur_us));
+    }
+  }
+  const auto json = timeline.to_json();
+  EXPECT_EQ(raw_values(json, "ts"), ts);
+  EXPECT_EQ(raw_values(json, "dur"), dur);
+}
+
+TEST(Timeline, NumbersAreByteIdenticalToPrintfFixedSix) {
+  // Zeros of both signs, values at and around the sixth-decimal rounding
+  // tie, values beyond double's exact-integer range, and the widest double.
+  using limits = std::numeric_limits<double>;
+  const std::vector<double> edges = {
+      0.0, -0.0, 5e-7, -5e-7, 1.5e-6, -1.5e-6, 2.5e-7, -2.5e-7, 2.5e-6,
+      0.5, 0.99999950, 123456789.1234565, -123456789.1234565, 1e17, -1e17,
+      1e-300, limits::denorm_min(), limits::max(), -limits::max()};
+  obs::Timeline timeline;
+  for (const double v : edges) {
+    EXPECT_EQ(obs::fixed6(v), printf_fixed6(v)) << v;
+    timeline.instant("t", "i", v * 1e-6);
+    if (v > 0.0) timeline.complete("t", "x", -v * 1e-6, v * 1e-6);
+  }
+  expect_printf_numbers(timeline);
+}
+
 TEST(Metrics, FnvHelpersAreTheSharedCommonDigest) {
   // The obs names are using-declarations for common/digest.hpp (PR 7) —
   // same constants, same folds, so digests computed through either spelling
@@ -618,6 +671,13 @@ TEST(FleetTrace, ArtifactsByteIdenticalAcrossRunsAndJobs) {
   EXPECT_EQ(a.snapshots.digest(), c.snapshots.digest());
   EXPECT_TRUE(valid_json(serve::to_fleet_trace(a)));
   EXPECT_TRUE(valid_json(serve::metrics_json(a)));
+}
+
+TEST(FleetTrace, NumbersAreByteIdenticalToPrintfFixedSix) {
+  const auto timeline =
+      serve::to_fleet_timeline(serve::serve(tiny_serve_config(2)));
+  ASSERT_FALSE(timeline.empty());
+  expect_printf_numbers(timeline);
 }
 
 TEST(FleetTrace, DeviceFailureShowsLostAttemptsAndFailureInstant) {

@@ -6,11 +6,13 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "apps/registry.hpp"
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
+#include "obs/snapshot.hpp"
 #include "runtime/active_runtime.hpp"
 #include "serve/admission.hpp"
 #include "serve/fleet.hpp"
@@ -863,6 +865,173 @@ TEST(ServeHotpath, TinyMemoCapacityEvictsButStaysExact) {
   expect_identical(roomy, tight);
 }
 
+/// Test-only reference for build_snapshots(): the direct O(rows × jobs)
+/// scan, re-walking every outcome at every row instant and classifying each
+/// active job by testing the instant against its spans and gaps.
+obs::SnapshotSeries scanned_snapshots(const serve::ServeReport& report,
+                                      const serve::ObsOptions& options) {
+  obs::SnapshotSeries series(std::vector<std::string>{
+      "offered", "admitted", "rejected", "completed", "in_flight", "queued",
+      "retried", "deadline_missed", "retry_exhausted", "breaker_open_lanes"});
+  if (report.outcomes.empty()) return series;
+  SimTime end = report.makespan;
+  for (const auto& o : report.outcomes) end = std::max(end, o.arrival);
+  Seconds interval = options.snapshot_interval;
+  if (end.seconds() / interval.value() >
+      static_cast<double>(options.max_snapshots)) {
+    interval = Seconds{end.seconds() /
+                       static_cast<double>(options.max_snapshots)};
+  }
+
+  const auto snap_at = [&](SimTime t) {
+    std::uint64_t offered = 0, admitted = 0, rejected = 0;
+    std::uint64_t completed = 0, in_flight = 0, queued = 0;
+    std::uint64_t retried = 0, deadline_missed = 0, retry_exhausted = 0;
+    for (const auto& o : report.outcomes) {
+      if (o.arrival > t) continue;
+      ++offered;
+      if (o.rejected || o.deadline_rejected) {
+        ++rejected;
+        continue;
+      }
+      ++admitted;
+      for (std::uint32_t a = 0; a < o.retries; ++a) {
+        if (o.lost_attempts[a].end <= t) ++retried;
+      }
+      if (o.resolved <= t) {
+        if (o.deadline_missed) {
+          ++deadline_missed;
+        } else if (o.retry_exhausted) {
+          ++retry_exhausted;
+        } else {
+          ++completed;
+        }
+        continue;
+      }
+      bool in_flight_at = false, queued_at = false;
+      SimTime gap_from = o.arrival;
+      for (const auto& a : o.lost_attempts) {
+        if (a.start <= t && t < a.end) in_flight_at = true;
+        if (gap_from <= t && t < a.start) queued_at = true;
+        gap_from = a.end;
+      }
+      if (o.completed() && o.lane >= 0 && o.start <= t &&
+          t < o.start + o.service) {
+        in_flight_at = true;
+      }
+      const SimTime final_wait_to = o.completed() ? o.start : o.resolved;
+      if (gap_from <= t && t < final_wait_to) queued_at = true;
+      EXPECT_NE(in_flight_at, queued_at)
+          << "job " << o.id << " at t=" << t.seconds();
+      if (in_flight_at) {
+        ++in_flight;
+      } else {
+        ++queued;
+      }
+    }
+    std::uint64_t breaker_open = 0;
+    for (const auto& transitions : report.breaker_transitions) {
+      serve::BreakerState state = serve::BreakerState::Closed;
+      for (const auto& tr : transitions) {
+        if (tr.time > t) break;
+        state = tr.to;
+      }
+      if (state == serve::BreakerState::Open) ++breaker_open;
+    }
+    series.push(t, {offered, admitted, rejected, completed, in_flight,
+                    queued, retried, deadline_missed, retry_exhausted,
+                    breaker_open});
+  };
+  for (SimTime t = SimTime::zero() + interval; t < end; t += interval) {
+    snap_at(t);
+  }
+  snap_at(end);
+  return series;
+}
+
+/// build_snapshots() (one sweep) equals the row-by-row scan: same instants,
+/// same value in every column of every row.
+void expect_sweep_matches_scan(const serve::ServeReport& report,
+                               const serve::ObsOptions& options) {
+  const auto sweep = serve::build_snapshots(report, options);
+  const auto scan = scanned_snapshots(report, options);
+  EXPECT_EQ(sweep.columns(), scan.columns());
+  ASSERT_EQ(sweep.rows(), scan.rows());
+  for (std::size_t r = 0; r < sweep.rows(); ++r) {
+    EXPECT_EQ(sweep.time(r).seconds(), scan.time(r).seconds()) << "row " << r;
+    EXPECT_EQ(sweep.row(r), scan.row(r))
+        << "row " << r << " at t=" << sweep.time(r).seconds();
+  }
+}
+
+/// The chaos kill config: CSD 0 dies mid-run under saturation while every
+/// job runs seeded point faults against a hair-trigger breaker, with the
+/// given serve-layer retry budget.
+serve::ServeConfig killed_config(std::uint32_t retry_budget) {
+  auto config = hot_config(3, 24, 2);
+  config.fault.set_rate_all(0.02);
+  config.breaker.threshold = 1.0;
+  config.kill_devices = {
+      serve::KillDevice{.device = 0, .at = SimTime{3.0}}};
+  config.retry_budget = retry_budget;
+  return config;
+}
+
+TEST(ServeObs, SweepSnapshotsMatchTheRowByRowScan) {
+  auto config = killed_config(3);
+  const auto killed = serve::serve(config);
+  ASSERT_GT(killed.retried, 0u);
+  ASSERT_TRUE(std::any_of(killed.breaker_transitions.begin(),
+                          killed.breaker_transitions.end(),
+                          [](const auto& lane) { return !lane.empty(); }));
+  expect_sweep_matches_scan(killed, config.obs);
+
+  auto slo = small_config(1, 20.0, 24, 2);
+  for (auto& t : slo.tenants) t.slo = Seconds{0.3};
+  const auto missed = serve::serve(slo);
+  ASSERT_GT(missed.deadline_missed, 0u);
+  expect_sweep_matches_scan(missed, slo.obs);
+
+  auto exhausted_config = killed_config(0);
+  const auto exhausted = serve::serve(exhausted_config);
+  ASSERT_GT(exhausted.retry_exhausted, 0u);
+  expect_sweep_matches_scan(exhausted, exhausted_config.obs);
+}
+
+TEST(ServeObs, SweepSnapshotsMatchTheScanWithRowsOnEventInstants) {
+  // An interval of x puts row 0 exactly on x, so every arrival, start,
+  // lost-attempt boundary, resolution and breaker transition in turn sits
+  // on a row — where the half-open span boundaries decide the counts.
+  auto config = killed_config(3);
+  const auto report = serve::serve(config);
+  std::vector<SimTime> instants;
+  for (const auto& transitions : report.breaker_transitions) {
+    for (const auto& tr : transitions) instants.push_back(tr.time);
+  }
+  for (const auto& o : report.outcomes) {
+    instants.push_back(o.arrival);
+    instants.push_back(o.resolved);
+    if (o.completed()) instants.push_back(o.start);
+    for (const auto& a : o.lost_attempts) {
+      instants.push_back(a.start);
+      instants.push_back(a.end);
+    }
+  }
+  ASSERT_GT(report.lost_in_flight, 0u);
+  std::size_t checked = 0;
+  for (const SimTime x : instants) {
+    if (x.seconds() <= report.makespan.seconds() / 512.0) continue;
+    serve::ObsOptions options = config.obs;
+    options.snapshot_interval = Seconds{x.seconds()};
+    options.max_snapshots = 1024;
+    const auto sweep = serve::build_snapshots(report, options);
+    ASSERT_EQ(sweep.time(0).seconds(), x.seconds());
+    expect_sweep_matches_scan(report, options);
+    ++checked;
+  }
+  EXPECT_GT(checked, report.total_jobs);
+}
+
 TEST(ServeChaos, DeviceDeathUnderSaturationKeepsDispatching) {
   // Once every surviving lane is claimed in a wave, the dead lane still
   // counts toward lane_count(); the decision loop must close the wave there
@@ -1102,6 +1271,19 @@ TEST(ServeBackend, MixedFleetByteIdenticalAcrossJobsAndCaches) {
   }
   EXPECT_GT(host_pages, 0u);
   EXPECT_GE(reclaim.value(), 0.0);
+}
+
+TEST(ServeHotpath, CapacityOneMemoFoldsByPointerExactly) {
+  // One memo entry: a wave that both hits that entry and misses evicts it
+  // with its deferred insert.  A fold that read a hit through its pointer
+  // after the insert would read freed memory (the ASan build's gate) or a
+  // wrong result (the golden digests of the default capacity).
+  auto config = mixed_backend_config(4);
+  config.sim_cache_capacity = 1;
+  const auto r = serve::serve(config);
+  EXPECT_GT(r.sim_cache_evictions, 0u);
+  EXPECT_GT(r.sim_cache_hits, 0u);
+  expect_golden(r, 0x311bd202d4c1f3d1ULL, 0xc557aab36812987dULL);
 }
 
 TEST(ServeBackend, PersistOffIsIndifferentToBackendMix) {
