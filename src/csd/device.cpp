@@ -7,20 +7,41 @@ namespace isp::csd {
 
 namespace {
 
+flash::FtlConfig ftl_config(const CsdConfig& config) {
+  return flash::FtlConfig{.geometry = config.nand_geometry,
+                          .overprovision = config.ftl_overprovision,
+                          .journal = config.ftl_journal};
+}
+
+zns::ZnsConfig zns_config(const CsdConfig& config) {
+  return zns::ZnsConfig{.geometry = config.nand_geometry,
+                        .zone_blocks = config.zns_zone_blocks,
+                        .max_open_zones = config.zns_max_open_zones,
+                        .overprovision = config.ftl_overprovision,
+                        .journal = config.ftl_journal};
+}
+
+/// The backend constructor's checks, run eagerly so an infeasible config
+/// fails where the device is built rather than at its first storage use.
+void check_backend_config(const CsdConfig& config) {
+  switch (config.backend) {
+    case flash::BackendKind::Ftl:
+      (void)flash::Ftl::checked_logical_pages(ftl_config(config));
+      return;
+    case flash::BackendKind::Zns:
+      (void)zns::ZnsDevice::checked_logical_pages(zns_config(config));
+      return;
+  }
+  ISP_CHECK(false, "unknown storage backend kind: "
+                       << static_cast<unsigned>(config.backend));
+}
+
 std::unique_ptr<flash::StorageBackend> make_storage(const CsdConfig& config) {
   switch (config.backend) {
     case flash::BackendKind::Ftl:
-      return std::make_unique<flash::Ftl>(
-          flash::FtlConfig{.geometry = config.nand_geometry,
-                           .overprovision = config.ftl_overprovision,
-                           .journal = config.ftl_journal});
+      return std::make_unique<flash::Ftl>(ftl_config(config));
     case flash::BackendKind::Zns:
-      return std::make_unique<zns::ZnsDevice>(
-          zns::ZnsConfig{.geometry = config.nand_geometry,
-                         .zone_blocks = config.zns_zone_blocks,
-                         .max_open_zones = config.zns_max_open_zones,
-                         .overprovision = config.ftl_overprovision,
-                         .journal = config.ftl_journal});
+      return std::make_unique<zns::ZnsDevice>(zns_config(config));
   }
   ISP_CHECK(false, "unknown storage backend kind: "
                        << static_cast<unsigned>(config.backend));
@@ -33,11 +54,18 @@ CsdDevice::CsdDevice(sim::Simulator& simulator, CsdConfig config)
     : config_(config),
       cse_(config.cse),
       flash_(config.nand_geometry, config.nand_timing),
-      storage_(make_storage(config)),
-      controller_(simulator, flash_, storage_.get(), config.controller),
+      controller_(
+          simulator, flash_, [this] { return &storage(); }, config.controller),
       io_queue_(/*id=*/1, config.queue_depth),
       call_queue_(config.call_queue_depth),
-      status_queue_(config.status_queue_depth) {}
+      status_queue_(config.status_queue_depth) {
+  check_backend_config(config_);
+}
+
+flash::StorageBackend& CsdDevice::storage() {
+  if (storage_ == nullptr) storage_ = make_storage(config_);
+  return *storage_;
+}
 
 Seconds CsdDevice::call_overhead() const {
   return config_.controller.doorbell_to_fetch +
@@ -45,7 +73,7 @@ Seconds CsdDevice::call_overhead() const {
 }
 
 void CsdDevice::apply_gc_pressure() {
-  const double pressure = storage_->gc_pressure();
+  const double pressure = storage().gc_pressure();
   flash_.set_availability(
       sim::AvailabilitySchedule::constant(1.0 - pressure));
 }
@@ -54,9 +82,10 @@ PowerCycleOutcome CsdDevice::power_cycle() {
   PowerCycleOutcome out;
   out.commands_requeued = controller_.power_cycle();
   cse_.reset_counters();  // perf counters are volatile
-  if (storage_->journaling() && storage_->mounted()) {
-    out.crash = storage_->power_loss();
-    out.recovery = storage_->recover();
+  flash::StorageBackend& backend = storage();
+  if (backend.journaling() && backend.mounted()) {
+    out.crash = backend.power_loss();
+    out.recovery = backend.recover();
     out.remount_time =
         config_.nand_timing.page_read *
         static_cast<double>(out.recovery.media_reads());

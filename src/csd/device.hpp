@@ -49,18 +49,24 @@ struct PowerCycleOutcome {
 
 class CsdDevice {
  public:
+  /// Validates the backend config here (an infeasible FTL or ZNS shape
+  /// throws Error at construction, with the backend's own message), but
+  /// allocates the backend and its per-page maps only on first storage()
+  /// use: most runs never drive storage.
   CsdDevice(sim::Simulator& simulator, CsdConfig config);
+  /// The controller reaches the backend through this device's address.
+  CsdDevice(const CsdDevice&) = delete;
+  CsdDevice& operator=(const CsdDevice&) = delete;
 
   [[nodiscard]] Cse& cse() { return cse_; }
   [[nodiscard]] const Cse& cse() const { return cse_; }
   [[nodiscard]] flash::FlashArray& flash_array() { return flash_; }
   [[nodiscard]] const flash::FlashArray& flash_array() const { return flash_; }
   /// The storage-management backend behind the pluggable seam (FTL or ZNS,
-  /// per CsdConfig::backend).
-  [[nodiscard]] flash::StorageBackend& storage() { return *storage_; }
-  [[nodiscard]] const flash::StorageBackend& storage() const {
-    return *storage_;
-  }
+  /// per CsdConfig::backend), built on the first call.
+  [[nodiscard]] flash::StorageBackend& storage();
+  /// Has storage() built the backend yet?
+  [[nodiscard]] bool storage_built() const { return storage_ != nullptr; }
   [[nodiscard]] nvme::Controller& controller() { return controller_; }
   [[nodiscard]] nvme::QueuePair& io_queue() { return io_queue_; }
   [[nodiscard]] nvme::CallQueue& call_queue() { return call_queue_; }
@@ -73,7 +79,7 @@ class CsdDevice {
 
   /// Fold reclaim pressure into the flash array's availability: when the
   /// backend is relocating pages (FTL GC or ZNS copy-forward), ISP reads see
-  /// a derated internal bandwidth.
+  /// a derated internal bandwidth.  Builds the backend if needed.
   void apply_gc_pressure();
 
   /// Whole-device power cycle: reset the NVMe controller (in-flight
@@ -83,13 +89,15 @@ class CsdDevice {
   /// remount_time converts the remount's media reads through NandTiming.
   /// The controller is left quiescent — the recovery orchestration calls
   /// controller().restart() once the power_cycle downtime has elapsed.
+  /// Builds the backend if needed, so the outcome never depends on whether
+  /// anything touched storage first.
   PowerCycleOutcome power_cycle();
 
  private:
   CsdConfig config_;
   Cse cse_;
   flash::FlashArray flash_;
-  std::unique_ptr<flash::StorageBackend> storage_;
+  std::unique_ptr<flash::StorageBackend> storage_;  // null until storage()
   nvme::Controller controller_;
   nvme::QueuePair io_queue_;
   nvme::CallQueue call_queue_;

@@ -29,38 +29,44 @@ void FtlStats::record_metrics(obs::MetricsRegistry& registry) const {
   }
 }
 
-Ftl::Ftl(FtlConfig config) : config_(config) {
-  const auto& g = config_.geometry;
+std::uint64_t Ftl::checked_logical_pages(const FtlConfig& config) {
+  const auto& g = config.geometry;
   ISP_CHECK(g.total_blocks() >= 4, "geometry too small for an FTL");
-  ISP_CHECK(config_.overprovision > 0.0 && config_.overprovision < 1.0,
+  ISP_CHECK(config.overprovision > 0.0 && config.overprovision < 1.0,
             "overprovision fraction must be in (0,1)");
-  ISP_CHECK(config_.gc_low_watermark >= 1 &&
-                config_.gc_high_watermark > config_.gc_low_watermark,
+  ISP_CHECK(config.gc_low_watermark >= 1 &&
+                config.gc_high_watermark > config.gc_low_watermark,
             "bad GC watermarks");
-  if (config_.journal.enabled) {
-    ISP_CHECK(config_.journal.entry_bytes > 0 &&
-                  config_.journal.checkpoint_entry_bytes > 0,
+  if (config.journal.enabled) {
+    ISP_CHECK(config.journal.entry_bytes > 0 &&
+                  config.journal.checkpoint_entry_bytes > 0,
               "journal entries need a size");
-    ISP_CHECK(config_.journal.checkpoint_interval_pages >= 1,
+    ISP_CHECK(config.journal.checkpoint_interval_pages >= 1,
               "checkpoint interval must be at least one journal page");
-    ISP_CHECK(journal_entries_per_page() >= 1,
+    ISP_CHECK(g.page_bytes.count() / config.journal.entry_bytes >= 1,
               "journal entry larger than a flash page");
   }
 
-  const auto physical_pages = g.total_pages();
-  logical_pages_ = static_cast<std::uint64_t>(
-      static_cast<double>(physical_pages) * (1.0 - config_.overprovision));
+  const auto logical_pages = static_cast<std::uint64_t>(
+      static_cast<double>(g.total_pages()) * (1.0 - config.overprovision));
   // Feasibility: fully-compacted logical data plus the two append blocks
   // plus the GC high watermark must fit, or steady-state GC cannot converge
   // and the FTL eventually starves.
   const auto logical_blocks =
-      (logical_pages_ + g.pages_per_block - 1) / g.pages_per_block;
-  ISP_CHECK(logical_blocks + 2 + config_.gc_high_watermark <=
+      (logical_pages + g.pages_per_block - 1) / g.pages_per_block;
+  ISP_CHECK(logical_blocks + 2 + config.gc_high_watermark <=
                 g.total_blocks(),
             "overprovision too small for the GC watermarks: "
                 << logical_blocks << " logical blocks + 2 active + "
-                << config_.gc_high_watermark << " watermark > "
+                << config.gc_high_watermark << " watermark > "
                 << g.total_blocks() << " total");
+  return logical_pages;
+}
+
+Ftl::Ftl(FtlConfig config)
+    : config_(config), logical_pages_(checked_logical_pages(config_)) {
+  const auto& g = config_.geometry;
+  const auto physical_pages = g.total_pages();
   l2p_.assign(logical_pages_, kNoPage);
   p2l_.assign(physical_pages, kNoPage);
   blocks_.assign(g.total_blocks(), Block{});

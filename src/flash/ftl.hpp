@@ -107,6 +107,12 @@ class Ftl final : public StorageBackend {
  public:
   explicit Ftl(FtlConfig config);
 
+  /// Every check the constructor makes on `config` (the same Error
+  /// messages), without allocating the maps: returns the logical page count
+  /// a feasible config exposes.
+  [[nodiscard]] static std::uint64_t checked_logical_pages(
+      const FtlConfig& config);
+
   [[nodiscard]] BackendKind kind() const override { return BackendKind::Ftl; }
 
   /// Number of logical pages exposed.

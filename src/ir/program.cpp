@@ -27,6 +27,14 @@ mem::DataObject& ObjectStore::emplace(mem::DataObject object) {
   return it->second;
 }
 
+mem::DataObject& ObjectStore::ensure(const std::string& name) {
+  const auto it = objects_.find(name);
+  if (it != objects_.end()) return it->second;
+  mem::DataObject fresh;
+  fresh.name = name;
+  return objects_.emplace(name, std::move(fresh)).first->second;
+}
+
 bool ObjectStore::contains(const std::string& name) const {
   return objects_.find(name) != objects_.end();
 }
@@ -38,13 +46,7 @@ const mem::DataObject& KernelCtx::input(std::size_t i) const {
 
 mem::DataObject& KernelCtx::output(std::size_t i) {
   ISP_CHECK(i < outputs_->size(), "output index out of range");
-  const auto& name = (*outputs_)[i];
-  if (!store_->contains(name)) {
-    mem::DataObject fresh;
-    fresh.name = name;
-    store_->emplace(std::move(fresh));
-  }
-  return store_->at(name);
+  return store_->ensure((*outputs_)[i]);
 }
 
 Program::Program(std::string name, double virtual_scale)
@@ -87,6 +89,19 @@ Bytes Program::total_storage_bytes() const {
 ObjectStore Program::make_store() const {
   ObjectStore store;
   for (const auto& d : datasets_) store.emplace(d.object);
+  return store;
+}
+
+ObjectStore Program::make_metadata_store() const {
+  ObjectStore store;
+  for (const auto& d : datasets_) {
+    mem::DataObject meta;
+    meta.name = d.object.name;
+    meta.location = d.object.location;
+    meta.virtual_bytes = d.object.virtual_bytes;
+    meta.bar_remote = d.object.bar_remote;
+    store.emplace(std::move(meta));
+  }
   return store;
 }
 

@@ -31,6 +31,9 @@ class ObjectStore {
   mem::DataObject& at(const std::string& name);
   const mem::DataObject& at(const std::string& name) const;
   mem::DataObject& emplace(mem::DataObject object);
+  /// The named object, created empty if missing: how a kernel's first write
+  /// to an output brings it into being.
+  mem::DataObject& ensure(const std::string& name);
   [[nodiscard]] bool contains(const std::string& name) const;
   [[nodiscard]] std::size_t size() const { return objects_.size(); }
 
@@ -91,6 +94,12 @@ struct CodeRegion {
   }
 };
 
+/// The synced virtual size of every output a run produced, line by line:
+/// `sizes[i][k]` is line i's k-th output.  Kernels are pure functions of the
+/// datasets, so a kernel run records the sizes once and every later run of
+/// the same program can replay them (EngineOptions::output_sizes).
+using OutputSizes = std::vector<std::vector<Bytes>>;
+
 /// An initial value of the program (usually a referenced file on storage).
 struct Dataset {
   mem::DataObject object;
@@ -127,6 +136,10 @@ class Program {
 
   /// Fresh store populated with (copies of) the initial datasets.
   [[nodiscard]] ObjectStore make_store() const;
+
+  /// Fresh store holding the datasets' metadata (name, location, virtual
+  /// size) without their payloads: enough for a run that calls no kernel.
+  [[nodiscard]] ObjectStore make_metadata_store() const;
 
   /// Store populated with sampled datasets scaled by `fraction` (§III-A).
   [[nodiscard]] ObjectStore make_sampled_store(double fraction) const;

@@ -8,8 +8,11 @@
 namespace isp::nvme {
 
 Controller::Controller(sim::Simulator& simulator, flash::FlashArray& array,
-                       flash::StorageBackend* storage, ControllerConfig config)
-    : simulator_(&simulator), array_(&array), storage_(storage), config_(config) {}
+                       StorageSource storage, ControllerConfig config)
+    : simulator_(&simulator),
+      array_(&array),
+      storage_(std::move(storage)),
+      config_(config) {}
 
 void Controller::ring_doorbell(QueuePair& qp) {
   if (std::find(queues_.begin(), queues_.end(), &qp) == queues_.end()) {
@@ -61,12 +64,29 @@ void Controller::process_next() {
   SimTime done = simulator_->now();
   Status status = Status::Success;
 
+  // IO commands address the backend's logical space.  A range that leaves
+  // it fails as a whole, before any page is translated or programmed.
+  flash::StorageBackend* storage = nullptr;
+  bool in_range = true;
+  if (entry->opcode == Opcode::Read || entry->opcode == Opcode::Write) {
+    storage = storage_();
+    if (storage != nullptr) {
+      const std::uint64_t logical = storage->logical_pages();
+      in_range = entry->lba <= logical &&
+                 entry->length_pages <= logical - entry->lba;
+    }
+  }
+
   switch (entry->opcode) {
     case Opcode::Read: {
-      if (storage_ != nullptr) {
+      if (!in_range) {
+        status = Status::Error;
+        break;
+      }
+      if (storage != nullptr) {
         // Validate the mapping exists; timing itself is bulk-analytic.
         for (std::uint32_t i = 0; i < entry->length_pages; ++i) {
-          if (!storage_->translate(entry->lba + i).has_value()) {
+          if (!storage->translate(entry->lba + i).has_value()) {
             status = Status::Error;
             break;
           }
@@ -83,9 +103,13 @@ void Controller::process_next() {
       break;
     }
     case Opcode::Write: {
-      if (storage_ != nullptr) {
+      if (!in_range) {
+        status = Status::Error;
+        break;
+      }
+      if (storage != nullptr) {
         for (std::uint32_t i = 0; i < entry->length_pages; ++i) {
-          storage_->write(entry->lba + i);
+          storage->write(entry->lba + i);
         }
       }
       array_->note_write(io_bytes);

@@ -31,9 +31,13 @@ class Controller {
   /// `exec_hook`, if set, handles CsdExec commands and returns the service
   /// time the execution engine charged for the call.
   using ExecHook = std::function<Seconds(const SubmissionEntry&)>;
+  /// Where Read/Write commands find the storage backend, asked once per IO
+  /// command: the device hands out its lazily-built backend this way.  A
+  /// source returning nullptr means IO is timed without mapping checks.
+  using StorageSource = std::function<flash::StorageBackend*()>;
 
   Controller(sim::Simulator& simulator, flash::FlashArray& array,
-             flash::StorageBackend* storage, ControllerConfig config = {});
+             StorageSource storage, ControllerConfig config = {});
 
   /// Host writes the SQ tail doorbell: register the queue pair (first time)
   /// and start (or continue) processing.
@@ -92,7 +96,7 @@ class Controller {
 
   sim::Simulator* simulator_;
   flash::FlashArray* array_;
-  flash::StorageBackend* storage_;
+  StorageSource storage_;
   ControllerConfig config_;
   ExecHook exec_hook_;
   std::vector<QueuePair*> queues_;

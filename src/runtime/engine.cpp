@@ -18,7 +18,7 @@ namespace {
 /// one (asserted by serve_test and bench/obs_overhead).
 void record_run_metrics(obs::MetricsRegistry& m, const ExecutionReport& report,
                         std::uint64_t monitor_lost_updates,
-                        const flash::StorageBackend& storage) {
+                        const flash::StorageBackend* storage) {
   m.counter("engine.runs").add();
   for (const auto& line : report.lines) {
     m.counter(line.placement == ir::Placement::Csd ? "engine.lines.csd"
@@ -61,7 +61,7 @@ void record_run_metrics(obs::MetricsRegistry& m, const ExecutionReport& report,
   // backend is pristine state, and recording its (kind-specific) zero
   // counters would make a persist-free run's metric schema depend on
   // whether the device happens to be FTL or ZNS.
-  if (report.storage.driven) storage.record_metrics(m);
+  if (report.storage.driven) storage->record_metrics(m);
 }
 
 using interconnect::TransferKind;
@@ -96,7 +96,11 @@ ExecutionReport Engine::run(const ir::Program& program, const ir::Plan& plan,
             "lowered program does not match program");
   const bool have_estimates =
       plan.estimate.size() == program.line_count();
-  ISP_CHECK(options.run_kernels || have_estimates,
+  const ir::OutputSizes* recorded = options.output_sizes;
+  ISP_CHECK(recorded == nullptr || recorded->size() == program.line_count(),
+            "recorded output sizes do not match program");
+  const bool run_kernels = options.run_kernels && recorded == nullptr;
+  ISP_CHECK(options.run_kernels || recorded != nullptr || have_estimates,
             "timing-only replay requires plan estimates for output sizes");
 
   system_->reset_stats();
@@ -108,7 +112,9 @@ ExecutionReport Engine::run(const ir::Program& program, const ir::Plan& plan,
 
   ir::ObjectStore local_store;
   if (external_store == nullptr) {
-    local_store = program.make_store();
+    // Payloads are copied only for kernels to read.
+    local_store =
+        run_kernels ? program.make_store() : program.make_metadata_store();
     external_store = &local_store;
   }
   ir::ObjectStore& store = *external_store;
@@ -122,6 +128,7 @@ ExecutionReport Engine::run(const ir::Program& program, const ir::Plan& plan,
   ExecutionReport report;
   report.program = program.name();
   report.lines.reserve(program.line_count());
+  report.output_sizes.reserve(program.line_count());
 
   // Local availability schedules: the engine owns the timeline of this run,
   // and the copies keep the schedules' query cursors private to it (the
@@ -725,24 +732,40 @@ ExecutionReport Engine::run(const ir::Program& program, const ir::Plan& plan,
     }
 
     // ---- 5. Kernel + outputs ---------------------------------------------
-    if (options.run_kernels && line.kernel) {
+    auto& sizes = report.output_sizes.emplace_back();
+    auto place_output = [&](mem::DataObject& obj) {
+      obj.location = local;
+      rec.out_bytes += obj.virtual_bytes;
+      sizes.push_back(obj.virtual_bytes);
+    };
+    if (line.kernel && recorded != nullptr) {
+      // Replay: each output is created or updated exactly as the kernel's
+      // first write would, then sized from the kernel run's record.
+      const auto& replay = (*recorded)[i];
+      ISP_CHECK(replay.size() == line.outputs.size(),
+                "recorded output sizes do not match line '" << line.name
+                                                             << "'");
+      for (std::size_t k = 0; k < line.outputs.size(); ++k) {
+        auto& obj = store.ensure(line.outputs[k]);
+        obj.virtual_bytes = replay[k];
+        place_output(obj);
+      }
+    } else if (line.kernel && run_kernels) {
       ir::KernelCtx ctx(store, line.inputs, line.outputs,
                         program.virtual_scale());
       line.kernel(ctx);
       for (const auto& name : line.outputs) {
         auto& obj = store.at(name);
         obj.sync_virtual_size(program.virtual_scale());
-        obj.location = local;
-        rec.out_bytes += obj.virtual_bytes;
+        place_output(obj);
       }
     } else {
       for (const auto& name : line.outputs) {
         mem::DataObject obj;
         obj.name = name;
-        obj.location = local;
         // Timing-only replay: output volumes come from the estimates.
         obj.virtual_bytes = plan.estimate[i].d_out;
-        rec.out_bytes += obj.virtual_bytes;
+        place_output(obj);
         store.emplace(std::move(obj));
       }
     }
@@ -875,7 +898,7 @@ ExecutionReport Engine::run(const ir::Program& program, const ir::Plan& plan,
   }
   if (options.metrics != nullptr) {
     record_run_metrics(*options.metrics, report,
-                       monitor ? monitor->lost_updates() : 0, csd.storage());
+                       monitor ? monitor->lost_updates() : 0, backend);
   }
   return report;
 }

@@ -17,7 +17,8 @@
 //   3. language-runtime marshalling copies (mode-dependent);
 //   4. compute, in chunks, through the CSE availability schedule; each CSD
 //      chunk posts a status update and feeds the monitor;
-//   5. the real kernel (functional output), then output bookkeeping.
+//   5. the real kernel (functional output), or the output sizes a kernel
+//      run recorded, then output bookkeeping.
 // Migration takes effect at the end of the current line, exactly as §III-D
 // prescribes.
 #pragma once
@@ -53,6 +54,16 @@ struct EngineOptions {
   /// Execute the real kernels (functional results). Off for timing-only
   /// replays, which then require plan estimates for output sizes.
   bool run_kernels = true;
+  /// Replay a kernel run instead of calling kernels: the output sizes a
+  /// kernel run of this program recorded (ExecutionReport::output_sizes).
+  /// Timing reads only each object's virtual size, location and BAR flag,
+  /// and kernels are pure functions of the datasets, so the run's report,
+  /// metrics and backend traffic are bit-for-bit those of the kernel run —
+  /// under any plan, availability, fault seed or storage setting.  Datasets
+  /// enter the store without payloads and no output carries one.  Takes
+  /// precedence over run_kernels; lines without a kernel still size their
+  /// outputs from the plan estimates.
+  const ir::OutputSizes* output_sizes = nullptr;
   /// Post status updates and run the monitor on CSD lines.
   bool monitoring = true;
   /// Act on the monitor's advice (off = "ActivePy w/o migration").

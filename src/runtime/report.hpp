@@ -15,6 +15,7 @@
 #include "flash/backend.hpp"
 #include "interconnect/dma.hpp"
 #include "ir/plan.hpp"
+#include "ir/program.hpp"
 
 namespace isp::runtime {
 
@@ -88,6 +89,11 @@ struct ExecutionReport {
   /// the per-episode log behind it (bounded; feeds the trace export).
   fault::FaultSummary faults;
   std::vector<fault::FaultRecord> fault_records;
+
+  /// The virtual size of every output the run produced, line by line: a
+  /// kernel run's record, which EngineOptions::output_sizes replays.  Not
+  /// part of to_json().
+  ir::OutputSizes output_sizes;
 
   [[nodiscard]] Seconds compute_total() const;
   [[nodiscard]] Seconds access_total() const;

@@ -37,6 +37,9 @@ struct Profile {
   /// Flash pages the persisted outputs program per run (before write
   /// amplification) — the Equation-1 persist-cost input.
   std::uint64_t persist_pages = 0;
+  /// Output sizes of the profiling run's kernels: every dispatch replays
+  /// them instead of calling the kernels again.
+  ir::OutputSizes output_sizes;
 };
 
 std::vector<std::shared_ptr<const Profile>> build_profiles(
@@ -72,6 +75,7 @@ std::vector<std::shared_ptr<const Profile>> build_profiles(
             ir::Plan::host_only(profile->program.line_count());
         profile->host_work = result.projected_host;
         profile->csd_work = result.projected_csd;
+        profile->output_sizes = result.report.output_sizes;
         const auto page_bytes =
             config.fleet.system.csd.nand_geometry.page_bytes.count();
         for (std::size_t i = 0; i < result.plan.estimate.size(); ++i) {
@@ -141,6 +145,7 @@ SimResult simulate_dispatch(const ServeConfig& config, const Profile& profile,
 
   runtime::RunConfig rc;
   rc.mode = config.mode;
+  rc.engine.output_sizes = &profile.output_sizes;
   // Persisting classes drive the storage backend for real: datasets mount
   // as live mappings, outputs go through write()/zone_append, and the
   // backend-internal reclaim traffic stalls the device inside the measured

@@ -6,8 +6,8 @@
 //
 //   1. Per job class (app × size), one up-front ActiveCpp pipeline run fixes
 //      the class profile: the Algorithm-1 plan with its estimates, projected
-//      host/CSD latencies, and the Equation-1 data volumes.  Profiles are
-//      computed through exec::run_batch.
+//      host/CSD latencies, the Equation-1 data volumes, and the output sizes
+//      its kernels produced.  Profiles are computed through exec::run_batch.
 //   2. Arrivals are a seed-deterministic Poisson process at `offered_load`
 //      jobs per virtual second; each arrival is admitted into its tenant's
 //      bounded queue or rejected with StatusCode::Overloaded (backpressure —
@@ -34,7 +34,12 @@
 // (device CSE availability rebased to the dispatch instant, link bandwidth
 // scaled to the contended share, per-job deterministic fault seed), so
 // monitoring, migration, fault handling and power-loss recovery all behave
-// exactly as they do in a single-job run.
+// exactly as they do in a single-job run.  What is fixed per job class is
+// not redone per dispatch: the engine replays the output sizes the class's
+// profiling run recorded instead of calling the kernels (kernels are pure
+// functions of the class's datasets, and timing reads only sizes, never
+// payloads, so the replay is exact), and the SystemModel builds its storage
+// backend only when the job drives storage.
 //
 // Fleet failure domains (PR 6).  A CSD lane can die *permanently* at a
 // seed-deterministic virtual-time instant (fault::Site::DeviceFailure rate,

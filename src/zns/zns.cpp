@@ -28,49 +28,58 @@ const char* to_string(ZoneState state) {
   return "?";
 }
 
-ZnsDevice::ZnsDevice(ZnsConfig config) : config_(config) {
-  const auto& g = config_.geometry;
-  ISP_CHECK(config_.zone_blocks >= 1, "zones need at least one block");
-  ISP_CHECK(g.total_blocks() % config_.zone_blocks == 0,
+std::uint64_t ZnsDevice::checked_logical_pages(const ZnsConfig& config) {
+  const auto& g = config.geometry;
+  ISP_CHECK(config.zone_blocks >= 1, "zones need at least one block");
+  ISP_CHECK(g.total_blocks() % config.zone_blocks == 0,
             "zone_blocks must tile the array: " << g.total_blocks() << " % "
-                                                << config_.zone_blocks);
-  const std::uint64_t zone_count = g.total_blocks() / config_.zone_blocks;
-  ISP_CHECK(zone_count >= config_.meta_zones + 4,
+                                                << config.zone_blocks);
+  const std::uint64_t zone_count = g.total_blocks() / config.zone_blocks;
+  ISP_CHECK(zone_count >= config.meta_zones + 4,
             "geometry too small for a zoned namespace");
-  ISP_CHECK(config_.max_open_zones >= 2,
+  ISP_CHECK(config.max_open_zones >= 2,
             "need at least two open zones (host append + reclaim copy)");
-  ISP_CHECK(config_.overprovision > 0.0 && config_.overprovision < 1.0,
+  ISP_CHECK(config.overprovision > 0.0 && config.overprovision < 1.0,
             "overprovision fraction must be in (0,1)");
-  ISP_CHECK(config_.reclaim_low_watermark >= 1 &&
-                config_.reclaim_high_watermark > config_.reclaim_low_watermark,
+  ISP_CHECK(config.reclaim_low_watermark >= 1 &&
+                config.reclaim_high_watermark > config.reclaim_low_watermark,
             "bad reclaim watermarks");
-  if (config_.journal.enabled) {
-    ISP_CHECK(config_.meta_zones >= 1,
+  if (config.journal.enabled) {
+    ISP_CHECK(config.meta_zones >= 1,
               "journal mode needs a dedicated metadata zone");
-    ISP_CHECK(config_.journal.entry_bytes > 0 &&
-                  config_.journal.checkpoint_entry_bytes > 0,
+    ISP_CHECK(config.journal.entry_bytes > 0 &&
+                  config.journal.checkpoint_entry_bytes > 0,
               "journal entries need a size");
-    ISP_CHECK(config_.journal.checkpoint_interval_pages >= 1,
+    ISP_CHECK(config.journal.checkpoint_interval_pages >= 1,
               "checkpoint interval must be at least one journal page");
-    ISP_CHECK(journal_entries_per_page() >= 1,
+    ISP_CHECK(g.page_bytes.count() / config.journal.entry_bytes >= 1,
               "journal entry larger than a flash page");
   }
 
-  zone_pages_ = config_.zone_blocks * g.pages_per_block;
-  const std::uint64_t data_zone_count = zone_count - config_.meta_zones;
-  const std::uint64_t data_pages = data_zone_count * zone_pages_;
-  logical_pages_ = static_cast<std::uint64_t>(
-      static_cast<double>(data_pages) * (1.0 - config_.overprovision));
+  const std::uint64_t zone_pages = config.zone_blocks * g.pages_per_block;
+  const std::uint64_t data_zone_count = zone_count - config.meta_zones;
+  const std::uint64_t logical_pages = static_cast<std::uint64_t>(
+      static_cast<double>(data_zone_count * zone_pages) *
+      (1.0 - config.overprovision));
   // Feasibility: fully-compacted logical data plus the two append zones plus
   // the reclaim high watermark must fit in the data zones, or steady-state
   // reclaim cannot converge and appends eventually starve.
-  const auto logical_zones = (logical_pages_ + zone_pages_ - 1) / zone_pages_;
-  ISP_CHECK(logical_zones + 2 + config_.reclaim_high_watermark <=
+  const auto logical_zones = (logical_pages + zone_pages - 1) / zone_pages;
+  ISP_CHECK(logical_zones + 2 + config.reclaim_high_watermark <=
                 data_zone_count,
             "overprovision too small for the reclaim watermarks: "
                 << logical_zones << " logical zones + 2 append + "
-                << config_.reclaim_high_watermark << " watermark > "
+                << config.reclaim_high_watermark << " watermark > "
                 << data_zone_count << " data zones");
+  return logical_pages;
+}
+
+ZnsDevice::ZnsDevice(ZnsConfig config)
+    : config_(config), logical_pages_(checked_logical_pages(config_)) {
+  const auto& g = config_.geometry;
+  zone_pages_ = config_.zone_blocks * g.pages_per_block;
+  const std::uint64_t zone_count = g.total_blocks() / config_.zone_blocks;
+  const std::uint64_t data_zone_count = zone_count - config_.meta_zones;
 
   l2p_.assign(logical_pages_, std::nullopt);
   p2l_.assign(g.total_pages(), std::nullopt);

@@ -119,6 +119,12 @@ class ZnsDevice final : public flash::StorageBackend {
  public:
   explicit ZnsDevice(ZnsConfig config);
 
+  /// Every check the constructor makes on `config` (the same Error
+  /// messages), without allocating the maps: returns the logical page count
+  /// a feasible config exposes.
+  [[nodiscard]] static std::uint64_t checked_logical_pages(
+      const ZnsConfig& config);
+
   // ---- StorageBackend seam ---------------------------------------------
   [[nodiscard]] flash::BackendKind kind() const override {
     return flash::BackendKind::Zns;

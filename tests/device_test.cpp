@@ -87,6 +87,68 @@ TEST(CsdDevice, GcPressureDeratesFlash) {
   EXPECT_GT(loaded.seconds(), clean.value());
 }
 
+/// Runs `build` and returns the message of the isp::Error it throws ("" if
+/// it returns normally).
+template <typename F>
+std::string construction_error(F build) {
+  try {
+    build();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// The backend's maps are allocated on first use, but an infeasible backend
+// config must still fail where the device is built, with the backend's own
+// message — not at some later storage() call.
+TEST(CsdDevice, InfeasibleBackendConfigThrowsAtConstruction) {
+  system::SystemConfig ftl = system::SystemConfig::paper_platform();
+  ftl.csd.nand_geometry.channels = 1;
+  ftl.csd.nand_geometry.dies_per_channel = 1;
+  ftl.csd.nand_geometry.blocks_per_die = 24;
+  ftl.csd.nand_geometry.pages_per_block = 8;
+  ftl.csd.ftl_overprovision = 0.05;  // 23 logical blocks + 2 + 4 > 24
+  EXPECT_NE(construction_error([&] { system::SystemModel model(ftl); })
+                .find("overprovision too small for the GC watermarks"),
+            std::string::npos);
+  sim::Simulator simulator;
+  EXPECT_NE(construction_error([&] { csd::CsdDevice device(simulator, ftl.csd); })
+                .find("overprovision too small for the GC watermarks"),
+            std::string::npos);
+
+  system::SystemConfig zns = system::SystemConfig::paper_platform();
+  zns.csd.backend = flash::BackendKind::Zns;
+  zns.csd.zns_zone_blocks = 7;  // 2048 blocks do not split into 7-block zones
+  EXPECT_NE(construction_error([&] { system::SystemModel model(zns); })
+                .find("zone_blocks must tile the array"),
+            std::string::npos);
+  EXPECT_NE(construction_error([&] { csd::CsdDevice device(simulator, zns.csd); })
+                .find("zone_blocks must tile the array"),
+            std::string::npos);
+}
+
+TEST(CsdDevice, BackendIsBuiltOnFirstStorageUse) {
+  for (const auto kind : {flash::BackendKind::Ftl, flash::BackendKind::Zns}) {
+    system::SystemConfig config = system::SystemConfig::paper_platform();
+    config.csd.backend = kind;
+    system::SystemModel model(config);
+    EXPECT_FALSE(model.csd_device().storage_built());
+
+    // A run that never drives storage leaves the backend unbuilt.
+    runtime::ActiveRuntime active(model);
+    apps::AppConfig ac;
+    ac.size_factor = 0.05;
+    const auto result = active.run(apps::make_app("tpch-q6", ac));
+    EXPECT_FALSE(result.report.storage.driven);
+    EXPECT_FALSE(model.csd_device().storage_built());
+
+    EXPECT_EQ(model.csd_device().storage().kind(), kind);
+    EXPECT_TRUE(model.csd_device().storage_built());
+    EXPECT_TRUE(model.csd_device().storage().mounted());
+  }
+}
+
 TEST(Firmware, ExecutesCallsAndPostsStatus) {
   sim::Simulator simulator;
   csd::Cse cse;

@@ -55,7 +55,7 @@ class ControllerTest : public ::testing::Test {
   ControllerTest()
       : array_(),
         ftl_(make_ftl_config()),
-        controller_(simulator_, array_, &ftl_),
+        controller_(simulator_, array_, [this] { return &ftl_; }),
         qp_(1, 16) {}
 
   static flash::FtlConfig make_ftl_config() {
@@ -302,6 +302,71 @@ TEST_F(ControllerTest, UncorrectableEccReadSurfacesAsCommandError) {
   EXPECT_EQ(injector.summary().exhausted[static_cast<std::size_t>(
                 fault::Site::FlashReadEcc)],
             1u);
+}
+
+// An IO range that leaves the backend's logical space fails as a whole:
+// one Error completion, no page programmed, and the controller keeps
+// serving the commands behind it.
+TEST_F(ControllerTest, WriteCrossingLogicalSpaceFailsWithoutTouchingPages) {
+  const std::uint64_t logical = ftl_.logical_pages();
+  qp_.sq().push(SubmissionEntry{.opcode = Opcode::Write,
+                                .command_id = 1,
+                                .lba = logical - 1,
+                                .length_pages = 2});
+  // lba + length wraps around 2^64: must not pass the check by overflow.
+  qp_.sq().push(SubmissionEntry{.opcode = Opcode::Write,
+                                .command_id = 2,
+                                .lba = ~std::uint64_t{0} - 1,
+                                .length_pages = 4});
+  qp_.sq().push(SubmissionEntry{.opcode = Opcode::Write,
+                                .command_id = 3,
+                                .lba = logical - 1,
+                                .length_pages = 1});
+  controller_.ring_doorbell(qp_);
+  simulator_.run();
+
+  std::map<std::uint16_t, Status> seen;
+  while (const auto c = qp_.cq().pop()) seen[c->command_id] = c->status;
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[1], Status::Error);
+  EXPECT_EQ(seen[2], Status::Error);
+  EXPECT_EQ(seen[3], Status::Success);  // the last page itself is in range
+  EXPECT_EQ(ftl_.stats().host_writes, 1u) << "failed writes programmed pages";
+  EXPECT_EQ(array_.bytes_written().count(),
+            array_.geometry().page_bytes.count());
+  EXPECT_EQ(controller_.commands_processed(), 3u);
+}
+
+TEST_F(ControllerTest, ReadCrossingLogicalSpaceFailsTyped) {
+  const std::uint64_t logical = ftl_.logical_pages();
+  qp_.sq().push(SubmissionEntry{.opcode = Opcode::Write,
+                                .command_id = 1,
+                                .lba = logical - 1,
+                                .length_pages = 1});
+  qp_.sq().push(SubmissionEntry{.opcode = Opcode::Read,
+                                .command_id = 2,
+                                .lba = logical - 1,
+                                .length_pages = 2});
+  qp_.sq().push(SubmissionEntry{.opcode = Opcode::Read,
+                                .command_id = 3,
+                                .lba = ~std::uint64_t{0},
+                                .length_pages = 1});
+  qp_.sq().push(SubmissionEntry{.opcode = Opcode::Read,
+                                .command_id = 4,
+                                .lba = logical - 1,
+                                .length_pages = 1});
+  controller_.ring_doorbell(qp_);
+  simulator_.run();
+
+  std::map<std::uint16_t, Status> seen;
+  while (const auto c = qp_.cq().pop()) seen[c->command_id] = c->status;
+  ASSERT_EQ(seen.size(), 4u);
+  EXPECT_EQ(seen[1], Status::Success);
+  EXPECT_EQ(seen[2], Status::Error);
+  EXPECT_EQ(seen[3], Status::Error);
+  EXPECT_EQ(seen[4], Status::Success);
+  EXPECT_EQ(array_.bytes_read().count(), array_.geometry().page_bytes.count())
+      << "only the in-range read reaches the array";
 }
 
 TEST(StatusQueue, DropsOldestWhenFull) {

@@ -259,7 +259,7 @@ TEST(ControllerPowerCycle, InFlightCommandAbortsOnceAndRequeues) {
   FtlConfig ftl_config = journaled_ftl();
   ftl_config.journal.enabled = false;  // the controller does not care
   Ftl ftl(ftl_config);
-  nvme::Controller controller(simulator, array, &ftl);
+  nvme::Controller controller(simulator, array, [&] { return &ftl; });
   nvme::QueuePair qp(1, 16);
 
   for (std::uint16_t i = 1; i <= 3; ++i) {
@@ -306,7 +306,7 @@ TEST(ControllerPowerCycle, IdleResetIsFreeAndRestartIsIdempotent) {
   FtlConfig ftl_config = journaled_ftl();
   ftl_config.journal.enabled = false;
   Ftl ftl(ftl_config);
-  nvme::Controller controller(simulator, array, &ftl);
+  nvme::Controller controller(simulator, array, [&] { return &ftl; });
 
   EXPECT_EQ(controller.power_cycle(), 0u);
   controller.restart();  // nothing queued: no-op

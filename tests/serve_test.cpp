@@ -1408,6 +1408,8 @@ TEST(FleetDerate, HostLanesNeverDerate) {
 }
 
 // --- Reduction: one device, one job == the single-device runtime ---------
+// The served dispatch replays its class's recorded kernel output sizes while
+// ActiveRuntime::run calls the kernels, so this also cross-checks the replay.
 
 TEST(ServeReduction, OneDeviceOneJobEqualsActiveRuntime) {
   for (const char* app : {"tpch-q6", "kmeans", "pagerank", "tpch-q1"}) {
