@@ -12,12 +12,13 @@
 // written once against the seam and a device picks its backend by
 // configuration (`CsdConfig::backend`).
 //
-// The crash/recovery contract is shared: both backends journal durable
-// metadata into reserved flash, stamp every data-page program with
-// (lpn, seq) in the page's out-of-band area, and remount after power_loss()
-// by replaying checkpoint + journal and OOB-scanning only the region written
-// since the last durable record.  StorageCrash / StorageRecovery are the
-// common currency of that ladder (aliased as FtlCrash / FtlRecovery for the
+// The crash/recovery contract is shared, and so is its implementation
+// (flash/metadata_log.hpp): both backends journal durable metadata into
+// reserved flash, stamp every data-page program with (lpn, seq) in the
+// page's out-of-band area, and remount after power_loss() with one replay
+// of checkpoint + journal + an OOB scan of every unit holding a stamp no
+// durable record covers.  StorageCrash / StorageRecovery are the common
+// currency of that ladder (aliased as FtlCrash / FtlRecovery for the
 // pre-seam call sites).
 #pragma once
 
@@ -72,7 +73,7 @@ struct StorageRecovery {
   std::uint64_t checkpoint_pages_read = 0;
   std::uint64_t journal_pages_read = 0;
   std::uint64_t journal_entries_replayed = 0;
-  /// OOB scan of the region written after the last durable record: FTL
+  /// OOB scan of the units holding stamps no durable record covers: FTL
   /// blocks or ZNS zones.
   std::uint64_t blocks_scanned = 0;
   std::uint64_t pages_scanned = 0;
@@ -157,7 +158,7 @@ class StorageBackend {
   virtual StorageCrash power_loss() = 0;
 
   /// Remount after power_loss(): replay checkpoint + journal, OOB-scan the
-  /// region written since the last durable record, rebuild volatile state,
+  /// units holding stamps no durable record covers, rebuild volatile state,
   /// and re-verify every invariant.
   virtual StorageRecovery recover() = 0;
 

@@ -37,15 +37,7 @@ std::uint64_t Ftl::checked_logical_pages(const FtlConfig& config) {
   ISP_CHECK(config.gc_low_watermark >= 1 &&
                 config.gc_high_watermark > config.gc_low_watermark,
             "bad GC watermarks");
-  if (config.journal.enabled) {
-    ISP_CHECK(config.journal.entry_bytes > 0 &&
-                  config.journal.checkpoint_entry_bytes > 0,
-              "journal entries need a size");
-    ISP_CHECK(config.journal.checkpoint_interval_pages >= 1,
-              "checkpoint interval must be at least one journal page");
-    ISP_CHECK(g.page_bytes.count() / config.journal.entry_bytes >= 1,
-              "journal entry larger than a flash page");
-  }
+  MetadataLog::check_config(config.journal, g);
 
   const auto logical_pages = static_cast<std::uint64_t>(
       static_cast<double>(g.total_pages()) * (1.0 - config.overprovision));
@@ -64,7 +56,11 @@ std::uint64_t Ftl::checked_logical_pages(const FtlConfig& config) {
 }
 
 Ftl::Ftl(FtlConfig config)
-    : config_(config), logical_pages_(checked_logical_pages(config_)) {
+    : config_(config),
+      logical_pages_(checked_logical_pages(config_)),
+      log_(config_.journal, config_.geometry, logical_pages_,
+           config_.geometry.total_blocks(), config_.geometry.pages_per_block,
+           /*journal_programs=*/true) {
   const auto& g = config_.geometry;
   const auto physical_pages = g.total_pages();
   l2p_.assign(logical_pages_, kNoPage);
@@ -76,20 +72,6 @@ Ftl::Ftl(FtlConfig config)
   for (std::uint64_t b = 0; b < g.total_blocks(); ++b) bit_set(free_bits_, b);
   bits_resize(full_bits_, g.total_blocks());
   bits_resize(valid_bits_, physical_pages);
-  bits_resize(dirty_bits_, g.total_blocks());
-  block_max_seq_.assign(g.total_blocks(), 0);
-  block_programmed_.assign(g.total_blocks(), 0);
-  if (config_.journal.enabled) {
-    media_.assign(physical_pages, std::nullopt);
-    checkpoint_.assign(logical_pages_, kNoPage);
-    // The buffers cycle at fixed sizes: one page of entries in the open
-    // journal page, at most checkpoint_interval_pages of durable entries
-    // before a fold clears them.  Reserve once instead of regrowing on the
-    // hot write path.
-    journal_buf_.reserve(journal_entries_per_page());
-    journal_.reserve(static_cast<std::size_t>(journal_entries_per_page()) *
-                     config_.journal.checkpoint_interval_pages);
-  }
 
   active_block_ = allocate_free_block();
   gc_active_block_ = allocate_free_block();
@@ -103,11 +85,6 @@ Ppn Ftl::block_first_page(std::uint64_t block) const {
 
 std::uint64_t Ftl::page_block(Ppn ppn) const {
   return ppn / config_.geometry.pages_per_block;
-}
-
-std::uint32_t Ftl::journal_entries_per_page() const {
-  return static_cast<std::uint32_t>(config_.geometry.page_bytes.count() /
-                                    config_.journal.entry_bytes);
 }
 
 std::uint64_t Ftl::allocate_free_block() {
@@ -134,8 +111,6 @@ Ppn Ftl::append_to_active(bool for_gc) {
   Block& blk = blocks_[active];
   const Ppn ppn = block_first_page(active) + blk.next_free_page;
   ++blk.next_free_page;
-  block_programmed_[active] = blk.next_free_page;
-  mark_dirty(active);
   if (blk.next_free_page == config_.geometry.pages_per_block) {
     bit_set(full_bits_, active);
   }
@@ -144,63 +119,22 @@ Ppn Ftl::append_to_active(bool for_gc) {
   return ppn;
 }
 
-void Ftl::journal_append(Lpn lpn, Ppn ppn, std::uint64_t seq) {
-  if (!config_.journal.enabled) return;
-  journal_buf_.push_back(JournalEntry{lpn, ppn, seq});
-  flush_journal_page_if_full();
-}
-
-void Ftl::flush_journal_page_if_full() {
-  if (journal_buf_.size() < journal_entries_per_page()) return;
-  // The open journal page filled: program it.  Its entries become durable
-  // and the write is charged as real metadata traffic.
-  journal_.insert(journal_.end(), journal_buf_.begin(), journal_buf_.end());
-  last_durable_seq_ = journal_buf_.back().seq;
-  journal_buf_.clear();
-  ++stats_.meta_writes;
-  ++journal_pages_since_fold_;
-  ++meta_pages_live_;
-  if (journal_pages_since_fold_ >= config_.journal.checkpoint_interval_pages) {
-    fold_checkpoint();
-  }
-}
-
-void Ftl::fold_checkpoint() {
-  // Snapshot the whole map; the old checkpoint + journal region is then
-  // recycled (erased) and a fresh journal starts empty.
-  checkpoint_ = l2p_;
-  checkpoint_seq_ = seq_;
-  const auto page = config_.geometry.page_bytes.count();
-  checkpoint_pages_ =
-      (mapped_count_ * config_.journal.checkpoint_entry_bytes + page - 1) /
-      page;
-  if (checkpoint_pages_ == 0) checkpoint_pages_ = 1;  // map header page
-  stats_.meta_writes += checkpoint_pages_;
+void Ftl::persist(std::uint64_t journal_pages) {
+  stats_.meta_writes += journal_pages;
+  if (!log_.fold_due()) return;
+  const MetaIo io = log_.fold(l2p_, mapped_count_);
+  stats_.meta_writes += io.pages;
+  stats_.erases += io.erases;
   ++stats_.checkpoint_folds;
-  const auto ppb = config_.geometry.pages_per_block;
-  stats_.erases += (meta_pages_live_ + ppb - 1) / ppb;
-  meta_pages_live_ = checkpoint_pages_;
-  journal_.clear();
-  journal_buf_.clear();
-  journal_pages_since_fold_ = 0;
-  last_durable_seq_ = checkpoint_seq_;
-  // The checkpoint now covers everything: the dirty extent (the scope of
-  // incremental remount verification) restarts empty.
-  bits_clear_all(dirty_bits_);
 }
 
-void Ftl::install_mapping(Lpn lpn, Ppn ppn, bool for_gc) {
+void Ftl::install_mapping(Lpn lpn, Ppn ppn) {
   l2p_[lpn] = ppn;
   p2l_[ppn] = lpn;
   bit_set(valid_bits_, ppn);
-  ++blocks_[page_block(ppn)].valid;
-  const std::uint64_t seq = ++seq_;
-  if (config_.journal.enabled) {
-    media_[ppn] = Oob{lpn, seq};
-    block_max_seq_[page_block(ppn)] = seq;
-    journal_append(lpn, ppn, seq);
-  }
-  (void)for_gc;
+  const std::uint64_t block = page_block(ppn);
+  ++blocks_[block].valid;
+  persist(log_.program(block, ppn, lpn));
 }
 
 void Ftl::write(Lpn lpn) {
@@ -219,7 +153,7 @@ void Ftl::write(Lpn lpn) {
     ++mapped_count_;
   }
   const Ppn ppn = append_to_active(/*for_gc=*/false);
-  install_mapping(lpn, ppn, /*for_gc=*/false);
+  install_mapping(lpn, ppn);
   ++stats_.host_writes;
 
   if (free_count_ <= config_.gc_low_watermark) garbage_collect();
@@ -251,21 +185,13 @@ void Ftl::write_span(Lpn first, std::uint64_t count) {
     Block& blk = blocks_[active_block_];
     std::uint64_t run =
         std::min<std::uint64_t>(left, pages_per_block - blk.next_free_page);
-    if (journal) {
-      run = std::min<std::uint64_t>(
-          run, journal_entries_per_page() - journal_buf_.size());
-    }
+    if (journal) run = std::min(run, log_.room_in_page());
     const Ppn start = block_first_page(active_block_) + blk.next_free_page;
     // The freshly-programmed pages form one contiguous PPN run: their valid
-    // bits go in with whole-word masks and the journal tail is sized once.
-    // An old mapping invalidated below can never land inside
-    // [start, start + run) — those pages were unprogrammed until now.
+    // bits go in with whole-word masks.  An old mapping invalidated below
+    // can never land inside [start, start + run) — those pages were
+    // unprogrammed until now.
     bits_set_range(valid_bits_, start, start + run);
-    std::size_t jbase = 0;
-    if (journal) {
-      jbase = journal_buf_.size();
-      journal_buf_.resize(jbase + run);
-    }
     const Lpn lpn0 = lpn;
     for (std::uint64_t i = 0; i < run; ++i, ++lpn) {
       if (const Ppn old = l2p_[lpn]; old != kNoPage) {
@@ -280,28 +206,15 @@ void Ftl::write_span(Lpn first, std::uint64_t count) {
       l2p_[lpn] = start + i;
       p2l_[start + i] = lpn;
     }
-    if (journal) {
-      // Second pass: lpn, ppn and seq all advance by one per page, so the
-      // OOB stamps and journal tail are straight sequential fills.
-      for (std::uint64_t i = 0; i < run; ++i) {
-        const std::uint64_t seq = seq_ + i + 1;
-        media_[start + i] = Oob{lpn0 + i, seq};
-        journal_buf_[jbase + i] = JournalEntry{lpn0 + i, start + i, seq};
-      }
-    }
-    seq_ += run;
     blk.next_free_page += static_cast<std::uint32_t>(run);
     blk.valid += static_cast<std::uint32_t>(run);
     stats_.host_writes += run;
     ISP_DCHECK(stats_.free_pages >= run, "free-page gauge underflow");
     stats_.free_pages -= run;
-    block_programmed_[active_block_] = blk.next_free_page;
-    if (journal) block_max_seq_[active_block_] = seq_;
-    mark_dirty(active_block_);
     if (blk.next_free_page == pages_per_block) {
       bit_set(full_bits_, active_block_);
     }
-    if (journal) flush_journal_page_if_full();
+    persist(log_.program_run(active_block_, start, lpn0, run));
     left -= run;
   }
 }
@@ -323,7 +236,7 @@ void Ftl::trim_one(Lpn lpn) {
     --blk.valid;
     l2p_[lpn] = kNoPage;
     --mapped_count_;
-    journal_append(lpn, kTrimMark, ++seq_);
+    persist(log_.trim(lpn));
   }
 }
 
@@ -368,22 +281,10 @@ void Ftl::relocate_block(std::uint64_t block) {
         p2l_[src] = kNoPage;
         bit_clear(valid_bits_, src);
         --blocks_[block].valid;
-        install_mapping(lpn, dst, /*for_gc=*/true);
+        install_mapping(lpn, dst);
         ++stats_.gc_writes;
       });
   ISP_DCHECK(blocks_[block].valid == 0, "block not fully relocated");
-}
-
-void Ftl::erase_block_media(std::uint64_t block) {
-  if (!media_.empty()) {
-    const Ppn first = block_first_page(block);
-    for (std::uint32_t p = 0; p < config_.geometry.pages_per_block; ++p) {
-      media_[first + p] = std::nullopt;
-    }
-  }
-  block_max_seq_[block] = 0;
-  block_programmed_[block] = 0;
-  mark_dirty(block);
 }
 
 void Ftl::retire_block(std::uint64_t block) {
@@ -416,7 +317,7 @@ void Ftl::retire_block(std::uint64_t block) {
   }
   // The retired block's unwritten remainder leaves the writable pool.
   stats_.free_pages -= g.pages_per_block - blocks_[block].next_free_page;
-  erase_block_media(block);
+  log_.erase(block);
   blocks_[block] = Block{};
   blocks_[block].is_free = false;
   blocks_[block].next_free_page = g.pages_per_block;  // never appendable
@@ -454,7 +355,7 @@ void Ftl::garbage_collect() {
 
     // Relocate valid pages, then erase.
     relocate_block(victim);
-    erase_block_media(victim);
+    log_.erase(victim);
     blocks_[victim] = Block{};
     bit_clear(full_bits_, victim);
     bit_set(free_bits_, victim);
@@ -468,16 +369,12 @@ FtlCrash Ftl::power_loss() {
   ISP_CHECK(config_.journal.enabled,
             "power_loss() requires journal mode (FtlJournalConfig::enabled)");
   ISP_CHECK(mounted_, "device already crashed");
-  FtlCrash crash;
-  crash.lost_tail_updates = journal_buf_.size();
-  for (const auto& e : journal_buf_) {
-    if (e.ppn == kTrimMark) ++crash.lost_trims;
-  }
-  // Everything volatile is gone.  The durable state — media OOB, programmed
-  // journal pages, the checkpoint, and the bad-block table — survives.
-  journal_buf_.clear();
+  // Everything volatile is gone: the maps, the block bookkeeping and the
+  // buffered journal tail.  The log's durable state (OOB stamps, block
+  // headers, journal pages, checkpoint) and the bad-block table survive.
+  const FtlCrash crash = log_.lose_tail();
   l2p_.assign(logical_pages_, kNoPage);
-  p2l_.assign(media_.size(), kNoPage);
+  p2l_.assign(p2l_.size(), kNoPage);
   for (auto& b : blocks_) b = Block{};
   bits_clear_all(free_bits_);
   bits_clear_all(full_bits_);
@@ -485,153 +382,67 @@ FtlCrash Ftl::power_loss() {
   mapped_count_ = 0;
   free_count_ = 0;
   mounted_ = false;
-  // The durable per-block summaries (block_max_seq_, block_programmed_) and
-  // the dirty extent survive: they are the block headers remount reads.
   return crash;
 }
 
 FtlRecovery Ftl::recover() {
   ISP_CHECK(config_.journal.enabled, "recover() requires journal mode");
   ISP_CHECK(!mounted_, "recover() on a mounted FTL");
-  FtlRecovery rec;
   const auto pages_per_block = config_.geometry.pages_per_block;
+  FtlRecovery rec = log_.replay(l2p_);
 
-  // 1. Candidate map from the checkpoint, each entry stamped with the fold
-  //    sequence (everything in the checkpoint is at least that old).
-  //    recover_scratch_ keeps its capacity across remounts, so power-cycle
-  //    sweeps pay the logical_pages-sized allocation only once.
-  recover_scratch_.assign(logical_pages_, std::nullopt);
-  auto& m = recover_scratch_;
-  for (Lpn lpn = 0; lpn < logical_pages_; ++lpn) {
-    if (checkpoint_[lpn] != kNoPage) {
-      m[lpn] = {checkpoint_[lpn], checkpoint_seq_};
-    }
-  }
-  rec.checkpoint_pages_read = checkpoint_pages_;
-
-  // 2. Replay the durable journal in order.
-  for (const auto& e : journal_) {
-    if (e.ppn == kTrimMark) {
-      m[e.lpn] = std::nullopt;
-    } else {
-      m[e.lpn] = {e.ppn, e.seq};
-    }
-  }
-  rec.journal_entries_replayed = journal_.size();
-  rec.journal_pages_read =
-      (journal_.size() + journal_entries_per_page() - 1) /
-      journal_entries_per_page();
-
-  // 3. OOB scan: only blocks holding pages programmed after the last
-  //    durable journal page need reading.  The durable block header's max
-  //    program sequence answers "any page newer than the horizon?" in O(1)
-  //    per block (max > horizon iff some page's seq is — it is cleared on
-  //    erase), so the candidate set is found without touching page OOB.
-  //    The scan itself rescues the journal's volatile tail: every data-page
-  //    program stamped its lpn+seq on the media.
+  // Rebuild the volatile state.  Programs land strictly prefix-ordered, so
+  // each block's append pointer is its durable programmed-prefix header.
   for (std::uint64_t b = 0; b < blocks_.size(); ++b) {
-    if (block_max_seq_[b] <= last_durable_seq_) continue;
-    const Ppn first = block_first_page(b);
-    ++rec.blocks_scanned;
-    rec.pages_scanned += pages_per_block;
-    for (std::uint32_t p = 0; p < pages_per_block; ++p) {
-      const Ppn ppn = first + p;
-      const auto& oob = media_[ppn];
-      if (!oob || oob->seq <= last_durable_seq_) continue;
-      if (!m[oob->lpn] || oob->seq > m[oob->lpn]->second) {
-        m[oob->lpn] = {ppn, oob->seq};
-        ++rec.tail_updates_rescued;
-      }
-    }
+    blocks_[b].next_free_page =
+        retired_[b] ? pages_per_block : log_.programmed(b);
+    blocks_[b].is_free = !retired_[b] && blocks_[b].next_free_page == 0;
   }
-
-  // 4. Confirm every candidate against the media: a mapping whose physical
-  //    page was erased (its relocation entry sat in the lost tail) is
-  //    stale — the OOB scan already supplied the newer location.
   for (Lpn lpn = 0; lpn < logical_pages_; ++lpn) {
-    if (!m[lpn]) continue;
-    const Ppn ppn = m[lpn]->first;
-    if (!media_[ppn] || media_[ppn]->lpn != lpn) {
-      m[lpn] = std::nullopt;
-      ++rec.stale_mappings_dropped;
-    }
-  }
-
-  // 5. Rebuild the volatile state: forward/reverse map, per-block append
-  //    pointers, valid counts, and the free pool.  The append pointer is
-  //    the durable programmed-prefix header — identical to the old per-page
-  //    media scan because programs land strictly prefix-ordered.
-  for (std::uint64_t b = 0; b < blocks_.size(); ++b) {
-    Block nb;
-    if (retired_[b]) {
-      nb.is_free = false;
-      nb.next_free_page = pages_per_block;
-      blocks_[b] = nb;
-      continue;
-    }
-    nb.next_free_page = block_programmed_[b];
-    nb.is_free = (nb.next_free_page == 0);
-    blocks_[b] = nb;
-  }
-  mapped_count_ = 0;
-  for (Lpn lpn = 0; lpn < logical_pages_; ++lpn) {
-    if (!m[lpn]) continue;
-    const Ppn ppn = m[lpn]->first;
-    l2p_[lpn] = ppn;
+    const Ppn ppn = l2p_[lpn];
+    if (ppn == kNoPage) continue;
     p2l_[ppn] = lpn;
     bit_set(valid_bits_, ppn);
     ++blocks_[page_block(ppn)].valid;
     ++mapped_count_;
   }
   rec.mappings_recovered = mapped_count_;
-  free_count_ = 0;
+
+  // Re-open the partially written blocks as the append points so they are
+  // not stranded (GC only reclaims full blocks).  Normal operation leaves
+  // at most two (host + GC append); compact any extras away.
+  std::vector<std::uint64_t> partial;
   for (std::uint64_t b = 0; b < blocks_.size(); ++b) {
     if (blocks_[b].is_free) {
       bit_set(free_bits_, b);
       ++free_count_;
-    } else if (!retired_[b] &&
-               blocks_[b].next_free_page == pages_per_block) {
+    } else if (retired_[b]) {
+      continue;
+    } else if (blocks_[b].next_free_page == pages_per_block) {
       bit_set(full_bits_, b);
+    } else {
+      partial.push_back(b);
     }
   }
-
-  // 6. Re-open the partially written blocks as the append points so they
-  //    are not stranded (GC only reclaims full blocks).  Normal operation
-  //    leaves at most two partial blocks (host + GC append); if recovery
-  //    somehow finds more, compact the extras away.
-  std::vector<std::uint64_t> partial;
-  for (std::uint64_t b = 0; b < blocks_.size(); ++b) {
-    if (blocks_[b].is_free || retired_[b]) continue;
-    if (blocks_[b].next_free_page < pages_per_block) partial.push_back(b);
-  }
   mounted_ = true;
-  if (partial.size() >= 1) {
-    active_block_ = partial[0];
-  } else {
-    active_block_ = allocate_free_block();
-  }
-  if (partial.size() >= 2) {
-    gc_active_block_ = partial[1];
-  } else {
-    gc_active_block_ = allocate_free_block();
-  }
+  active_block_ = partial.size() >= 1 ? partial[0] : allocate_free_block();
+  gc_active_block_ = partial.size() >= 2 ? partial[1] : allocate_free_block();
   for (std::size_t i = 2; i < partial.size(); ++i) {
     const std::uint64_t b = partial[i];
     relocate_block(b);
-    erase_block_media(b);
+    log_.erase(b);
     blocks_[b] = Block{};
     bit_set(free_bits_, b);
     ++free_count_;
     ++stats_.erases;
   }
 
-  // Rebuild the free-page gauge from the recovered block states.
   stats_.free_pages = 0;
   for (std::uint64_t b = 0; b < blocks_.size(); ++b) {
-    if (retired_[b]) continue;
-    stats_.free_pages += pages_per_block - blocks_[b].next_free_page;
+    if (!retired_[b]) {
+      stats_.free_pages += pages_per_block - blocks_[b].next_free_page;
+    }
   }
-
   ++stats_.recoveries;
   // The remount contract: every invariant holds before the first IO.  The
   // check is incremental (O(blocks) summaries + the dirty extent); the
@@ -649,8 +460,10 @@ double Ftl::gc_pressure() const {
 }
 
 void Ftl::check_invariants() const {
-  ISP_CHECK(mounted_, "invariants undefined on an unmounted FTL");
-  const auto pages_per_block = config_.geometry.pages_per_block;
+  // The summary pass covers per-block counts, the bit indexes, the block
+  // partition and the dirty blocks' pages; the sweep below covers every
+  // other page.
+  check_invariants_incremental();
 
   // l2p / p2l are mutually consistent bijections on their valid domain.
   std::uint64_t mapped = 0;
@@ -670,69 +483,8 @@ void Ftl::check_invariants() const {
   ISP_CHECK(mapped == reverse_mapped, "map cardinality mismatch");
   ISP_CHECK(mapped == mapped_count_, "mapped-count bookkeeping mismatch");
 
-  // Per-block valid counts match the reverse map; free blocks hold nothing;
-  // retired blocks are out of service entirely.  The bit indexes and the
-  // durable block headers must agree with the struct state they summarise.
-  std::uint32_t free_seen = 0;
-  std::uint32_t retired_seen = 0;
-  for (std::uint64_t b = 0; b < blocks_.size(); ++b) {
-    std::uint32_t valid = 0;
-    std::uint64_t max_seq = 0;
-    std::uint32_t programmed = 0;
-    for (std::uint32_t p = 0; p < pages_per_block; ++p) {
-      if (p2l_[block_first_page(b) + p] != kNoPage) ++valid;
-      if (!media_.empty()) {
-        if (const auto& oob = media_[block_first_page(b) + p]) {
-          max_seq = std::max(max_seq, oob->seq);
-          programmed = p + 1;
-        }
-      }
-    }
-    ISP_CHECK(valid == blocks_[b].valid,
-              "block " << b << " valid-count mismatch");
-    ISP_CHECK(bit_test(free_bits_, b) == blocks_[b].is_free,
-              "free-block bitset drift at block " << b);
-    ISP_CHECK(bit_test(full_bits_, b) ==
-                  (!blocks_[b].is_free && !retired_[b] &&
-                   blocks_[b].next_free_page == pages_per_block),
-              "full-block bitset drift at block " << b);
-    if (!media_.empty()) {
-      ISP_CHECK(block_max_seq_[b] == max_seq,
-                "block " << b << " max-seq header drift");
-      if (!retired_[b]) {
-        ISP_CHECK(block_programmed_[b] == programmed,
-                  "block " << b << " programmed-prefix header drift");
-      }
-    }
-    if (retired_[b]) {
-      ISP_CHECK(!blocks_[b].is_free, "retired block in the free pool");
-      ISP_CHECK(valid == 0, "retired block holds valid pages");
-      ++retired_seen;
-      continue;
-    }
-    if (blocks_[b].is_free) {
-      ISP_CHECK(valid == 0, "free block contains valid pages");
-      ISP_CHECK(blocks_[b].next_free_page == 0, "free block partially written");
-      ++free_seen;
-    }
-    ISP_CHECK(blocks_[b].next_free_page <= pages_per_block,
-              "append pointer past block end");
-  }
-  ISP_CHECK(free_seen == free_count_, "free-count bookkeeping mismatch");
-  ISP_CHECK(retired_seen == retired_count_,
-            "retired-count bookkeeping mismatch");
-  // Free + in-use + retired partition the array.
-  ISP_CHECK(free_seen + retired_seen <= blocks_.size(),
-            "block partition overflow");
-  // The exported free-page gauge equals the recomputed truth.
-  std::uint64_t free_pages = 0;
-  for (std::uint64_t b = 0; b < blocks_.size(); ++b) {
-    if (retired_[b]) continue;
-    free_pages += pages_per_block - blocks_[b].next_free_page;
-  }
-  ISP_CHECK(free_pages == stats_.free_pages,
-            "free-page gauge drifted: " << stats_.free_pages << " != "
-                                        << free_pages);
+  // The durable block headers match the stamps on every block.
+  for (std::uint64_t b = 0; b < blocks_.size(); ++b) log_.check_unit(b);
 }
 
 void Ftl::check_invariants_incremental() const {
@@ -787,7 +539,7 @@ void Ftl::check_invariants_incremental() const {
   // Deep per-page checks only on the dirty extent: blocks touched since the
   // last checkpoint fold.  The clean extent is covered by the summary pass
   // above and, when configured, by the exhaustive sweep.
-  bits_for_each(dirty_bits_, 0, blocks_.size(), [&](std::uint64_t b) {
+  bits_for_each(log_.dirty(), 0, blocks_.size(), [&](std::uint64_t b) {
     const Ppn first = block_first_page(b);
     for (std::uint32_t p = 0; p < pages_per_block; ++p) {
       const Ppn ppn = first + p;
@@ -796,11 +548,8 @@ void Ftl::check_invariants_incremental() const {
       if (const Lpn lpn = p2l_[ppn]; lpn != kNoPage) {
         ISP_CHECK(l2p_[lpn] == ppn, "reverse map disagrees for lpn " << lpn);
       }
-      if (!media_.empty() && !retired_[b]) {
-        ISP_CHECK(media_[ppn].has_value() == (p < block_programmed_[b]),
-                  "block " << b << " programmed pages are not a prefix");
-      }
     }
+    log_.check_unit(b);
   });
 }
 

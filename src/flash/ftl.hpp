@@ -10,16 +10,10 @@
 // the flash array.
 //
 // Durability (journal mode, docs/fault-model.md "Power loss and recovery"):
-// every mapping update is appended to a journal held in reserved flash
-// pages; full journal pages are programmed (charged as real meta writes) and
-// periodically folded into a checkpoint of the whole map.  Data-page
-// programs carry the logical page number and a global sequence number in
-// their out-of-band area, so a remount after power loss replays
-// checkpoint + journal and then scans only the blocks written after the last
-// durable journal page.  The volatile tail that can be lost is exactly the
-// buffered (un-programmed) journal entries — and because writes and GC
-// relocations are recoverable from the OOB scan, the only updates a crash
-// can actually lose are trims buffered since the last journal page program.
+// every mapping update is journaled and data-page programs carry (lpn, seq)
+// out of band; flash/metadata_log.hpp holds that durable state and the
+// checkpoint + journal + OOB replay a remount runs.  The only updates a
+// crash can lose are trims buffered since the last journal page program.
 //
 // Data plane (PR 10): the hot loops are extent-oriented.  write_span/
 // trim_span/read_span process contiguous LPN runs with per-run bookkeeping,
@@ -43,6 +37,7 @@
 #include "common/bitset.hpp"
 #include "common/units.hpp"
 #include "flash/backend.hpp"
+#include "flash/metadata_log.hpp"
 #include "flash/nand.hpp"
 
 namespace isp::obs {
@@ -53,12 +48,6 @@ namespace isp::flash {
 
 /// Pre-seam name for the shared journal knobs (flash/backend.hpp).
 using FtlJournalConfig = JournalConfig;
-
-/// "No mapping" sentinel for the flat l2p/p2l/checkpoint arrays.  The maps
-/// are the data plane's hottest stores; a flat word with an impossible page
-/// number is half the width of std::optional and keeps the fill loops to
-/// plain 8-byte traffic.  No device geometry reaches 2^64 - 1 pages.
-inline constexpr std::uint64_t kNoPage = ~std::uint64_t{0};
 
 struct FtlConfig {
   NandGeometry geometry;
@@ -154,7 +143,7 @@ class Ftl final : public StorageBackend {
   [[nodiscard]] bool mounted() const override { return mounted_; }
   /// Mapping updates buffered in the volatile journal tail right now.
   [[nodiscard]] std::uint64_t journal_tail_updates() const {
-    return journal_buf_.size();
+    return log_.buffered();
   }
 
   /// Power cut: all volatile state (map, reverse map, block bookkeeping,
@@ -163,10 +152,9 @@ class Ftl final : public StorageBackend {
   /// the remount completes.
   FtlCrash power_loss() override;
 
-  /// Remount after power_loss(): replay checkpoint + journal, OOB-scan the
-  /// blocks written since the last durable journal page, rebuild the
-  /// reverse map and per-block valid counts, re-open the partially written
-  /// blocks, and re-verify every invariant.
+  /// Remount after power_loss(): replay the durable metadata (MetadataLog::
+  /// replay), rebuild the reverse map and per-block valid counts, re-open
+  /// the partially written blocks, and re-verify every invariant.
   FtlRecovery recover() override;
 
   /// Fraction of array bandwidth background storage management has consumed
@@ -210,38 +198,19 @@ class Ftl final : public StorageBackend {
     bool is_free = true;
   };
 
-  /// OOB metadata stamped on every programmed data page (durable until the
-  /// block is erased): which logical page it holds and when it was written.
-  struct Oob {
-    Lpn lpn = 0;
-    std::uint64_t seq = 0;
-  };
-
-  /// One durable mapping update.  ppn == kTrimMark encodes a trim.
-  struct JournalEntry {
-    Lpn lpn = 0;
-    Ppn ppn = 0;
-    std::uint64_t seq = 0;
-  };
-  static constexpr Ppn kTrimMark = ~Ppn{0};
-
   [[nodiscard]] Ppn block_first_page(std::uint64_t block) const;
   [[nodiscard]] std::uint64_t page_block(Ppn ppn) const;
-  [[nodiscard]] std::uint32_t journal_entries_per_page() const;
   std::uint64_t allocate_free_block();
   Ppn append_to_active(bool for_gc);
   void garbage_collect();
-  void install_mapping(Lpn lpn, Ppn ppn, bool for_gc);
-  void journal_append(Lpn lpn, Ppn ppn, std::uint64_t seq);
-  void flush_journal_page_if_full();
-  void fold_checkpoint();
+  void install_mapping(Lpn lpn, Ppn ppn);
+  /// Charge the journal pages a log update programmed, then fold the
+  /// checkpoint if it is due.
+  void persist(std::uint64_t journal_pages);
   void trim_one(Lpn lpn);
   /// Shared block walks: GC victims, retirement and remount compaction all
-  /// relocate a block's valid pages (walking the valid-page bitmap) and then
-  /// clear its media + durable block header the same way.
+  /// relocate a block's valid pages (walking the valid-page bitmap).
   void relocate_block(std::uint64_t block);
-  void erase_block_media(std::uint64_t block);
-  void mark_dirty(std::uint64_t block) { bit_set(dirty_bits_, block); }
 
   FtlConfig config_;
   std::uint64_t logical_pages_;
@@ -256,7 +225,6 @@ class Ftl final : public StorageBackend {
   std::uint64_t gc_active_block_;  // current GC relocation block
   std::uint32_t free_count_;
   std::uint64_t mapped_count_ = 0;
-  std::vector<JournalEntry> journal_buf_;  // entries in the open journal page
   // Hot-path bit indexes (volatile; rebuilt on recover).  Allocation walks
   // free_bits_ with ctz for the lowest free block, GC victim selection walks
   // full_bits_ (full, non-free, non-retired blocks), and relocation walks
@@ -267,31 +235,9 @@ class Ftl final : public StorageBackend {
   std::vector<std::uint64_t> valid_bits_;
 
   // ---- durable state (survives power_loss) ----------------------------
-  std::vector<std::optional<Oob>> media_;  // OOB of every programmed page
-  // Per-block durable summaries — the "block header" a real device reads
-  // instead of scanning every page's OOB: the highest program sequence in
-  // the block (cleared on erase; max > horizon iff any page is newer) and
-  // the programmed-prefix length.  Remount consults these in O(blocks).
-  std::vector<std::uint64_t> block_max_seq_;
-  std::vector<std::uint32_t> block_programmed_;
-  // Blocks touched (programmed/erased/retired) since the last checkpoint
-  // fold: the scope of incremental remount verification.
-  std::vector<std::uint64_t> dirty_bits_;
-  std::vector<JournalEntry> journal_;      // entries on programmed pages
-  std::vector<Ppn> checkpoint_;            // kNoPage = unmapped at fold time
-  std::uint64_t checkpoint_seq_ = 0;
-  std::uint64_t checkpoint_pages_ = 0;
-  std::uint64_t last_durable_seq_ = 0;
-  std::uint64_t seq_ = 0;  // global mapping-update sequence
-  std::uint32_t journal_pages_since_fold_ = 0;
-  std::uint64_t meta_pages_live_ = 0;  // journal+checkpoint pages not yet recycled
-  std::vector<char> retired_;          // durable bad-block table
+  MetadataLog log_;  // OOB stamps, block headers, journal, checkpoint
+  std::vector<char> retired_;  // durable bad-block table
   std::uint32_t retired_count_ = 0;
-
-  // Remount scratch: the candidate map recover() builds before committing.
-  // A member so repeated power-cycle sweeps reuse the allocation instead of
-  // paying a logical_pages-sized calloc per remount.
-  std::vector<std::optional<std::pair<Ppn, std::uint64_t>>> recover_scratch_;
 
   FtlStats stats_;
 };

@@ -55,8 +55,14 @@ OracleResult exhaustive_oracle(system::SystemModel& system,
 
   const auto estimates = measure_true_estimates(system, program);
 
+  // Timing-only replays: every line's outputs take the measured size.
+  ir::OutputSizes sizes;
+  sizes.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    sizes.emplace_back(program.lines()[i].outputs.size(), estimates[i].d_out);
+  }
   runtime::EngineOptions engine_options = options.engine;
-  engine_options.run_kernels = false;  // timing-only replays
+  engine_options.output_sizes = &sizes;
   engine_options.monitoring = false;
   engine_options.migration = false;
 

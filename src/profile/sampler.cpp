@@ -16,7 +16,6 @@ SampleSet Sampler::run(const ir::Program& program) {
     auto store = program.make_sampled_store(fraction);
 
     runtime::EngineOptions options;
-    options.run_kernels = true;
     options.monitoring = false;
     options.migration = false;
     // Cython compilation is charged once, on the raw run; the sampling

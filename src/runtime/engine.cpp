@@ -99,9 +99,6 @@ ExecutionReport Engine::run(const ir::Program& program, const ir::Plan& plan,
   const ir::OutputSizes* recorded = options.output_sizes;
   ISP_CHECK(recorded == nullptr || recorded->size() == program.line_count(),
             "recorded output sizes do not match program");
-  const bool run_kernels = options.run_kernels && recorded == nullptr;
-  ISP_CHECK(options.run_kernels || recorded != nullptr || have_estimates,
-            "timing-only replay requires plan estimates for output sizes");
 
   system_->reset_stats();
   auto& host = system_->host_cpu();
@@ -113,8 +110,8 @@ ExecutionReport Engine::run(const ir::Program& program, const ir::Plan& plan,
   ir::ObjectStore local_store;
   if (external_store == nullptr) {
     // Payloads are copied only for kernels to read.
-    local_store =
-        run_kernels ? program.make_store() : program.make_metadata_store();
+    local_store = recorded == nullptr ? program.make_store()
+                                      : program.make_metadata_store();
     external_store = &local_store;
   }
   ir::ObjectStore& store = *external_store;
@@ -750,7 +747,7 @@ ExecutionReport Engine::run(const ir::Program& program, const ir::Plan& plan,
         obj.virtual_bytes = replay[k];
         place_output(obj);
       }
-    } else if (line.kernel && run_kernels) {
+    } else if (line.kernel) {
       ir::KernelCtx ctx(store, line.inputs, line.outputs,
                         program.virtual_scale());
       line.kernel(ctx);
@@ -763,7 +760,7 @@ ExecutionReport Engine::run(const ir::Program& program, const ir::Plan& plan,
       for (const auto& name : line.outputs) {
         mem::DataObject obj;
         obj.name = name;
-        // Timing-only replay: output volumes come from the estimates.
+        // No kernel: output volumes come from the estimates.
         obj.virtual_bytes = plan.estimate[i].d_out;
         place_output(obj);
         store.emplace(std::move(obj));

@@ -51,18 +51,15 @@ struct ContentionTrigger {
 
 struct EngineOptions {
   codegen::RuntimeOverheadModel overhead;
-  /// Execute the real kernels (functional results). Off for timing-only
-  /// replays, which then require plan estimates for output sizes.
-  bool run_kernels = true;
   /// Replay a kernel run instead of calling kernels: the output sizes a
-  /// kernel run of this program recorded (ExecutionReport::output_sizes).
+  /// kernel run of this program recorded (ExecutionReport::output_sizes),
+  /// or sizes derived from plan estimates for a timing-only replay.
   /// Timing reads only each object's virtual size, location and BAR flag,
   /// and kernels are pure functions of the datasets, so the run's report,
   /// metrics and backend traffic are bit-for-bit those of the kernel run —
   /// under any plan, availability, fault seed or storage setting.  Datasets
-  /// enter the store without payloads and no output carries one.  Takes
-  /// precedence over run_kernels; lines without a kernel still size their
-  /// outputs from the plan estimates.
+  /// enter the store without payloads and no output carries one.  Lines
+  /// without a kernel still size their outputs from the plan estimates.
   const ir::OutputSizes* output_sizes = nullptr;
   /// Post status updates and run the monitor on CSD lines.
   bool monitoring = true;

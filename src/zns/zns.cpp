@@ -44,17 +44,9 @@ std::uint64_t ZnsDevice::checked_logical_pages(const ZnsConfig& config) {
   ISP_CHECK(config.reclaim_low_watermark >= 1 &&
                 config.reclaim_high_watermark > config.reclaim_low_watermark,
             "bad reclaim watermarks");
-  if (config.journal.enabled) {
-    ISP_CHECK(config.meta_zones >= 1,
-              "journal mode needs a dedicated metadata zone");
-    ISP_CHECK(config.journal.entry_bytes > 0 &&
-                  config.journal.checkpoint_entry_bytes > 0,
-              "journal entries need a size");
-    ISP_CHECK(config.journal.checkpoint_interval_pages >= 1,
-              "checkpoint interval must be at least one journal page");
-    ISP_CHECK(g.page_bytes.count() / config.journal.entry_bytes >= 1,
-              "journal entry larger than a flash page");
-  }
+  ISP_CHECK(!config.journal.enabled || config.meta_zones >= 1,
+            "journal mode needs a dedicated metadata zone");
+  flash::MetadataLog::check_config(config.journal, g);
 
   const std::uint64_t zone_pages = config.zone_blocks * g.pages_per_block;
   const std::uint64_t data_zone_count = zone_count - config.meta_zones;
@@ -75,32 +67,26 @@ std::uint64_t ZnsDevice::checked_logical_pages(const ZnsConfig& config) {
 }
 
 ZnsDevice::ZnsDevice(ZnsConfig config)
-    : config_(config), logical_pages_(checked_logical_pages(config_)) {
+    : config_(config),
+      zone_pages_(config_.zone_blocks * config_.geometry.pages_per_block),
+      logical_pages_(checked_logical_pages(config_)),
+      log_(config_.journal, config_.geometry, logical_pages_,
+           config_.geometry.total_blocks() / config_.zone_blocks, zone_pages_,
+           /*journal_programs=*/false) {
   const auto& g = config_.geometry;
-  zone_pages_ = config_.zone_blocks * g.pages_per_block;
   const std::uint64_t zone_count = g.total_blocks() / config_.zone_blocks;
   const std::uint64_t data_zone_count = zone_count - config_.meta_zones;
 
-  l2p_.assign(logical_pages_, std::nullopt);
-  p2l_.assign(g.total_pages(), std::nullopt);
+  l2p_.assign(logical_pages_, flash::kNoPage);
+  p2l_.assign(g.total_pages(), flash::kNoPage);
   zones_.assign(zone_count, Zone{});
   retired_.assign(zone_count, 0);
   free_count_ = static_cast<std::uint32_t>(data_zone_count);
   bits_resize(free_bits_, zone_count);
   bits_resize(full_bits_, zone_count);
   bits_resize(valid_bits_, g.total_pages());
-  bits_resize(dirty_bits_, zone_count);
   for (std::uint64_t z = config_.meta_zones; z < zone_count; ++z) {
     bit_set(free_bits_, z);
-  }
-  zone_max_seq_.assign(zone_count, 0);
-  zone_programmed_.assign(zone_count, 0);
-  if (config_.journal.enabled) {
-    media_.assign(g.total_pages(), std::nullopt);
-    checkpoint_.assign(logical_pages_, std::nullopt);
-    journal_buf_.reserve(journal_entries_per_page());
-    journal_.reserve(static_cast<std::size_t>(journal_entries_per_page()) *
-                     config_.journal.checkpoint_interval_pages);
   }
 
   active_zone_ = allocate_append_zone();
@@ -113,11 +99,6 @@ flash::Ppn ZnsDevice::zone_first_page(std::uint64_t zone) const {
 
 std::uint64_t ZnsDevice::page_zone(flash::Ppn ppn) const {
   return ppn / zone_pages_;
-}
-
-std::uint32_t ZnsDevice::journal_entries_per_page() const {
-  return static_cast<std::uint32_t>(config_.geometry.page_bytes.count() /
-                                    config_.journal.entry_bytes);
 }
 
 ZoneState ZnsDevice::zone_state(std::uint64_t zone) const {
@@ -196,10 +177,10 @@ std::uint64_t ZnsDevice::allocate_append_zone() {
 }
 
 void ZnsDevice::invalidate(flash::Lpn lpn) {
-  if (const auto old = l2p_[lpn]) {
-    p2l_[*old] = std::nullopt;
-    bit_clear(valid_bits_, *old);
-    Zone& z = zones_[page_zone(*old)];
+  if (const flash::Ppn old = l2p_[lpn]; old != flash::kNoPage) {
+    p2l_[old] = flash::kNoPage;
+    bit_clear(valid_bits_, old);
+    Zone& z = zones_[page_zone(old)];
     ISP_DCHECK(z.live > 0, "live-count underflow");
     --z.live;
   } else {
@@ -211,19 +192,12 @@ void ZnsDevice::install_mapping(flash::Lpn lpn, flash::Ppn ppn) {
   l2p_[lpn] = ppn;
   p2l_[ppn] = lpn;
   bit_set(valid_bits_, ppn);
-  ++zones_[page_zone(ppn)].live;
-  const std::uint64_t seq = ++seq_;
-  if (config_.journal.enabled) {
-    // The append order *is* the mapping: the OOB stamp alone makes this
-    // update recoverable, so — unlike the FTL — no journal record is
-    // written.  This is the structural metadata saving of ZNS.
-    media_[ppn] = Oob{lpn, seq};
-    // Appends stamp increasing sequences, so the last stamp is the zone's
-    // max — the durable summary remount consults instead of scanning OOB.
-    zone_max_seq_[page_zone(ppn)] = seq;
-  }
-  ++appends_since_fold_;
-  maybe_fold();
+  const std::uint64_t zone = page_zone(ppn);
+  ++zones_[zone].live;
+  // The append order *is* the mapping: the OOB stamp alone makes this
+  // update recoverable, so — unlike the FTL — no journal record is
+  // written.  This is the structural metadata saving of ZNS.
+  persist(log_.program(zone, ppn, lpn));
 }
 
 flash::Ppn ZnsDevice::do_append(std::uint64_t zone, flash::Lpn lpn) {
@@ -241,8 +215,6 @@ flash::Ppn ZnsDevice::do_append(std::uint64_t zone, flash::Lpn lpn) {
   invalidate(lpn);
   const flash::Ppn ppn = zone_first_page(zone) + z.write_pointer;
   ++z.write_pointer;
-  zone_programmed_[zone] = z.write_pointer;
-  mark_dirty(zone);
   install_mapping(lpn, ppn);
   if (z.write_pointer == zone_pages_) {
     // The zone filled: it leaves the open-resource set on its own.
@@ -283,6 +255,7 @@ void ZnsDevice::write(flash::Lpn lpn) {
 std::optional<flash::Ppn> ZnsDevice::translate(flash::Lpn lpn) const {
   ISP_CHECK(mounted_, "ZNS not mounted (crashed; call recover() first)");
   ISP_CHECK(lpn < logical_pages_, "lpn out of range: " << lpn);
+  if (l2p_[lpn] == flash::kNoPage) return std::nullopt;
   return l2p_[lpn];
 }
 
@@ -293,73 +266,32 @@ void ZnsDevice::trim(flash::Lpn lpn) {
 }
 
 void ZnsDevice::trim_one(flash::Lpn lpn) {
-  if (const auto old = l2p_[lpn]) {
-    p2l_[*old] = std::nullopt;
-    bit_clear(valid_bits_, *old);
-    Zone& z = zones_[page_zone(*old)];
+  if (const flash::Ppn old = l2p_[lpn]; old != flash::kNoPage) {
+    p2l_[old] = flash::kNoPage;
+    bit_clear(valid_bits_, old);
+    Zone& z = zones_[page_zone(old)];
     ISP_DCHECK(z.live > 0, "live-count underflow");
     --z.live;
-    l2p_[lpn] = std::nullopt;
+    l2p_[lpn] = flash::kNoPage;
     --mapped_count_;
     // A trim is the one update the OOB append order cannot reconstruct, so
     // it is the one record the ZNS journal carries.
-    journal_trim(lpn, ++seq_);
+    persist(log_.trim(lpn));
   }
 }
 
-void ZnsDevice::journal_trim(flash::Lpn lpn, std::uint64_t seq) {
-  if (!config_.journal.enabled) return;
-  journal_buf_.push_back(JournalEntry{lpn, seq});
-  if (journal_buf_.size() < journal_entries_per_page()) return;
-  // The open journal page filled: program it into the metadata zone.  Its
-  // records become durable and the write is charged as real meta traffic.
-  journal_.insert(journal_.end(), journal_buf_.begin(), journal_buf_.end());
-  journal_buf_.clear();
-  ++stats_.meta_appends;
-  ++journal_pages_since_fold_;
-  ++meta_pages_live_;
-  if (journal_pages_since_fold_ >= config_.journal.checkpoint_interval_pages) {
-    fold_checkpoint();
-  }
-}
-
-void ZnsDevice::maybe_fold() {
-  if (!config_.journal.enabled) return;
-  // Appends never touch the journal, but an unbounded un-checkpointed append
-  // history would make remount scan every zone.  Fold at the same update
-  // cadence as the FTL (what would have filled checkpoint_interval_pages of
-  // journal) so recovery cost stays bounded and the two backends compare
-  // fairly.
-  const std::uint64_t interval =
-      static_cast<std::uint64_t>(config_.journal.checkpoint_interval_pages) *
-      journal_entries_per_page();
-  if (appends_since_fold_ >= interval) fold_checkpoint();
-}
-
-void ZnsDevice::fold_checkpoint() {
-  // Snapshot the whole map; the old checkpoint + journal region of the
-  // metadata zone is then recycled (erased) and a fresh journal starts
-  // empty.  Buffered trims are superseded by the snapshot (l2p_ already
-  // reflects them), exactly like the FTL fold.
-  checkpoint_ = l2p_;
-  checkpoint_seq_ = seq_;
-  const auto page = config_.geometry.page_bytes.count();
-  checkpoint_pages_ =
-      (mapped_count_ * config_.journal.checkpoint_entry_bytes + page - 1) /
-      page;
-  if (checkpoint_pages_ == 0) checkpoint_pages_ = 1;  // map header page
-  stats_.meta_appends += checkpoint_pages_;
+void ZnsDevice::persist(std::uint64_t journal_pages) {
+  stats_.meta_appends += journal_pages;
+  // Appends never touch the journal, but an unbounded un-checkpointed
+  // append history would make remount scan every zone: the log folds at
+  // the same update cadence as the FTL (what would have filled
+  // checkpoint_interval_pages of journal), so recovery cost stays bounded
+  // and the two backends compare fairly.
+  if (!log_.fold_due()) return;
+  const flash::MetaIo io = log_.fold(l2p_, mapped_count_);
+  stats_.meta_appends += io.pages;
+  stats_.erases += io.erases;
   ++stats_.checkpoint_folds;
-  const auto ppb = config_.geometry.pages_per_block;
-  stats_.erases += (meta_pages_live_ + ppb - 1) / ppb;
-  meta_pages_live_ = checkpoint_pages_;
-  journal_.clear();
-  journal_buf_.clear();
-  journal_pages_since_fold_ = 0;
-  appends_since_fold_ = 0;
-  // Everything up to here is durably summarised by checkpoint + journal, so
-  // the incremental remount check restarts its dirty-zone scope.
-  bits_clear_all(dirty_bits_);
 }
 
 void ZnsDevice::open_zone(std::uint64_t zone) {
@@ -413,27 +345,20 @@ void ZnsDevice::reset_zone(std::uint64_t zone) {
   reset_zone_internal(zone);
 }
 
+void ZnsDevice::erase_zone_media(std::uint64_t zone) {
+  const auto ppb = config_.geometry.pages_per_block;
+  stats_.erases += (zones_[zone].write_pointer + ppb - 1) / ppb;
+  log_.erase(zone);
+}
+
 void ZnsDevice::reset_zone_internal(std::uint64_t zone) {
   Zone& z = zones_[zone];
   ISP_DCHECK(z.live == 0, "reset with live pages");
   if (is_open(z)) --open_count_;
-  if (z.write_pointer > 0) {
-    // Erase exactly the blocks the write pointer reached.
-    const auto ppb = config_.geometry.pages_per_block;
-    stats_.erases += (z.write_pointer + ppb - 1) / ppb;
-    if (!media_.empty()) {
-      const flash::Ppn first = zone_first_page(zone);
-      for (std::uint32_t p = 0; p < z.write_pointer; ++p) {
-        media_[first + p] = std::nullopt;
-      }
-    }
-  }
+  erase_zone_media(zone);
   z = Zone{};
   bit_set(free_bits_, zone);
   bit_clear(full_bits_, zone);
-  zone_max_seq_[zone] = 0;
-  zone_programmed_[zone] = 0;
-  mark_dirty(zone);
   ++free_count_;
   ++stats_.zone_resets;
 }
@@ -446,7 +371,7 @@ void ZnsDevice::copy_forward_live(std::uint64_t zone) {
   // which bits_for_each tolerates.
   const flash::Ppn first = zone_first_page(zone);
   bits_for_each(valid_bits_, first, first + zones_[zone].write_pointer,
-                [&](flash::Ppn src) { append_internal(*p2l_[src]); });
+                [&](flash::Ppn src) { append_internal(p2l_[src]); });
   ISP_DCHECK(zones_[zone].live == 0, "zone not fully relocated");
 }
 
@@ -476,22 +401,10 @@ void ZnsDevice::retire_zone(std::uint64_t zone) {
     --free_count_;
     bit_clear(free_bits_, zone);
   }
-  if (z.write_pointer > 0) {
-    const auto ppb = config_.geometry.pages_per_block;
-    stats_.erases += (z.write_pointer + ppb - 1) / ppb;  // decommission erase
-    if (!media_.empty()) {
-      const flash::Ppn first = zone_first_page(zone);
-      for (std::uint32_t p = 0; p < z.write_pointer; ++p) {
-        media_[first + p] = std::nullopt;
-      }
-    }
-  }
+  erase_zone_media(zone);  // decommission erase
   z = Zone{};
   z.state = ZoneState::Offline;
   bit_clear(full_bits_, zone);
-  zone_max_seq_[zone] = 0;
-  zone_programmed_[zone] = 0;
-  mark_dirty(zone);
   retired_[zone] = 1;
   ++retired_count_;
   ++stats_.zones_retired;
@@ -536,17 +449,13 @@ flash::StorageCrash ZnsDevice::power_loss() {
   ISP_CHECK(config_.journal.enabled,
             "power_loss() requires journal mode (JournalConfig::enabled)");
   ISP_CHECK(mounted_, "device already crashed");
-  flash::StorageCrash crash;
-  crash.lost_tail_updates = journal_buf_.size();
-  crash.lost_trims = journal_buf_.size();  // the ZNS journal is trims only
-  // Everything volatile is gone: the map, the reverse map, every zone's
-  // state/write pointer/live count, the hot-path bit indexes, and the
-  // buffered journal tail.  The durable state — page OOB stamps, programmed
-  // journal pages, the checkpoint, the offline-zone table, and the per-zone
-  // summaries (zone_max_seq_ / zone_programmed_ / dirty_bits_) — survives.
-  journal_buf_.clear();
-  l2p_.assign(logical_pages_, std::nullopt);
-  p2l_.assign(media_.size(), std::nullopt);
+  // Everything volatile is gone: the maps, every zone's state/write
+  // pointer/live count, the hot-path bit indexes, and the buffered journal
+  // tail (trims only, so every lost record is a lost trim).  The log's
+  // durable state and the offline-zone table survive.
+  const flash::StorageCrash crash = log_.lose_tail();
+  l2p_.assign(logical_pages_, flash::kNoPage);
+  p2l_.assign(p2l_.size(), flash::kNoPage);
   for (auto& z : zones_) z = Zone{};
   bits_clear_all(free_bits_);
   bits_clear_all(full_bits_);
@@ -562,127 +471,45 @@ flash::StorageCrash ZnsDevice::power_loss() {
 flash::StorageRecovery ZnsDevice::recover() {
   ISP_CHECK(config_.journal.enabled, "recover() requires journal mode");
   ISP_CHECK(!mounted_, "recover() on a mounted ZNS device");
-  flash::StorageRecovery rec;
+  flash::StorageRecovery rec = log_.replay(l2p_);
 
-  // 1. Candidate map from the checkpoint, each entry stamped with the fold
-  //    sequence (everything in the checkpoint is at least that old).
-  recover_scratch_.assign(logical_pages_, std::nullopt);
-  auto& m = recover_scratch_;
-  for (flash::Lpn lpn = 0; lpn < logical_pages_; ++lpn) {
-    if (checkpoint_[lpn]) m[lpn] = {*checkpoint_[lpn], checkpoint_seq_};
-  }
-  rec.checkpoint_pages_read = checkpoint_pages_;
-
-  // 2. Replay the durable journal in order (trim records only).  Each
-  //    trim's sequence is kept as a tombstone: the OOB scan below must not
-  //    resurrect an *older* append of the same lpn that a durable trim
-  //    already superseded.
-  std::vector<std::uint64_t> tombstone(logical_pages_, 0);
-  for (const auto& e : journal_) {
-    if (e.seq > checkpoint_seq_) {
-      m[e.lpn] = std::nullopt;
-      tombstone[e.lpn] = std::max(tombstone[e.lpn], e.seq);
-    }
-  }
-  rec.journal_entries_replayed = journal_.size();
-  rec.journal_pages_read = (journal_.size() + journal_entries_per_page() - 1) /
-                           journal_entries_per_page();
-
-  // 3. OOB scan: appends never hit the journal (only trims do), so the
-  //    checkpoint is the only durable record that covers them — every zone
-  //    written after the last checkpoint fold must be read back, even when
-  //    later trim pages pushed the journal's durability horizon further.
-  //    Appends land at a zone's write pointer, so its programmed pages are
-  //    a sequence-ordered prefix and the newest mapping for an lpn is the
-  //    highest-seq stamp.
+  // Rebuild the volatile state.  Programs advance the write pointer in
+  // order, so each zone's durable programmed-prefix header is its write
+  // pointer; zone states derive from it (open state is volatile, so
+  // survivors come back Empty, Closed or Full).
+  std::vector<std::uint64_t> partial;
   for (std::uint64_t z = config_.meta_zones; z < zones_.size(); ++z) {
-    // The durable per-zone summary answers "any stamp newer than the
-    // checkpoint?" in O(1): zone_max_seq_ is the max OOB sequence in the
-    // zone (stamps only grow; reset/retire clear it with the media), so
-    // max > horizon iff any page is newer.  Only zones that pass are read.
-    if (zone_max_seq_[z] <= checkpoint_seq_) continue;
-    const flash::Ppn first = zone_first_page(z);
-    ++rec.blocks_scanned;  // zones, for this backend
-    rec.pages_scanned += zone_pages_;
-    for (std::uint32_t p = 0; p < zone_pages_; ++p) {
-      const flash::Ppn ppn = first + p;
-      const auto& oob = media_[ppn];
-      if (!oob || oob->seq <= checkpoint_seq_) continue;
-      if (oob->seq <= tombstone[oob->lpn]) continue;  // durably trimmed
-      if (!m[oob->lpn] || oob->seq > m[oob->lpn]->second) {
-        m[oob->lpn] = {ppn, oob->seq};
-        ++rec.tail_updates_rescued;
-      }
-    }
-  }
-
-  // 4. Confirm every candidate against the media: a mapping whose physical
-  //    page was reset away is stale — the OOB scan already supplied the
-  //    newer location if one exists.
-  for (flash::Lpn lpn = 0; lpn < logical_pages_; ++lpn) {
-    if (!m[lpn]) continue;
-    const flash::Ppn ppn = m[lpn]->first;
-    if (!media_[ppn] || media_[ppn]->lpn != lpn) {
-      m[lpn] = std::nullopt;
-      ++rec.stale_mappings_dropped;
-    }
-  }
-
-  // 5. Rebuild the volatile state.  Write pointers rebuild from the
-  //    programmed prefix of each zone; zone states derive from them (open
-  //    state is volatile, so survivors come back Empty, Closed or Full).
-  for (std::uint64_t z = config_.meta_zones; z < zones_.size(); ++z) {
-    Zone nz;
+    Zone& zn = zones_[z];
+    zn.write_pointer = log_.programmed(z);
     if (retired_[z]) {
-      nz.state = ZoneState::Offline;
-      zones_[z] = nz;
-      continue;
-    }
-    // Programs advance the write pointer in order, so the programmed pages
-    // are a prefix and the durable summary zone_programmed_ is its length —
-    // no media scan needed to rebuild the pointer.
-    const std::uint32_t programmed = zone_programmed_[z];
-    nz.write_pointer = programmed;
-    if (programmed == 0) {
-      nz.state = ZoneState::Empty;
-    } else if (programmed == zone_pages_) {
-      nz.state = ZoneState::Full;
+      zn.state = ZoneState::Offline;
+    } else if (zn.write_pointer == 0) {
+      zn.state = ZoneState::Empty;
+      ++free_count_;
+      bit_set(free_bits_, z);
+    } else if (zn.write_pointer == zone_pages_) {
+      zn.state = ZoneState::Full;
+      bit_set(full_bits_, z);
     } else {
-      nz.state = ZoneState::Closed;
+      zn.state = ZoneState::Closed;
+      partial.push_back(z);
     }
-    zones_[z] = nz;
   }
-  mapped_count_ = 0;
   for (flash::Lpn lpn = 0; lpn < logical_pages_; ++lpn) {
-    if (!m[lpn]) continue;
-    const flash::Ppn ppn = m[lpn]->first;
-    l2p_[lpn] = ppn;
+    const flash::Ppn ppn = l2p_[lpn];
+    if (ppn == flash::kNoPage) continue;
     p2l_[ppn] = lpn;
     bit_set(valid_bits_, ppn);
     ++zones_[page_zone(ppn)].live;
     ++mapped_count_;
   }
   rec.mappings_recovered = mapped_count_;
-  free_count_ = 0;
-  for (std::uint64_t z = config_.meta_zones; z < zones_.size(); ++z) {
-    if (zones_[z].state == ZoneState::Empty) {
-      ++free_count_;
-      bit_set(free_bits_, z);
-    }
-    if (zones_[z].state == ZoneState::Full) bit_set(full_bits_, z);
-  }
-  open_count_ = 0;
-  open_stamp_ = 0;
 
-  // 6. Re-open append points.  The first two partially written zones become
-  //    the host and reclaim targets; any further partials are finished so
-  //    reclaim can take them once their data goes stale (no copy needed —
-  //    unlike FTL blocks, a finished zone is a first-class reclaim victim).
+  // Re-open append points.  The first two partially written zones become
+  // the host and reclaim targets; any further partials are finished so
+  // reclaim can take them once their data goes stale (no copy needed —
+  // unlike FTL blocks, a finished zone is a first-class reclaim victim).
   mounted_ = true;
-  std::vector<std::uint64_t> partial;
-  for (std::uint64_t z = config_.meta_zones; z < zones_.size(); ++z) {
-    if (zones_[z].state == ZoneState::Closed) partial.push_back(z);
-  }
   if (!partial.empty()) {
     active_zone_ = partial[0];
     make_open(active_zone_, ZoneState::ImplicitlyOpen);
@@ -750,115 +577,38 @@ void ZnsDevice::record_metrics(obs::MetricsRegistry& registry) const {
 }
 
 void ZnsDevice::check_invariants() const {
-  ISP_CHECK(mounted_, "invariants undefined on an unmounted ZNS device");
+  // The summary pass covers the zone state machine, counters, bit indexes
+  // and the dirty zones' pages; the sweep below covers every other page.
+  check_invariants_incremental();
 
   // l2p / p2l are mutually consistent bijections on their valid domain, and
   // every mapped physical page lives inside a data zone's programmed prefix.
   std::uint64_t mapped = 0;
   for (flash::Lpn lpn = 0; lpn < logical_pages_; ++lpn) {
-    if (const auto ppn = l2p_[lpn]) {
-      ISP_CHECK(*ppn < p2l_.size(), "ppn out of range");
-      ISP_CHECK(p2l_[*ppn].has_value() && *p2l_[*ppn] == lpn,
-                "reverse map disagrees for lpn " << lpn);
-      const std::uint64_t z = page_zone(*ppn);
+    if (const flash::Ppn ppn = l2p_[lpn]; ppn != flash::kNoPage) {
+      ISP_CHECK(ppn < p2l_.size(), "ppn out of range");
+      ISP_CHECK(p2l_[ppn] == lpn, "reverse map disagrees for lpn " << lpn);
+      const std::uint64_t z = page_zone(ppn);
       ISP_CHECK(z >= config_.meta_zones,
                 "data mapping points into the metadata zone");
-      ISP_CHECK(*ppn - zone_first_page(z) < zones_[z].write_pointer,
+      ISP_CHECK(ppn - zone_first_page(z) < zones_[z].write_pointer,
                 "mapping past zone " << z << "'s write pointer");
       ++mapped;
     }
   }
   std::uint64_t reverse_mapped = 0;
   for (flash::Ppn ppn = 0; ppn < p2l_.size(); ++ppn) {
-    ISP_CHECK(bit_test(valid_bits_, ppn) == p2l_[ppn].has_value(),
+    ISP_CHECK(bit_test(valid_bits_, ppn) == (p2l_[ppn] != flash::kNoPage),
               "valid-page bitmap drift at ppn " << ppn);
-    if (p2l_[ppn].has_value()) ++reverse_mapped;
+    if (p2l_[ppn] != flash::kNoPage) ++reverse_mapped;
   }
   ISP_CHECK(mapped == reverse_mapped, "map cardinality mismatch");
   ISP_CHECK(mapped == mapped_count_, "mapped-count bookkeeping mismatch");
 
-  // Per-zone state machine consistency.
-  std::uint32_t free_seen = 0;
-  std::uint32_t open_seen = 0;
-  std::uint32_t retired_seen = 0;
+  // Programmed pages are exactly the prefix [0, write_pointer), and the
+  // durable header holds the newest stamp among them.
   for (std::uint64_t z = config_.meta_zones; z < zones_.size(); ++z) {
-    const Zone& zn = zones_[z];
-    const flash::Ppn first = zone_first_page(z);
-    std::uint32_t live = 0;
-    for (std::uint32_t p = 0; p < zone_pages_; ++p) {
-      if (p2l_[first + p].has_value()) {
-        ISP_CHECK(p < zn.write_pointer, "live page past the write pointer");
-        ++live;
-      }
-    }
-    ISP_CHECK(live == zn.live, "zone " << z << " live-count mismatch");
-    ISP_CHECK(zn.write_pointer <= zone_pages_, "write pointer past zone cap");
-    ISP_CHECK(zone_programmed_[z] == zn.write_pointer,
-              "zone " << z << " durable programmed-count drift");
-    ISP_CHECK(bit_test(free_bits_, z) == (zn.state == ZoneState::Empty),
-              "free-zone bitmap drift at zone " << z);
-    ISP_CHECK(bit_test(full_bits_, z) == (zn.state == ZoneState::Full),
-              "full-zone bitmap drift at zone " << z);
-    if (!media_.empty() && !retired_[z]) {
-      // Programmed pages are exactly the prefix [0, write_pointer), and the
-      // durable summary holds the newest stamp among them.
-      std::uint64_t max_seq = 0;
-      for (std::uint32_t p = 0; p < zone_pages_; ++p) {
-        const auto& oob = media_[first + p];
-        ISP_CHECK(oob.has_value() == (p < zn.write_pointer),
-                  "zone " << z << " programmed pages are not a prefix");
-        if (oob) max_seq = std::max(max_seq, oob->seq);
-      }
-      ISP_CHECK(zone_max_seq_[z] == max_seq,
-                "zone " << z << " durable max-seq drift");
-    }
-    if (retired_[z]) {
-      ISP_CHECK(zone_max_seq_[z] == 0 && zone_programmed_[z] == 0,
-                "retired zone " << z << " kept durable summaries");
-    }
-    switch (zn.state) {
-      case ZoneState::Empty:
-        ISP_CHECK(zn.write_pointer == 0 && zn.live == 0,
-                  "empty zone " << z << " holds data");
-        ++free_seen;
-        break;
-      case ZoneState::ImplicitlyOpen:
-      case ZoneState::ExplicitlyOpen:
-        ISP_CHECK(zn.write_pointer < zone_pages_,
-                  "open zone " << z << " is at capacity");
-        ++open_seen;
-        break;
-      case ZoneState::Closed:
-        ISP_CHECK(zn.write_pointer < zone_pages_,
-                  "closed zone " << z << " is at capacity");
-        break;
-      case ZoneState::Full:
-        break;  // finish_zone allows write_pointer < zone_pages_
-      case ZoneState::Offline:
-        ISP_CHECK(retired_[z], "offline zone " << z << " not in the table");
-        ISP_CHECK(zn.live == 0 && zn.write_pointer == 0,
-                  "offline zone " << z << " holds data");
-        break;
-    }
-    if (retired_[z]) {
-      ISP_CHECK(zn.state == ZoneState::Offline,
-                "retired zone " << z << " not offline");
-      ++retired_seen;
-    }
-  }
-  ISP_CHECK(free_seen == free_count_, "free-zone bookkeeping mismatch");
-  ISP_CHECK(open_seen == open_count_, "open-zone bookkeeping mismatch");
-  ISP_CHECK(open_count_ <= config_.max_open_zones,
-            "open-zone limit exceeded: " << open_count_);
-  ISP_CHECK(retired_seen == retired_count_,
-            "retired-count bookkeeping mismatch");
-  // Empty + in-use + offline partition the data zones.
-  ISP_CHECK(free_seen + retired_seen <= data_zones(),
-            "zone partition overflow");
-
-  // The metadata zones never hold data mappings.
-  for (flash::Ppn ppn = 0; ppn < zone_first_page(config_.meta_zones); ++ppn) {
-    ISP_CHECK(!p2l_[ppn].has_value(), "data mapping in the metadata zone");
+    log_.check_unit(z);
   }
 }
 
@@ -880,7 +630,7 @@ void ZnsDevice::check_invariants_incremental() const {
     ISP_CHECK(live == zn.live, "zone " << z << " live-count mismatch");
     live_total += live;
     ISP_CHECK(zn.write_pointer <= zone_pages_, "write pointer past zone cap");
-    ISP_CHECK(zone_programmed_[z] == zn.write_pointer,
+    ISP_CHECK(log_.programmed(z) == zn.write_pointer,
               "zone " << z << " durable programmed-count drift");
     ISP_CHECK(bit_test(free_bits_, z) == (zn.state == ZoneState::Empty),
               "free-zone bitmap drift at zone " << z);
@@ -934,30 +684,20 @@ void ZnsDevice::check_invariants_incremental() const {
   // fold: per-page bitmap/map round trips and the programmed-prefix + OOB
   // summary properties.
   bits_for_each(
-      dirty_bits_, config_.meta_zones, zones_.size(), [&](std::uint64_t z) {
+      log_.dirty(), config_.meta_zones, zones_.size(), [&](std::uint64_t z) {
         const Zone& zn = zones_[z];
         const flash::Ppn first = zone_first_page(z);
-        std::uint64_t max_seq = 0;
         for (std::uint32_t p = 0; p < zone_pages_; ++p) {
           const flash::Ppn ppn = first + p;
-          ISP_CHECK(bit_test(valid_bits_, ppn) == p2l_[ppn].has_value(),
+          const flash::Lpn lpn = p2l_[ppn];
+          ISP_CHECK(bit_test(valid_bits_, ppn) == (lpn != flash::kNoPage),
                     "valid-page bitmap drift at ppn " << ppn);
-          if (const auto lpn = p2l_[ppn]) {
+          if (lpn != flash::kNoPage) {
             ISP_CHECK(p < zn.write_pointer, "live page past the write pointer");
-            ISP_CHECK(l2p_[*lpn].has_value() && *l2p_[*lpn] == ppn,
-                      "map round trip broken at ppn " << ppn);
-          }
-          if (!media_.empty() && !retired_[z]) {
-            const auto& oob = media_[ppn];
-            ISP_CHECK(oob.has_value() == (p < zn.write_pointer),
-                      "zone " << z << " programmed pages are not a prefix");
-            if (oob) max_seq = std::max(max_seq, oob->seq);
+            ISP_CHECK(l2p_[lpn] == ppn, "map round trip broken at ppn " << ppn);
           }
         }
-        if (!media_.empty() && !retired_[z]) {
-          ISP_CHECK(zone_max_seq_[z] == max_seq,
-                    "zone " << z << " durable max-seq drift");
-        }
+        log_.check_unit(z);
       });
 }
 
@@ -965,12 +705,6 @@ void ZnsDevice::write_span(flash::Lpn first, std::uint64_t count) {
   ISP_CHECK(mounted_, "ZNS not mounted (crashed; call recover() first)");
   ISP_CHECK(first <= logical_pages_ && count <= logical_pages_ - first,
             "write_span out of range: [" << first << ", +" << count << ")");
-  const std::uint64_t fold_interval =
-      config_.journal.enabled
-          ? static_cast<std::uint64_t>(
-                config_.journal.checkpoint_interval_pages) *
-                journal_entries_per_page()
-          : 0;
   flash::Lpn lpn = first;
   std::uint64_t left = count;
   while (left > 0) {
@@ -993,46 +727,27 @@ void ZnsDevice::write_span(flash::Lpn first, std::uint64_t count) {
     // and the zone/journal bookkeeping lands once for the whole run.
     std::uint64_t run =
         std::min<std::uint64_t>(left, zone_pages_ - az.write_pointer);
-    if (config_.journal.enabled) {
-      // maybe_fold() keeps appends_since_fold_ below the interval between
-      // appends; capping the run makes the fold land exactly where the
-      // scalar loop folds.
-      ISP_DCHECK(appends_since_fold_ < fold_interval, "missed a fold");
-      run = std::min<std::uint64_t>(run, fold_interval - appends_since_fold_);
-    }
-    const flash::Ppn base = zone_first_page(active_zone_);
+    // The fold lands exactly where the scalar loop folds.
+    if (config_.journal.enabled) run = std::min(run, log_.programs_until_fold());
+    const flash::Ppn start = zone_first_page(active_zone_) + az.write_pointer;
+    const flash::Lpn lpn0 = lpn;
     for (std::uint64_t i = 0; i < run; ++i, ++lpn) {
-      if (const auto old = l2p_[lpn]) {
-        p2l_[*old] = std::nullopt;
-        bit_clear(valid_bits_, *old);
-        Zone& oz = zones_[page_zone(*old)];
-        ISP_DCHECK(oz.live > 0, "live-count underflow");
-        --oz.live;
-      } else {
-        ++mapped_count_;
-      }
-      const flash::Ppn ppn = base + az.write_pointer;
-      ++az.write_pointer;
-      l2p_[lpn] = ppn;
-      p2l_[ppn] = lpn;
-      bit_set(valid_bits_, ppn);
-      ++az.live;
-      const std::uint64_t seq = ++seq_;
-      if (config_.journal.enabled) media_[ppn] = Oob{lpn, seq};
+      invalidate(lpn);
+      l2p_[lpn] = start + i;
+      p2l_[start + i] = lpn;
     }
+    bits_set_range(valid_bits_, start, start + run);
+    az.write_pointer += static_cast<std::uint32_t>(run);
+    az.live += static_cast<std::uint32_t>(run);
     left -= run;
     stats_.host_appends += run;
-    zone_programmed_[active_zone_] = az.write_pointer;
-    if (config_.journal.enabled) zone_max_seq_[active_zone_] = seq_;
-    mark_dirty(active_zone_);
-    appends_since_fold_ += run;
     if (az.write_pointer == zone_pages_) {
       // The zone filled: it leaves the open-resource set on its own.
       --open_count_;
       az.state = ZoneState::Full;
       bit_set(full_bits_, active_zone_);
     }
-    maybe_fold();
+    persist(log_.program_run(active_zone_, start, lpn0, run));
   }
 }
 
@@ -1050,9 +765,9 @@ std::uint64_t ZnsDevice::read_span(flash::Lpn first, std::uint64_t count,
             "read_span out of range: [" << first << ", +" << count << ")");
   std::uint64_t mapped = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
-    if (const auto ppn = l2p_[first + i]) {
+    if (const flash::Ppn ppn = l2p_[first + i]; ppn != flash::kNoPage) {
       ++mapped;
-      if (out != nullptr) out->push_back(*ppn);
+      if (out != nullptr) out->push_back(ppn);
     }
   }
   return mapped;

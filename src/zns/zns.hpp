@@ -34,12 +34,10 @@
 // Data-page programs stamp (lpn, seq) into the page OOB area; a dedicated
 // metadata zone holds an append-only journal of the only updates the OOB
 // cannot reconstruct (trims) plus periodic checkpoints of the host-side
-// map.  Remount after power_loss() replays checkpoint + journal (trim
-// records carry tombstone sequences, so a durable trim can never be undone
-// by an older append the OOB scan rediscovers), then OOB-scans only the
-// zones written after the last checkpoint fold.  Write
-// pointers rebuild from the programmed prefix of each zone; open zones come
-// back Closed (open state is volatile, as in the spec).
+// map.  flash/metadata_log.hpp holds that durable state and the replay a
+// remount runs.  Write pointers rebuild from the programmed prefix of each
+// zone; open zones come back Closed (open state is volatile, as in the
+// spec).
 //
 // Invariants (enforced and property-tested):
 //   * a logical page maps to at most one valid physical page, and vice versa;
@@ -57,6 +55,7 @@
 #include "common/bitset.hpp"
 #include "common/units.hpp"
 #include "flash/backend.hpp"
+#include "flash/metadata_log.hpp"
 #include "flash/nand.hpp"
 
 namespace isp::obs {
@@ -219,24 +218,8 @@ class ZnsDevice final : public flash::StorageBackend {
     std::uint64_t opened_at = 0;      // open-order stamp, for LRU shedding
   };
 
-  /// OOB metadata stamped on every programmed data page (durable until the
-  /// zone is reset): which logical page it holds and when it was written.
-  struct Oob {
-    flash::Lpn lpn = 0;
-    std::uint64_t seq = 0;
-  };
-
-  /// One durable journal record.  ZNS journals only what the OOB cannot
-  /// reconstruct: trims.  kTrimMark-tagged entries mirror the FTL's wire
-  /// format so the two backends share journal sizing.
-  struct JournalEntry {
-    flash::Lpn lpn = 0;
-    std::uint64_t seq = 0;
-  };
-
   [[nodiscard]] flash::Ppn zone_first_page(std::uint64_t zone) const;
   [[nodiscard]] std::uint64_t page_zone(flash::Ppn ppn) const;
-  [[nodiscard]] std::uint32_t journal_entries_per_page() const;
   [[nodiscard]] bool is_open(const Zone& z) const {
     return z.state == ZoneState::ImplicitlyOpen ||
            z.state == ZoneState::ExplicitlyOpen;
@@ -254,15 +237,16 @@ class ZnsDevice final : public flash::StorageBackend {
   void install_mapping(flash::Lpn lpn, flash::Ppn ppn);
   void invalidate(flash::Lpn lpn);
   void trim_one(flash::Lpn lpn);
-  void journal_trim(flash::Lpn lpn, std::uint64_t seq);
-  void fold_checkpoint();
-  void maybe_fold();
+  /// Charge the journal pages a log update programmed, then fold the
+  /// checkpoint if it is due.
+  void persist(std::uint64_t journal_pages);
   void reset_zone_internal(std::uint64_t zone);
+  /// Erase the blocks a reset or retired zone's write pointer reached.
+  void erase_zone_media(std::uint64_t zone);
   /// Shared zone walk: reclaim and retirement copy a victim's live extents
   /// forward the same way, walking the valid-page bitmap instead of probing
   /// p2l_ across the whole write-pointer prefix.
   void copy_forward_live(std::uint64_t zone);
-  void mark_dirty(std::uint64_t zone) { bit_set(dirty_bits_, zone); }
 
   ZnsConfig config_;
   std::uint32_t zone_pages_ = 0;
@@ -270,8 +254,9 @@ class ZnsDevice final : public flash::StorageBackend {
   bool mounted_ = true;
 
   // ---- volatile state (lost on power_loss) ----------------------------
-  std::vector<std::optional<flash::Ppn>> l2p_;
-  std::vector<std::optional<flash::Lpn>> p2l_;
+  // Flat maps, flash::kNoPage = unmapped (see the note on kNoPage).
+  std::vector<flash::Ppn> l2p_;
+  std::vector<flash::Lpn> p2l_;
   std::vector<Zone> zones_;
   std::uint64_t active_zone_;   // host append target
   std::uint64_t reclaim_zone_;  // copy-forward append target
@@ -279,7 +264,6 @@ class ZnsDevice final : public flash::StorageBackend {
   std::uint32_t open_count_ = 0;   // implicit + explicit opens
   std::uint64_t open_stamp_ = 0;   // LRU clock for implicit shedding
   std::uint64_t mapped_count_ = 0;
-  std::vector<JournalEntry> journal_buf_;  // trims in the open journal page
   // Hot-path bit indexes (volatile; rebuilt on recover): Empty data zones
   // (allocation), Full zones (reclaim victim selection) and valid pages
   // (copy-forward walks), mirroring the FTL's free/full/valid bitsets.
@@ -288,30 +272,9 @@ class ZnsDevice final : public flash::StorageBackend {
   std::vector<std::uint64_t> valid_bits_;
 
   // ---- durable state (survives power_loss) ----------------------------
-  std::vector<std::optional<Oob>> media_;  // OOB of every programmed page
-  // Per-zone durable summaries (the "zone header"): highest program
-  // sequence (cleared on reset; max > horizon iff any page is newer) and
-  // the programmed-prefix length the write pointer rebuilds from.  Remount
-  // consults these in O(zones) instead of scanning page OOB.
-  std::vector<std::uint64_t> zone_max_seq_;
-  std::vector<std::uint32_t> zone_programmed_;
-  // Zones touched (programmed/reset/retired) since the last checkpoint
-  // fold: the scope of incremental remount verification.
-  std::vector<std::uint64_t> dirty_bits_;
-  std::vector<JournalEntry> journal_;      // trim records on programmed pages
-  std::vector<std::optional<flash::Ppn>> checkpoint_;
-  std::uint64_t checkpoint_seq_ = 0;
-  std::uint64_t checkpoint_pages_ = 0;
-  std::uint64_t seq_ = 0;  // global update sequence (appends + trims)
-  std::uint64_t appends_since_fold_ = 0;
-  std::uint32_t journal_pages_since_fold_ = 0;
-  std::uint64_t meta_pages_live_ = 0;  // journal+checkpoint pages not recycled
-  std::vector<char> retired_;          // durable offline-zone table
+  flash::MetadataLog log_;  // OOB stamps, zone headers, journal, checkpoint
+  std::vector<char> retired_;  // durable offline-zone table
   std::uint32_t retired_count_ = 0;
-
-  // Remount scratch, reused across power-cycle sweeps (see Ftl).
-  std::vector<std::optional<std::pair<flash::Ppn, std::uint64_t>>>
-      recover_scratch_;
 
   ZnsStats stats_;
 };

@@ -174,23 +174,17 @@ TEST(Engine, TimingOnlyReplayMatchesFunctionalRun) {
   const auto real = run_program(system, program, plan,
                                 codegen::ExecMode::NativeC, functional);
 
+  // Timing-only replay: every output sized from the plan's estimate.
+  ir::OutputSizes sizes;
+  for (std::size_t i = 0; i < program.line_count(); ++i) {
+    sizes.emplace_back(program.lines()[i].outputs.size(), truth[i].d_out);
+  }
   auto replay_options = quiet_options();
-  replay_options.run_kernels = false;
+  replay_options.output_sizes = &sizes;
   const auto replay = run_program(system, program, plan,
                                   codegen::ExecMode::NativeC, replay_options);
   EXPECT_NEAR(replay.total.value(), real.total.value(),
               real.total.value() * 0.01);
-}
-
-TEST(Engine, TimingOnlyWithoutEstimatesRejected) {
-  system::SystemModel system;
-  const auto program = pipeline_program();
-  const auto plan = ir::Plan::host_only(3);
-  auto options = quiet_options();
-  options.run_kernels = false;
-  EXPECT_THROW(
-      run_program(system, program, plan, codegen::ExecMode::NativeC, options),
-      Error);
 }
 
 TEST(Engine, ContentionStretchesCsdCompute) {

@@ -394,38 +394,6 @@ TEST(Zns, CrashPointSweepMatchesNoCrashDigest) {
   }
 }
 
-// Churn/crash/remount cycles under a mixed write+trim workload, mirroring
-// flash_test's FtlCrashChurn: after every remount the device passes its
-// full invariant check and keeps serving the workload.
-class ZnsCrashChurn : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ZnsCrashChurn, RemountsStayConsistent) {
-  ZnsDevice zns(small_zns(/*journal=*/true));
-  Rng rng(GetParam());
-  for (int cycle = 0; cycle < 3; ++cycle) {
-    for (int i = 0; i < 400; ++i) {
-      const flash::Lpn lpn = rng.uniform_u64(0, zns.logical_pages() - 1);
-      if (rng.next_double() < 0.2) {
-        zns.trim(lpn);
-      } else {
-        zns.write(lpn);
-      }
-    }
-    zns.check_invariants();
-    zns.power_loss();
-    const auto rec = zns.recover();
-    EXPECT_GT(rec.mappings_recovered, 0u);
-    // The device is immediately writable again at full capacity.
-    zns.write(0);
-    ASSERT_TRUE(zns.translate(0).has_value());
-  }
-  EXPECT_EQ(zns.stats().recoveries, 3u);
-  zns.check_invariants();
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ZnsCrashChurn,
-                         ::testing::Values(3, 19, 31, 47, 71));
-
 // ---------------------------------------------------------------------------
 // Extent (span) data plane: the batched ops must be bit-for-bit the scalar
 // loops, through zone fills, implicit opens, reclaim and crash/remount.
