@@ -199,11 +199,11 @@ int main(int argc, char** argv) {
       entries.push_back(std::string(head) + "\"report\": " +
                         report.to_json() + "}");
 
-      // Fleet timeline of the last kill run (virtual-time only, so the file
+      // Fleet trace of the last kill run (virtual-time only, so the file
       // is byte-identical across --jobs values) — the CI failure artifact.
       if (trace_out != nullptr && fleet == fleets.back() &&
           &schedule == &schedules.back()) {
-        serve::to_fleet_timeline(report).write(trace_out);
+        serve::write_fleet_trace(report, trace_out);
         std::fprintf(stderr, "[chaos_fleet] wrote %s\n", trace_out);
       }
     }

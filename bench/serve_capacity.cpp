@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
       const bool last =
           fleet == fleets.back() && load == loads.back();
       if (last && trace_out != nullptr) {
-        serve::to_fleet_timeline(report).write(trace_out);
+        serve::write_fleet_trace(report, trace_out);
         std::fprintf(stderr, "[serve_capacity] wrote %s\n", trace_out);
       }
       if (last && metrics_out != nullptr) {

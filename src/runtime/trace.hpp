@@ -1,26 +1,22 @@
 // Chrome-trace export: turn an ExecutionReport into a chrome://tracing /
-// Perfetto-compatible JSON timeline.
+// Perfetto-compatible JSON trace.
 //
 // Rows: the host CPU, the CSE, and the host link; each line becomes a
 // duration event on the unit that ran it, with access/transfer/compute split
 // into sub-slices.  Drop the output into chrome://tracing (or
 // ui.perfetto.dev) to see exactly where a run spent its time and where the
-// migration broke a line.
+// migration broke a line.  The report is walked once, each event streamed
+// through the same obs::TraceWriter the fleet exporter in src/serve uses.
 #pragma once
 
 #include <string>
 
-#include "obs/timeline.hpp"
 #include "runtime/report.hpp"
 
 namespace isp::runtime {
 
-/// Build the run's span timeline (rows: host, cse, link, faults).  The
-/// fleet exporter in src/serve composes whole-fleet timelines through the
-/// same obs::Timeline emitter.
-[[nodiscard]] obs::Timeline to_trace_timeline(const ExecutionReport& report);
-
-/// Serialise a report as a Chrome trace (JSON array of events).
+/// Serialise a report as a Chrome trace (JSON array of events; rows: host,
+/// cse, link, faults).
 [[nodiscard]] std::string to_chrome_trace(const ExecutionReport& report);
 
 /// Write the trace to a file; throws isp::Error on IO failure.

@@ -1,4 +1,4 @@
-// Fleet-wide observability exports: the serving-trace timeline and the
+// Fleet-wide observability exports: the serving trace and the
 // metrics/snapshot JSON bundle.
 //
 // to_fleet_trace() extends the single-run Chrome-trace exporter
@@ -6,25 +6,26 @@
 // Fleet lane with one span per served job — sub-sliced into exec /
 // migration / recovery — one row per tenant queue showing each job's
 // queue wait, placement marks at every dispatch, and the jobs' fault
-// episodes as instant events.  Everything is derived from the finished
-// ServeReport's virtual-time records, so the trace is byte-identical
-// across runs and `--jobs` values (asserted in obs_test/serve_test).
+// episodes as instant events.  It walks the finished ServeReport's
+// virtual-time records once, streaming each event through an
+// obs::TraceWriter, so the trace is byte-identical across runs and `--jobs`
+// values (asserted in obs_test/serve_test).
 #pragma once
 
 #include <string>
 
 #include "obs/snapshot.hpp"
-#include "obs/timeline.hpp"
 #include "serve/server.hpp"
 
 namespace isp::serve {
 
-/// Build the whole-fleet span timeline.  Rows: "csd<k>" / "host<k>" lanes,
-/// "tenant<t> queue" wait rows, and a "faults" row of instant events.
-[[nodiscard]] obs::Timeline to_fleet_timeline(const ServeReport& report);
-
-/// to_fleet_timeline() serialised as Chrome-trace JSON.
+/// The whole-fleet trace as Chrome-trace JSON.  Rows: "csd<k>" / "host<k>"
+/// lanes, "tenant<t> queue" wait rows, "admission", "storage" and a
+/// "faults" row of instant events.
 [[nodiscard]] std::string to_fleet_trace(const ServeReport& report);
+
+/// Write to_fleet_trace() to `path`; throws isp::Error on IO failure.
+void write_fleet_trace(const ServeReport& report, const std::string& path);
 
 /// Derive the periodic virtual-time snapshot series from the outcome
 /// records: rows at t = k·interval plus a final row at the makespan, each
