@@ -9,6 +9,7 @@
 #include "apps/data_gen.hpp"
 #include "apps/registry.hpp"
 #include "baseline/baselines.hpp"
+#include "common/digest.hpp"
 #include "runtime/engine.hpp"
 
 namespace isp::apps {
@@ -265,6 +266,82 @@ TEST(DataGen, ZipfEdgesConcaveDistinctGrowth) {
   // vertices — the CSR over-estimation mechanism.
   EXPECT_LT(d2 / d1, 6.0);
   EXPECT_GT(d2, d1);
+}
+
+// Kernel goldens: the FNV-1a of every line output (name, size, bytes, in
+// line order) of the kernels that carry the pipeline's wall time, recorded
+// before any of them was optimised.  A kernel may get faster, but it must
+// reproduce these bytes exactly: the constants never change.
+struct GoldenCase {
+  double size_factor;
+  std::uint64_t seed;
+  std::uint64_t digest;
+};
+
+/// Digest of every output of `program` run on the host, up to and including
+/// the line that produces `last` (empty: every line).
+std::uint64_t output_digest(const ir::Program& program,
+                            const std::string& last = {}) {
+  system::SystemModel system;
+  const auto store = run_on(system, program, ir::Placement::Host);
+  std::uint64_t h = kFnvOffset;
+  for (const auto& line : program.lines()) {
+    bool done = false;
+    for (const auto& name : line.outputs) {
+      const auto bytes = store.at(name).physical.as<std::byte>();
+      h = fnv1a(h, name);
+      h = fnv1a(h, static_cast<std::uint64_t>(bytes.size()));
+      h = fnv1a_bytes(h, bytes.data(), bytes.size());
+      done = done || name == last;
+    }
+    if (done) break;
+  }
+  return h;
+}
+
+void expect_goldens(const char* app, const std::vector<GoldenCase>& cases,
+                    const std::string& last = {}) {
+  for (const auto& c : cases) {
+    AppConfig config;
+    config.size_factor = c.size_factor;
+    config.seed = c.seed;
+    const auto digest = output_digest(make_app(app, config), last);
+    EXPECT_EQ(digest, c.digest)
+        << app << " size_factor " << c.size_factor << " seed " << c.seed
+        << ": got 0x" << std::hex << digest;
+  }
+}
+
+TEST(KernelGolden, Lightgbm) {
+  expect_goldens("lightgbm", {{0.003, 42, 0xc22e6d66c1b20aeaULL},
+                              {0.003, 99, 0x53268cf282b3f830ULL},
+                              {0.03, 42, 0x17926c7fbce44ac2ULL},
+                              {0.03, 99, 0x9df9ddd67661c7d4ULL}});
+}
+
+TEST(KernelGolden, Pagerank) {
+  expect_goldens("pagerank", {{0.003, 42, 0x4174dedda85bdf66ULL},
+                              {0.003, 99, 0x0997be0f55c75ce6ULL},
+                              {0.03, 42, 0xb9394b20df3eab27ULL},
+                              {0.03, 99, 0xb4586b3cf09429edULL}});
+}
+
+TEST(KernelGolden, Sparsemv) {
+  expect_goldens("sparsemv", {{0.003, 42, 0x92ae33ac0c792502ULL},
+                              {0.003, 99, 0x5bfd8bc1bdc46231ULL},
+                              {0.03, 42, 0xea899046f17d1e1fULL},
+                              {0.03, 99, 0x98e2527ab087711eULL}});
+}
+
+// Through `logits` only: the GELU epilogue calls libm tanhf, whose last bit
+// may differ between C libraries; the GEMM and the bf16 loads use none.
+TEST(KernelGolden, MixedgemmThroughLogits) {
+  expect_goldens("mixedgemm",
+                 {{0.003, 42, 0x513eddfc3f84abc1ULL},
+                  {0.003, 99, 0xd1fb23f2969b839eULL},
+                  {0.03, 42, 0xb13693968c0e0c81ULL},
+                  {0.03, 99, 0xa76958c504ed3f96ULL}},
+                 "logits");
 }
 
 // Property: functional results are identical for host-only, all-CSD and the
