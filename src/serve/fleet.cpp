@@ -55,8 +55,9 @@ Fleet::Fleet(FleetConfig config, BreakerConfig breaker)
   epoch_.assign(lane_count(), 0);
   breakers_.assign(device_count(), CircuitBreaker(breaker));
   derating_.resize(device_count());
+  ready_order_.reserve(lane_count());
   for (std::size_t lane = 0; lane < lane_count(); ++lane) {
-    ready_order_.emplace(SimTime::zero(), lane);
+    ready_order_.emplace_back(SimTime::zero(), lane);
   }
   device_busy_sorted_.assign(device_count(), SimTime::zero());
 }
@@ -143,12 +144,22 @@ void Fleet::note_lost(std::size_t lane) {
   stats_[lane].lost_jobs += 1;
 }
 
-// ---- Incremental lane-state index (PR 7) ---------------------------------
+// ---- Incremental lane-state index ----------------------------------------
+
+void Fleet::unready(SimTime busy, std::size_t lane) {
+  const std::pair<SimTime, std::size_t> entry{busy, lane};
+  const auto it =
+      std::lower_bound(ready_order_.begin(), ready_order_.end(), entry);
+  if (it != ready_order_.end() && *it == entry) ready_order_.erase(it);
+}
 
 void Fleet::reindex(std::size_t lane, SimTime old_busy) {
-  ready_order_.erase({old_busy, lane});  // no-op if already removed
+  unready(old_busy, lane);  // no-op if already removed
   if (alive(lane) && busy_until_[lane] < kill_at_[lane]) {
-    ready_order_.emplace(busy_until_[lane], lane);
+    const std::pair<SimTime, std::size_t> entry{busy_until_[lane], lane};
+    ready_order_.insert(
+        std::lower_bound(ready_order_.begin(), ready_order_.end(), entry),
+        entry);
   }
   if (lane < config_.devices.size()) {
     const auto it = std::lower_bound(device_busy_sorted_.begin(),
@@ -173,7 +184,7 @@ void Fleet::set_kill_at(std::size_t lane, SimTime at) {
   kill_at_[lane] = at;
   if (busy_until_[lane] >= at) {
     // Doomed already: the lane can never start another job.
-    ready_order_.erase({busy_until_[lane], lane});
+    unready(busy_until_[lane], lane);
   }
   ++epoch_[lane];
 }

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -115,7 +114,7 @@ class Fleet {
   }
 
   /// Devices (not host lanes) still busy strictly after `t` — O(log n) off
-  /// the sorted busy index (PR 7).  Dead lanes count through their clamped
+  /// the sorted busy index.  Dead lanes count through their clamped
   /// busy_until.
   [[nodiscard]] std::size_t busy_devices_after(SimTime t) const;
 
@@ -164,10 +163,12 @@ class Fleet {
   // The serving loop's decision phase needs three queries per job —
   // "earliest instant any lane could start", "next lane to free up", and
   // "devices busy after t" — that were all O(lanes) scans.  The index keeps
-  // a busy-ordered set of the *schedulable* lanes (living, not yet doomed
-  // by a registered kill) plus a sorted vector of every device lane's
-  // busy_until, updated on occupy / mark_dead, so each query is
-  // O(log lanes).  Epochs version the state for the Eq.1 bid cache: a
+  // the *schedulable* lanes (living, not yet doomed by a registered kill)
+  // in a flat vector sorted by (busy_until, lane), plus a sorted vector of
+  // every device lane's busy_until, both re-seated by lower_bound on
+  // occupy / mark_dead / set_kill_at.  Fleets are a handful to a few dozen
+  // lanes, so a contiguous array beats a node-based tree on every query
+  // and never allocates after construction.  Epochs version the state for the Eq.1 bid cache: a
   // lane's cached bid is valid only while its lane epoch (own busy / death
   // / breaker gate / storage stats) and the fleet epoch (any device's busy
   // or death — the link-contention input) both still match.  The fleet
@@ -194,7 +195,7 @@ class Fleet {
 
   /// The earliest instant any schedulable lane could start a job arriving
   /// at `arrival` (breaker- and kill-aware; infinity when no lane
-  /// qualifies).  Walks the busy-ordered set and stops as soon as no later
+  /// qualifies).  Walks the busy-ordered index and stops as soon as no later
   /// lane can improve the bound (FleetIndex tests check it against a linear
   /// scan).
   [[nodiscard]] SimTime earliest_feasible_start(SimTime arrival) const;
@@ -241,14 +242,16 @@ class Fleet {
   /// Re-seat `lane` in the index after its busy_until moved from
   /// `old_busy`, and bump the epochs.
   void reindex(std::size_t lane, SimTime old_busy);
+  /// Drop (busy, lane) from ready_order_; a no-op if it is not there.
+  void unready(SimTime busy, std::size_t lane);
   /// breaker(lane), writable; host lanes fail the same check.
   CircuitBreaker& mutable_breaker(std::size_t lane);
 
   FleetConfig config_;
   std::vector<SimTime> busy_until_;
   std::vector<LaneStats> stats_;
-  /// Schedulable lanes (living, undoomed) ordered by (busy_until, lane).
-  std::set<std::pair<SimTime, std::size_t>> ready_order_;
+  /// Schedulable lanes (living, undoomed), sorted by (busy_until, lane).
+  std::vector<std::pair<SimTime, std::size_t>> ready_order_;
   /// Every device lane's busy_until (dead lanes clamped), ascending.
   std::vector<SimTime> device_busy_sorted_;
   std::vector<SimTime> kill_at_;  // scheduled death; infinity = never
