@@ -1,11 +1,10 @@
 // Per-(job class, device lane) Equation-1 bid cache for the serving hot
-// path (PR 7).
+// path.
 //
 // Every wave decision re-prices each candidate device lane for the picked
-// job: an AvailabilitySchedule::finish_time integral, the busy-device count
-// behind the contended link share, and plan::net_profit_under_contention.
-// Between decisions most lanes haven't changed at all, so the whole bid is
-// a pure function of
+// job: an AvailabilitySchedule::finish_time integral and the busy-device
+// count behind the contended link share.  Between decisions most lanes
+// haven't changed at all, so this bid *core* is a pure function of
 //
 //   (job class, lane state epoch, fleet epoch, candidate start)
 //
@@ -14,14 +13,19 @@
 // (and with them the reclaim-derated CSE schedule the finish time
 // integrates, which Fleet::note_storage re-derives), and the fleet epoch
 // covers every device's busy_until (the shared link-contention input).  A
-// slot whose epochs and start still match is a *core* hit — finish_time,
+// slot whose epochs and start still match is a core hit — finish_time,
 // the contended share, the projected completion and the effective
-// availability are reused bit for bit.  The Equation-1 profit
-// additionally depends on the job's arrival (queue wait) and the host-side
-// wait, so it revalidates on those two and is otherwise recombined from the
-// cached core — the same arithmetic net_profit_under_contention would run,
-// on identical inputs, so cached and fresh bids are indistinguishable
-// (serve_test pins the serving reports to golden digests).
+// availability are reused bit for bit; hits and misses count cores only.
+//
+// The lanes compete on projected completion alone, so the Equation-1
+// profit (plan::net_profit_under_contention) is priced for the winning
+// device only, the one profit placement reads.  It additionally depends on
+// the job's arrival (queue wait) and the host-side wait, so it is cached on
+// the slot by those two and otherwise recombined from the cached core —
+// the same arithmetic on identical inputs, so cached and fresh bids are
+// indistinguishable (serve_test pins the serving reports, traces and
+// metrics to golden digests).  Any other lane's profit can be priced on
+// demand through the same function.
 //
 // Invalidation is purely by comparison: nothing is evicted, a stale slot is
 // simply overwritten on the next miss.  The cache is O(classes × lanes)

@@ -24,7 +24,7 @@ SimMemoCache::SimMemoCache(std::size_t capacity) : capacity_(capacity) {
   ISP_CHECK(capacity_ >= 1, "memo cache needs capacity for one entry");
 }
 
-const SimResult* SimMemoCache::find(const SimKey& key) const {
+Memoized* SimMemoCache::find(const SimKey& key) {
   auto [it, end] = index_.equal_range(key.digest());
   for (; it != end; ++it) {
     // Digest-verified: the full key must match, not just its hash.
@@ -44,7 +44,7 @@ void SimMemoCache::insert(const SimKey& key, SimResult value) {
     ++evictions_;
   }
   const std::uint64_t digest = key.digest();
-  fifo_.push_back(Entry{key, std::move(value)});
+  fifo_.push_back(Entry{key, Memoized{std::move(value), std::nullopt}});
   index_.emplace(digest, std::prev(fifo_.end()));
 }
 
