@@ -203,7 +203,7 @@ SpanRates span_rates(MakeDevice make, std::uint64_t passes) {
   constexpr std::uint64_t extent = 4096;
   // A fill is only a few milliseconds, so a sum over passes measures
   // scheduler noise as much as the data plane; best-of-passes is the rate
-  // (the obs_overhead convention), the digests still fold every pass.
+  // (as in `serve_bench --scenario obs`), the digests still fold every pass.
   double scalar_best = 1e9;
   double span_best = 1e9;
   std::uint64_t pages = 0;

@@ -1,7 +1,6 @@
 #include "exec/cli.hpp"
 
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -63,25 +62,6 @@ std::uint64_t u64_flag(int argc, char** argv, const char* name,
   return v;
 }
 
-double double_flag(int argc, char** argv, const char* name, double fallback,
-                   double lo, double hi) {
-  const char* text = flag_value(argc, argv, name);
-  if (text == nullptr) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (errno == ERANGE || end == text || *end != '\0' || !std::isfinite(v)) {
-    die(std::string(name) + ": '" + text + "' is not a number");
-  }
-  if (v < lo || v > hi) {
-    char bound[128];
-    std::snprintf(bound, sizeof(bound), "%s: %g is outside [%g, %g]", name, v,
-                  lo, hi);
-    die(bound);
-  }
-  return v;
-}
-
 const char* string_flag(int argc, char** argv, const char* name,
                         const char* fallback) {
   const char* text = flag_value(argc, argv, name);
@@ -117,50 +97,6 @@ std::size_t enum_flag(int argc, char** argv, const char* name,
     die(std::string(name) + ": '" + text + "' is not one of " + accepted);
   }
   return *v;
-}
-
-std::optional<KillSpec> parse_kill_spec(const char* text) {
-  if (text == nullptr || text[0] == '\0') return std::nullopt;
-  const char* sep = std::strchr(text, '@');
-  if (sep == nullptr || sep == text || sep[1] == '\0') return std::nullopt;
-  if (std::strchr(sep + 1, '@') != nullptr) return std::nullopt;
-
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long device = std::strtoull(text, &end, 10);
-  if (errno != 0 || end != sep || text[0] == '-') return std::nullopt;
-
-  errno = 0;
-  const double at = std::strtod(sep + 1, &end);
-  if (errno == ERANGE || end == sep + 1 || *end != '\0' ||
-      !std::isfinite(at) || at < 0.0) {
-    return std::nullopt;
-  }
-  return KillSpec{.device = device, .at = at};
-}
-
-std::vector<KillSpec> kill_flags(int argc, char** argv, const char* name) {
-  std::vector<KillSpec> specs;
-  const std::size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* text = nullptr;
-    if (std::strcmp(arg, name) == 0) {
-      if (i + 1 >= argc) die(std::string(name) + " needs a value");
-      text = argv[++i];
-    } else if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-      text = arg + len + 1;
-    } else {
-      continue;
-    }
-    const auto spec = parse_kill_spec(text);
-    if (!spec.has_value()) {
-      die(std::string(name) + ": '" + text +
-          "' is not a k@t kill spec (device index '@' seconds)");
-    }
-    specs.push_back(*spec);
-  }
-  return specs;
 }
 
 }  // namespace isp::exec

@@ -26,11 +26,6 @@ namespace isp::exec {
                                      std::uint64_t fallback, std::uint64_t lo,
                                      std::uint64_t hi);
 
-/// Parse `--name V` (or `--name=V`) as a finite double in [lo, hi].  Same
-/// absent/error behaviour as u64_flag.
-[[nodiscard]] double double_flag(int argc, char** argv, const char* name,
-                                 double fallback, double lo, double hi);
-
 /// Parse `--name V` (or `--name=V`) as a non-empty string.  Returns
 /// `fallback` (which may be nullptr) when the flag is absent.  Exits with
 /// status 2 on a missing or empty value.
@@ -56,22 +51,5 @@ namespace isp::exec {
 [[nodiscard]] std::size_t enum_flag(int argc, char** argv, const char* name,
                                     const std::vector<const char*>& choices,
                                     std::size_t fallback);
-
-/// One `--kill-device k@t` entry: device index `k` dies permanently at
-/// fleet-virtual-time `t` seconds.
-struct KillSpec {
-  std::uint64_t device = 0;
-  double at = 0.0;
-};
-
-/// Parse a "k@t" kill spec: a non-negative integer device index and a
-/// finite non-negative time in seconds, joined by a single '@'.  Returns
-/// nullopt on any malformed input (pure — unit-testable without exiting).
-[[nodiscard]] std::optional<KillSpec> parse_kill_spec(const char* text);
-
-/// Collect every occurrence of `--name k@t` (or `--name=k@t`) in argv, in
-/// order.  Exits with status 2 on a malformed spec or a missing value.
-[[nodiscard]] std::vector<KillSpec> kill_flags(int argc, char** argv,
-                                               const char* name);
 
 }  // namespace isp::exec

@@ -15,7 +15,8 @@ namespace {
 /// Fold a finished run into the observability registry.  Pure bookkeeping
 /// after report assembly: nothing here touches virtual time, so an
 /// instrumented run's report is bit-for-bit identical to an uninstrumented
-/// one (asserted by serve_test and bench/obs_overhead).
+/// one (asserted by ServeObs.DisablingObsChangesNothingButOmitsArtifacts in
+/// serve_test and gated by `bench/serve_bench --scenario obs`).
 void record_run_metrics(obs::MetricsRegistry& m, const ExecutionReport& report,
                         std::uint64_t monitor_lost_updates,
                         const flash::StorageBackend* storage) {

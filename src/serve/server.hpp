@@ -87,7 +87,8 @@ struct JobClass {
 /// Observability knobs.  Everything here is bookkeeping in virtual time:
 /// enabling or disabling instrumentation never changes a single scheduling
 /// decision or service time (the outcome digest is identical either way —
-/// asserted by serve_test and gated by bench/obs_overhead).
+/// asserted by ServeObs.DisablingObsChangesNothingButOmitsArtifacts in
+/// serve_test and gated by `bench/serve_bench --scenario obs`).
 struct ObsOptions {
   /// Collect the metrics registry, snapshot series and per-job trace data.
   bool enabled = true;

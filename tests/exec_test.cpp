@@ -207,64 +207,6 @@ TEST(Cli, JobsFromArgsParsesBothSpellings) {
   EXPECT_EQ(jobs_from_args(2, const_cast<char**>(argv_none)), default_jobs());
 }
 
-TEST(Cli, ParseKillSpecAcceptsWellFormedSpecs) {
-  const auto a = parse_kill_spec("3@1.5");
-  ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(a->device, 3u);
-  EXPECT_DOUBLE_EQ(a->at, 1.5);
-
-  const auto b = parse_kill_spec("0@0");
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(b->device, 0u);
-  EXPECT_DOUBLE_EQ(b->at, 0.0);
-
-  const auto c = parse_kill_spec("12@2.5e1");
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(c->device, 12u);
-  EXPECT_DOUBLE_EQ(c->at, 25.0);
-}
-
-TEST(Cli, ParseKillSpecRejectsEveryMalformedShape) {
-  // Each of these must be a clean nullopt — never a partial parse, never a
-  // zero-filled spec.
-  const char* bad[] = {
-      "",        // empty
-      "@",       // nothing on either side
-      "3@",      // missing time
-      "@1.5",    // missing device
-      "a@1",     // non-numeric device
-      "1@x",     // non-numeric time
-      "1@1@1",   // double separator
-      "-1@1",    // negative device index
-      "1@-2",    // negative time
-      "1@inf",   // non-finite time
-      "1@nan",   // non-finite time
-      "3 @1",    // embedded whitespace
-      "3@1.5s",  // trailing junk
-      "3.5@1",   // fractional device index
-  };
-  for (const char* text : bad) {
-    EXPECT_FALSE(parse_kill_spec(text).has_value()) << "\"" << text << "\"";
-  }
-  EXPECT_FALSE(parse_kill_spec(nullptr).has_value());
-}
-
-TEST(Cli, KillFlagsCollectsRepeatsInOrderAndBothSpellings) {
-  const char* argv[] = {"prog", "--kill-device", "0@1.5", "--other",
-                        "--kill-device=2@3"};
-  const auto kills =
-      kill_flags(5, const_cast<char**>(argv), "--kill-device");
-  ASSERT_EQ(kills.size(), 2u);
-  EXPECT_EQ(kills[0].device, 0u);
-  EXPECT_DOUBLE_EQ(kills[0].at, 1.5);
-  EXPECT_EQ(kills[1].device, 2u);
-  EXPECT_DOUBLE_EQ(kills[1].at, 3.0);
-
-  const char* argv_none[] = {"prog"};
-  EXPECT_TRUE(
-      kill_flags(1, const_cast<char**>(argv_none), "--kill-device").empty());
-}
-
 TEST(Cli, ParseEnumMatchesExactChoiceOnly) {
   const std::vector<const char*> choices = {"ftl", "zns", "mixed"};
   ASSERT_TRUE(parse_enum("ftl", choices).has_value());

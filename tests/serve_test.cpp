@@ -769,19 +769,36 @@ TEST(ServeChaos, CleanRunReportIsIndifferentToFailureKnobs) {
 }
 
 TEST(ServeObs, DisablingObsChangesNothingButOmitsArtifacts) {
-  auto config = small_config(2, 4.0, 12, 2);
-  config.obs.enabled = true;
-  const auto on = serve::serve(config);
-  config.obs.enabled = false;
-  const auto off = serve::serve(config);
-  // Instrumentation charges no virtual time: the outcome digest and the
-  // whole JSON report are bit-identical with obs on and off.
-  EXPECT_EQ(on.digest, off.digest);
-  EXPECT_EQ(on.to_json(), off.to_json());
-  EXPECT_FALSE(on.metrics.empty());
-  EXPECT_GT(on.snapshots.rows(), 0u);
-  EXPECT_TRUE(off.metrics.empty());
-  EXPECT_EQ(off.snapshots.rows(), 0u);
+  // Two inputs: a clean config, and one with every failure domain armed (a
+  // device kill, a power-loss rate and a tenant SLO), whose retries, lost
+  // attempts, power cycles and deadline outcomes the obs layer also records.
+  const auto clean = small_config(2, 4.0, 12, 2);
+  auto failing = clean;
+  failing.kill_devices = {serve::KillDevice{.device = 0, .at = SimTime{1.0}}};
+  failing.fault.set_rate(fault::Site::PowerLoss, 0.05);
+  failing.tenants[1].slo = Seconds{1.0};
+  for (auto config : {clean, failing}) {
+    SCOPED_TRACE(config.kill_devices.empty() ? "clean" : "failure domains");
+    config.obs.enabled = true;
+    const auto on = serve::serve(config);
+    config.obs.enabled = false;
+    const auto off = serve::serve(config);
+    // Instrumentation charges no virtual time: the outcome digest and the
+    // whole JSON report are bit-identical with obs on and off.
+    EXPECT_EQ(on.digest, off.digest);
+    EXPECT_EQ(on.to_json(), off.to_json());
+    EXPECT_FALSE(on.metrics.empty());
+    EXPECT_GT(on.snapshots.rows(), 0u);
+    EXPECT_TRUE(off.metrics.empty());
+    EXPECT_EQ(off.snapshots.rows(), 0u);
+    if (config.kill_devices.empty()) continue;
+    // The failure domains must fire for the second input to count.
+    std::uint64_t power_losses = 0;
+    for (const auto& lane : on.lanes) power_losses += lane.power_losses;
+    EXPECT_EQ(on.devices_failed, 1u);
+    EXPECT_GT(power_losses, 0u);
+    EXPECT_GT(on.deadline_missed + on.deadline_rejected, 0u);
+  }
 }
 
 // --- Hot-path caches (PR 7): exactness, eviction, epochs -----------------
