@@ -107,6 +107,7 @@ bool sweep(const std::string& app_name, unsigned jobs) {
 
 int main(int argc, char** argv) {
   using namespace isp;
+  exec::reject_unknown_flags(argc, argv, {"--jobs"});
   const unsigned jobs = exec::jobs_from_args(argc, argv);
   bench::print_header(
       "Fault resilience: fault rate vs slowdown (all sites, deterministic "

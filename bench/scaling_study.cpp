@@ -18,6 +18,7 @@
 
 int main(int argc, char** argv) {
   using namespace isp;
+  exec::reject_unknown_flags(argc, argv, {"--jobs"});
   const unsigned jobs = exec::jobs_from_args(argc, argv);
 
   const std::vector<double> factors = {1.0 / 32, 1.0 / 8, 1.0 / 4,

@@ -23,7 +23,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "apps/registry.hpp"
@@ -280,11 +279,9 @@ SpanRates zns_span_rates(std::uint64_t passes) {
 
 int main(int argc, char** argv) {
   using namespace isp;
+  exec::reject_unknown_flags(argc, argv, {"--jobs", "--quick"});
   const unsigned jobs = exec::jobs_from_args(argc, argv);
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--quick") quick = true;
-  }
+  const bool quick = exec::flag_present(argc, argv, "--quick");
   const std::size_t kTasks = quick ? 6 : 24;
   const int kQueries = quick ? 250'000 : 2'000'000;
   const std::uint64_t kWrites = quick ? 60'000 : 400'000;

@@ -353,7 +353,7 @@ Section run_chaos(const Spec& spec, unsigned jobs, const Exports& out) {
   config.fault.set_rate(fault::Site::DeviceFailure, spec.fail_rate);
   const auto run = checked_run(config);
   section.ok &= run.ok();
-  print_row(spec.fleets.back(), format("%8s", "seeded"), run, "-", "-");
+  print_row(spec.fleets.back(), format("%9s", "seeded"), run, "-", "-");
   rows.push_back(
       format("{\"kind\": \"seeded\", \"fleet\": %zu, \"fail_rate\": %.6f, "
              "\"devices_failed\": %llu,\n",
@@ -490,6 +490,9 @@ Section run_obs(const Spec& spec, unsigned jobs, bool strict) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  exec::reject_unknown_flags(argc, argv,
+                             {"--scenario", "--jobs", "--quick", "--strict",
+                              "--trace-out", "--metrics-out"});
   const std::vector<const char*> scenarios = {"capacity", "chaos", "backend",
                                               "obs", "all"};
   const std::size_t pick =

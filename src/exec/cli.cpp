@@ -1,5 +1,6 @@
 #include "exec/cli.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -36,6 +37,33 @@ const char* flag_value(int argc, char** argv, const char* name) {
 }
 
 }  // namespace
+
+const char* unknown_flag(int argc, char** argv,
+                         const std::vector<const char*>& known) {
+  for (int i = 1; i < argc; ++i) {
+    const char* arg = argv[i];
+    if (std::strncmp(arg, "--", 2) != 0) continue;
+    const std::size_t len = std::strcspn(arg, "=");
+    const auto matches = [&](const char* name) {
+      return std::strlen(name) == len && std::strncmp(arg, name, len) == 0;
+    };
+    if (std::none_of(known.begin(), known.end(), matches)) return arg;
+  }
+  return nullptr;
+}
+
+void reject_unknown_flags(int argc, char** argv,
+                          const std::vector<const char*>& known) {
+  const char* bad = unknown_flag(argc, argv, known);
+  if (bad == nullptr) return;
+  std::string accepted;
+  for (const char* name : known) {
+    accepted += accepted.empty() ? "" : " ";
+    accepted += name;
+  }
+  die(std::string("unknown flag '") + bad + "'; this harness takes: " +
+      accepted);
+}
 
 bool flag_present(int argc, char** argv, const char* name) {
   for (int i = 1; i < argc; ++i) {

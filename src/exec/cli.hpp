@@ -7,7 +7,9 @@
 // out-of-range or valueless flag prints a diagnostic and exits with status 2
 // rather than being silently clamped or — worse — atoi'd to zero.  The
 // helpers below are that convention in one place, so the harnesses stop
-// re-growing private parse-and-validate snippets.
+// re-growing private parse-and-validate snippets.  Each harness first hands
+// reject_unknown_flags() every flag it reads, so a misspelt or retired flag
+// fails loudly instead of running the defaults.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +17,18 @@
 #include <vector>
 
 namespace isp::exec {
+
+/// The first argument that starts with "--" and is not one of `known`
+/// (compared up to any '=', so `--name=V` is `--name`), or nullptr when
+/// every flag is known (pure — unit-testable without exiting).  Arguments
+/// without the "--" prefix, such as flag values, are not checked.
+[[nodiscard]] const char* unknown_flag(int argc, char** argv,
+                                       const std::vector<const char*>& known);
+
+/// Exit with status 2 when unknown_flag() finds one, naming it and the
+/// flags the harness takes.
+void reject_unknown_flags(int argc, char** argv,
+                          const std::vector<const char*>& known);
 
 /// True if `--name` appears in argv (boolean flag, no value).
 [[nodiscard]] bool flag_present(int argc, char** argv, const char* name);

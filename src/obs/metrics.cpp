@@ -22,6 +22,7 @@ Histogram::Histogram(HistogramOptions options) : options_(options) {
                 std::pow(options_.growth, static_cast<double>(i));
   }
   buckets_.assign(options_.buckets + 1, 0);  // + overflow
+  lo_ = buckets_.size();
 }
 
 double Histogram::bucket_upper_edge(std::size_t i) const {
@@ -43,6 +44,8 @@ std::size_t Histogram::bucket_index(double v) const {
 void Histogram::record(double v) {
   const std::size_t i = v < 0.0 ? 0 : bucket_index(v);
   buckets_[i] += 1;
+  lo_ = std::min(lo_, i);
+  hi_ = std::max(hi_, i + 1);
   if (count_ == 0) {
     min_ = max_ = v;
   } else {
@@ -82,9 +85,11 @@ void Histogram::merge(const Histogram& other) {
                 options_.growth == other.options_.growth &&
                 options_.buckets == other.options_.buckets,
             "merging histograms with different bucket layouts");
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+  for (std::size_t i = other.lo_; i < other.hi_; ++i) {
     buckets_[i] += other.buckets_[i];
   }
+  lo_ = std::min(lo_, other.lo_);
+  hi_ = std::max(hi_, other.hi_);
   if (other.count_ > 0) {
     if (count_ == 0) {
       min_ = other.min_;

@@ -104,6 +104,7 @@ class Histogram {
   /// Fold `other` in: element-wise bucket adds, count/sum adds, min/max
   /// combines.  Associative and commutative on every integer field; sums
   /// combine in floating point.  Bucket layouts must match (ISP_CHECK).
+  /// Costs the width of `other`'s occupied bucket range, not the layout.
   void merge(const Histogram& other);
 
   [[nodiscard]] const HistogramOptions& options() const { return options_; }
@@ -123,6 +124,9 @@ class Histogram {
   HistogramOptions options_;
   std::vector<double> edges_;           // upper edges of the regular buckets
   std::vector<std::uint64_t> buckets_;  // buckets + 1 overflow
+  // Every non-zero bucket lies in [lo_, hi_); empty is lo_ > hi_.
+  std::size_t lo_ = 0;
+  std::size_t hi_ = 0;
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
   double min_ = 0.0;

@@ -14,23 +14,20 @@
 // tid strings under one pid, which both UIs render as named rows.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace isp::obs {
 
 /// Append `v` exactly as printf "%.6f" renders it in the C locale, without
 /// the format-string parse or the locale lookup: exact integer arithmetic
 /// for the magnitudes traces carry, std::to_chars fixed with precision 6
-/// (specified as that conversion) for the rest.  Every fixed-point number
-/// in a trace goes through here.
+/// (specified as that conversion) for the rest.  TraceWriter renders every
+/// fixed-point number it writes the same way.
 void append_fixed6(std::string& out, double v);
-
-/// Append `s` as the body of a JSON string (RFC 8259 §7): `"` and `\`
-/// backslash-escaped, newline and tab as \n and \t, every other byte below
-/// 0x20 as \u00XX.  A string with none of these is appended whole.
-void append_escaped(std::string& out, std::string_view s);
 
 /// Streams trace events into one JSON string.  Each event is one call to
 /// complete() or instant(), followed by its args; the next event or
@@ -41,11 +38,20 @@ void append_escaped(std::string& out, std::string_view s);
 ///   w.instant("faults", "fault:dma", t_s).arg_fixed6("penalty_us", p);
 ///   std::string json = w.finish();
 ///
-/// Track, name and key views are copied before the call returns.
+/// Tracks, names, keys and string args are escaped as JSON string bodies
+/// (RFC 8259 §7): `"` and `\` backslash-escaped, newline and tab as \n and
+/// \t, every other byte below 0x20 as \u00XX.
+///
+/// Track, name and key views are copied before the call returns.  Each
+/// event is built with pointer writes in a reusable scratch buffer, which
+/// grows to fit any length, and appended to the output once, when it
+/// closes.
 class TraceWriter {
  public:
   /// Reserve `reserve_bytes` of output up front.  Reserved pages the trace
-  /// never reaches cost address space, not memory.
+  /// never reaches cost address space, not memory.  The reservation's whole
+  /// 2 MiB pages are advised as huge pages (far fewer page faults), so the
+  /// last one the trace reaches is backed whole.
   explicit TraceWriter(std::size_t reserve_bytes = 0);
 
   /// Open a complete ("X") span.  A span with duration <= 0 is skipped
@@ -73,14 +79,21 @@ class TraceWriter {
   void open(std::string_view track, std::string_view name, bool complete,
             double ts_us);
   void close_event();
-  /// Start one arg: false when the open event was skipped.
-  bool key(std::string_view key);
+  /// Start one arg and make room for `value_bytes` more: where its value
+  /// goes, or nullptr when the open event was skipped.
+  char* key(std::string_view key, std::size_t value_bytes);
+  /// n writable bytes at the event's end, growing the scratch to fit.
+  char* room(std::size_t n);
+  /// Keep the event bytes written up to `end`.
+  void commit(const char* end);
 
   std::string out_;
-  bool first_ = true;       // no event written yet
-  bool open_ = false;       // an event's closing brace is still owed
-  bool has_args_ = false;   // ... and so is its args object's
-  bool skipping_ = false;   // the open event was dropped; ignore its args
+  std::vector<char> event_;  // the open event's bytes; only grows
+  std::size_t len_ = 0;      // ... of which in use
+  bool first_ = true;        // no event written yet
+  bool open_ = false;        // an event's closing brace is still owed
+  bool has_args_ = false;    // ... and so is its args object's
+  bool skipping_ = false;    // the open event was dropped; ignore its args
 };
 
 /// Write `json` to `path`; throws isp::Error on IO failure.

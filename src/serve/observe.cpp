@@ -4,6 +4,7 @@
 #include <array>
 #include <charconv>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -40,23 +41,24 @@ std::vector<std::string> queue_labels(const ServeReport& report) {
 }
 
 /// The reused "job<id>" prefix buffer; with(suffix) renders one event name.
+/// Suffixes are this file's short literals.
 class JobName {
  public:
   void reset(std::uint64_t id) {
-    buf_.assign("job");
-    char digits[20];
-    buf_.append(digits,
-                std::to_chars(digits, digits + sizeof(digits), id).ptr);
-    stem_ = buf_.size();
+    std::memcpy(buf_.data(), "job", 3);
+    stem_ = static_cast<std::size_t>(
+        std::to_chars(buf_.data() + 3, buf_.data() + 23, id).ptr -
+        buf_.data());
   }
   std::string_view with(std::string_view suffix) {
-    buf_.resize(stem_);
-    buf_.append(suffix);
-    return buf_;
+    ISP_CHECK(stem_ + suffix.size() <= buf_.size(),
+              "trace name suffix too long");
+    std::memcpy(buf_.data() + stem_, suffix.data(), suffix.size());
+    return {buf_.data(), stem_ + suffix.size()};
   }
 
  private:
-  std::string buf_;
+  std::array<char, 64> buf_{};  // "job", 20 digits, the longest suffix
   std::size_t stem_ = 0;
 };
 
@@ -229,8 +231,7 @@ obs::SnapshotSeries build_snapshots(const ServeReport& report,
 
   // Row instants, generated as they always were: the accumulated
   // t += interval sequence below `end`, then `end` itself.  Strictly
-  // increasing, so an event at x counts from row lower_bound(rows, x) on —
-  // the first row with x <= t.
+  // increasing, so an event at x counts from the first row with x <= t on.
   std::vector<SimTime> rows;
   for (SimTime t = SimTime::zero() + interval; t < end; t += interval) {
     rows.push_back(t);
@@ -246,9 +247,19 @@ obs::SnapshotSeries build_snapshots(const ServeReport& report,
     kRetried, kDeadlineMissed, kRetryExhausted, kCounted
   };
   std::vector<std::array<std::int64_t, kCounted>> delta(rows.size() + 1);
+  // rows[k] is about (k + 1)·interval, so x / interval lands on the row
+  // lower_bound(rows, x) would find or next to it; stepping against rows[]
+  // makes it exact (rows.size() past the last row, as lower_bound).  The
+  // guess multiplies by the reciprocal: its rounding only costs a step.
+  const double rows_per_second = 1.0 / interval.value();
   const auto row_of = [&](SimTime x) {
-    return static_cast<std::size_t>(
-        std::lower_bound(rows.begin(), rows.end(), x) - rows.begin());
+    const double guess = x.seconds() * rows_per_second;
+    std::size_t k = guess < static_cast<double>(rows.size())
+                        ? static_cast<std::size_t>(guess)
+                        : rows.size();
+    while (k > 0 && x <= rows[k - 1]) --k;
+    while (k < rows.size() && rows[k] < x) ++k;
+    return k;
   };
   const auto from = [&](Column c, SimTime x) { ++delta[row_of(x)][c]; };
   const auto span = [&](Column c, SimTime a, SimTime b) {

@@ -249,5 +249,34 @@ TEST(Cli, EnumFlagParsesBothSpellingsAndFallsBack) {
             2u);
 }
 
+TEST(Cli, UnknownFlagAcceptsDeclaredFlagsInBothSpellings) {
+  const std::vector<const char*> known = {"--jobs", "--quick", "--trace-out"};
+  // Values (even negative numbers) and positional words are not flags.
+  const char* argv[] = {"prog",  "--jobs",   "3",       "--quick",
+                        "-1",    "capacity", "--trace-out=a.json"};
+  EXPECT_EQ(unknown_flag(7, const_cast<char**>(argv), known), nullptr);
+  const char* none[] = {"prog"};
+  EXPECT_EQ(unknown_flag(1, const_cast<char**>(none), known), nullptr);
+}
+
+TEST(Cli, UnknownFlagNamesTheFirstUndeclaredFlag) {
+  const std::vector<const char*> known = {"--jobs", "--quick"};
+  const char* shapes[] = {
+      "--bogus",      // never declared
+      "--job",        // a prefix of a declared flag
+      "--jobsx",      // a declared flag plus trailing junk
+      "--jobsx=2",    // ... in the --name=V spelling
+      "--Quick",      // no case folding
+      "--",           // a bare separator
+      "--=1",         // an empty name
+  };
+  for (const char* bad : shapes) {
+    const char* argv[] = {"prog", "--jobs", "2", bad, "--other"};
+    EXPECT_EQ(unknown_flag(5, const_cast<char**>(argv), known), bad) << bad;
+  }
+  const char* two[] = {"prog", "--first", "--second"};
+  EXPECT_STREQ(unknown_flag(3, const_cast<char**>(two), known), "--first");
+}
+
 }  // namespace
 }  // namespace isp::exec

@@ -498,6 +498,110 @@ TEST(Histogram, MergeRejectsMismatchedLayouts) {
   EXPECT_THROW(a.merge(b), Error);
 }
 
+/// A histogram's state, merged the way Histogram::merge did before it kept
+/// its occupied bucket range: every bucket walked.  The reference the
+/// range-limited merge must reproduce exactly.
+struct FullWalkHistogram {
+  std::vector<std::uint64_t> buckets;
+  std::uint64_t count = 0;
+  double sum = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+
+  static FullWalkHistogram of(const obs::Histogram& h) {
+    return {h.buckets(), h.count(), h.sum(), h.min(), h.max()};
+  }
+  void merge(const FullWalkHistogram& other) {
+    for (std::size_t i = 0; i < buckets.size(); ++i) {
+      buckets[i] += other.buckets[i];
+    }
+    if (other.count > 0) {
+      min = count == 0 ? other.min : std::min(min, other.min);
+      max = count == 0 ? other.max : std::max(max, other.max);
+    }
+    count += other.count;
+    sum += other.sum;
+  }
+  /// Histogram::digest()'s fold over this state.
+  [[nodiscard]] std::uint64_t digest() const {
+    std::uint64_t h = obs::fnv1a(obs::kFnvOffset, count);
+    for (const double v : {sum, min, max}) h = obs::fnv1a(h, obs::double_bits(v));
+    for (const auto c : buckets) h = obs::fnv1a(h, c);
+    return h;
+  }
+};
+
+void expect_state(const obs::Histogram& h, const FullWalkHistogram& ref,
+                  const std::string& where) {
+  EXPECT_EQ(h.buckets(), ref.buckets) << where;
+  EXPECT_EQ(h.count(), ref.count) << where;
+  // Bit patterns: NaN sums and extrema compare too.
+  EXPECT_EQ(obs::double_bits(h.sum()), obs::double_bits(ref.sum)) << where;
+  EXPECT_EQ(obs::double_bits(h.min()), obs::double_bits(ref.min)) << where;
+  EXPECT_EQ(obs::double_bits(h.max()), obs::double_bits(ref.max)) << where;
+  EXPECT_EQ(h.digest(), ref.digest()) << where;
+}
+
+TEST(Histogram, OccupiedRangeMergeEqualsFullWalkMerge) {
+  // Random histograms (some empty; NaN in bucket 1, +inf and values past
+  // the last edge in the overflow bucket, negatives in bucket 0) merged
+  // into each other in random orders.  Values are dyadic, so without NaN a
+  // serial feed of the same values is a second reference: same digest,
+  // same registry JSON.
+  Rng rng(0x4157ULL);
+  const auto value = [&]() -> double {
+    switch (rng.uniform_u64(0, 11)) {
+      case 0: return std::numeric_limits<double>::quiet_NaN();
+      case 1: return std::numeric_limits<double>::infinity();
+      case 2: return 4096.0;  // past the last regular edge
+      case 3:
+        return -std::ldexp(static_cast<double>(rng.uniform_u64(1, 1023)),
+                           -static_cast<int>(rng.uniform_u64(0, 30)));
+      default:
+        return std::ldexp(static_cast<double>(rng.uniform_u64(1, 1023)),
+                          -static_cast<int>(rng.uniform_u64(0, 30)));
+    }
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = rng.uniform_u64(2, 6);
+    std::vector<obs::Histogram> hists(n);
+    std::vector<FullWalkHistogram> refs;
+    std::vector<std::vector<double>> fed(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      // A third of the sources stay empty.
+      const auto size = rng.uniform_u64(0, 2) == 0 ? 0 : rng.uniform_u64(1, 8);
+      for (std::uint64_t k = 0; k < size; ++k) {
+        fed[i].push_back(value());
+        hists[i].record(fed[i].back());
+      }
+      refs.push_back(FullWalkHistogram::of(hists[i]));
+    }
+    for (int step = 0; step < 12; ++step) {
+      const auto to = rng.uniform_u64(0, n - 1);
+      const auto from = rng.uniform_u64(0, n - 1);
+      if (to == from) continue;
+      hists[to].merge(hists[from]);
+      refs[to].merge(refs[from]);
+      fed[to].insert(fed[to].end(), fed[from].begin(), fed[from].end());
+      expect_state(hists[to], refs[to],
+                   "trial " + std::to_string(trial) + " step " +
+                       std::to_string(step));
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (std::any_of(fed[i].begin(), fed[i].end(),
+                      [](double v) { return std::isnan(v); })) {
+        continue;  // NaN extrema depend on the order values arrive in
+      }
+      obs::MetricsRegistry merged, serial;
+      merged.histogram("h").merge(hists[i]);
+      for (const double v : fed[i]) serial.histogram("h").record(v);
+      EXPECT_EQ(hists[i].digest(), serial.histogram("h").digest())
+          << "trial " << trial;
+      EXPECT_EQ(merged.to_json(), serial.to_json()) << "trial " << trial;
+    }
+  }
+}
+
 // --- Exact nearest-rank percentile ---------------------------------------
 
 TEST(PercentileSorted, NearestRankDefinition) {
@@ -869,7 +973,8 @@ TEST(TraceWriter, Fixed6MatchesPrintfAcrossMagnitudesAndTies) {
   // append_fixed6's integer fast path covers 2^-30 <= |v| < 2^44; check it
   // and both of its edges against printf on random bit patterns, random
   // magnitudes either side of the window, exact sixth-decimal ties (small
-  // dyadic rationals) and the neighbours of decimal half-way points.
+  // dyadic rationals), the neighbours of decimal half-way points and
+  // decimals that carry into the integer part.
   std::mt19937_64 rng(2024);
   std::uniform_real_distribution<double> exponent(-36.0, 50.0);
   std::vector<double> values = {
@@ -889,6 +994,9 @@ TEST(TraceWriter, Fixed6MatchesPrintfAcrossMagnitudesAndTies) {
     values.push_back(halfway);
     values.push_back(std::nextafter(halfway, 0.0));
     values.push_back(std::nextafter(halfway, 1e30));
+    // Decimals that round up into the integer part (x.9999996 -> x+1).
+    values.push_back(sign *
+                     (std::floor(std::exp2(exponent(rng))) + 0.9999996));
   }
   std::size_t mismatches = 0;
   for (const double v : values) {
@@ -898,6 +1006,206 @@ TEST(TraceWriter, Fixed6MatchesPrintfAcrossMagnitudesAndTies) {
     }
   }
   EXPECT_EQ(mismatches, 0u);
+}
+
+/// The appending renderer TraceWriter replaced: each piece of each event
+/// goes straight onto the output, numbers through printf "%.6f" and
+/// strings escaped byte by byte.  The reference for TraceWriter's bytes.
+class AppendingTraceRenderer {
+ public:
+  void complete(std::string_view track, std::string_view name,
+                double start_s, double duration_s) {
+    if (duration_s <= 0.0) {
+      close_event();
+      skipping_ = true;
+      return;
+    }
+    open(track, name, "X", start_s * 1e6);
+    out_ += ",\"dur\":" + printf_fixed6(duration_s * 1e6);
+  }
+  void instant(std::string_view track, std::string_view name, double ts_s) {
+    open(track, name, "i\",\"s\":\"t", ts_s * 1e6);
+  }
+  void arg_u64(std::string_view key, std::uint64_t value) {
+    if (this->key(key)) out_ += std::to_string(value);
+  }
+  void arg_fixed6(std::string_view key, double value) {
+    if (this->key(key)) out_ += printf_fixed6(value);
+  }
+  void arg_raw(std::string_view key, std::string_view json) {
+    if (this->key(key)) out_ += json;
+  }
+  void arg_str(std::string_view key, std::string_view value) {
+    if (!this->key(key)) return;
+    out_ += '"';
+    escape(value);
+    out_ += '"';
+  }
+  std::string finish() {
+    close_event();
+    return out_ + "\n]";
+  }
+
+ private:
+  void escape(std::string_view s) {
+    for (const char c : s) {
+      switch (c) {
+        case '"': out_ += "\\\""; break;
+        case '\\': out_ += "\\\\"; break;
+        case '\n': out_ += "\\n"; break;
+        case '\t': out_ += "\\t"; break;
+        default:
+          if (static_cast<unsigned char>(c) < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x",
+                          static_cast<unsigned char>(c));
+            out_ += buf;
+          } else {
+            out_ += c;
+          }
+      }
+    }
+  }
+  void open(std::string_view track, std::string_view name, const char* ph,
+            double ts_us) {
+    close_event();
+    skipping_ = false;
+    out_ += first_ ? "\n{\"name\":\"" : ",\n{\"name\":\"";
+    first_ = false;
+    escape(name);
+    out_ += std::string("\",\"ph\":\"") + ph + "\",\"pid\":1,\"tid\":\"";
+    escape(track);
+    out_ += "\",\"ts\":" + printf_fixed6(ts_us);
+    open_ = true;
+  }
+  void close_event() {
+    if (open_) out_ += has_args_ ? "}}" : "}";
+    open_ = false;
+    has_args_ = false;
+  }
+  bool key(std::string_view key) {
+    if (skipping_) return false;
+    out_ += has_args_ ? ",\"" : ",\"args\":{\"";
+    has_args_ = true;
+    escape(key);
+    out_ += "\":";
+    return true;
+  }
+
+  std::string out_ = "[";
+  bool first_ = true;
+  bool open_ = false;
+  bool has_args_ = false;
+  bool skipping_ = false;
+};
+
+/// One call on a trace emitter, replayable into TraceWriter and the
+/// reference renderer alike.
+struct TraceCall {
+  enum Kind { kComplete, kInstant, kU64, kFixed6, kRaw, kStr } kind;
+  std::string a, b;  // track and name, or key and value
+  double x = 0.0, y = 0.0;
+  std::uint64_t u = 0;
+
+  template <class Emitter>
+  void apply(Emitter& e) const {
+    switch (kind) {
+      case kComplete: e.complete(a, b, x, y); break;
+      case kInstant: e.instant(a, b, x); break;
+      case kU64: e.arg_u64(a, u); break;
+      case kFixed6: e.arg_fixed6(a, x); break;
+      case kRaw: e.arg_raw(a, b); break;
+      case kStr: e.arg_str(a, b); break;
+    }
+  }
+};
+
+TEST(TraceWriter, ByteIdenticalToTheAppendingRenderer) {
+  // Seeded random call streams: names, tracks, keys and string args from
+  // plain words, every byte value (each control byte, '"', '\' and UTF-8
+  // among them) and strings of 64 KiB and more; timestamps across every
+  // magnitude with infinities and NaN; durations positive, zero and
+  // negative (the span and its args drop); every arg kind.
+  using limits = std::numeric_limits<double>;
+  const std::vector<std::string> words = {
+      "csd0", "host1", "tenant2 queue", "job17 [queue-wait]", "faults",
+      "tenant", "", "caf\xc3\xa9 \xe2\x86\x92 \xf0\x9d\x84\x9e", "\"q\"",
+      "back\\slash"};
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    const auto text = [&]() -> std::string {
+      const auto pick = rng.uniform_u64(0, 199);
+      if (pick == 0) {  // longer than any scratch: 64 KiB and up
+        std::string s(65536 + rng.uniform_u64(0, 4096), 'x');
+        for (auto& c : s) {
+          if (rng.uniform_u64(0, 15) == 0) {
+            c = static_cast<char>(rng.uniform_u64(0, 255));
+          }
+        }
+        return s;
+      }
+      if (pick <= 40) {  // any byte values
+        std::string s(rng.uniform_u64(0, 40), '\0');
+        for (auto& c : s) c = static_cast<char>(rng.uniform_u64(0, 255));
+        return s;
+      }
+      return words[rng.uniform_u64(0, words.size() - 1)];
+    };
+    const auto number = [&]() -> double {
+      switch (rng.uniform_u64(0, 15)) {
+        case 0: return limits::quiet_NaN();
+        case 1: return limits::infinity();
+        case 2: return -limits::infinity();
+        case 3: return 0.0;
+        case 4: return -0.0;
+        case 5: return limits::max();
+        default: {
+          const double sign = rng.uniform_u64(0, 3) == 0 ? -1.0 : 1.0;
+          return sign * std::exp2(rng.uniform(-40.0, 60.0));
+        }
+      }
+    };
+    std::vector<TraceCall> calls;
+    for (int event = 0; event < 3000; ++event) {
+      TraceCall open{.kind = TraceCall::kInstant, .a = text(), .b = text(),
+                     .x = number()};
+      if (rng.uniform_u64(0, 1) == 0) {
+        open.kind = TraceCall::kComplete;
+        switch (rng.uniform_u64(0, 3)) {
+          case 0: open.y = 0.0; break;
+          case 1: open.y = -rng.uniform(0.0, 5.0); break;
+          default: open.y = number();
+        }
+      }
+      calls.push_back(open);
+      for (auto n = rng.uniform_u64(0, 4); n > 0; --n) {
+        TraceCall arg{.kind = static_cast<TraceCall::Kind>(
+                          rng.uniform_u64(TraceCall::kU64, TraceCall::kStr)),
+                      .a = text(),
+                      .b = {}};
+        arg.b = arg.kind == TraceCall::kRaw
+                    ? (rng.uniform_u64(0, 1) ? "true" : "[1,2]")
+                    : text();
+        arg.x = number();
+        arg.u = rng.uniform_u64(0, 3) == 0 ? ~std::uint64_t{0} : rng.next_u64();
+        calls.push_back(arg);
+      }
+    }
+    obs::TraceWriter writer;
+    AppendingTraceRenderer reference;
+    for (const auto& call : calls) {
+      call.apply(writer);
+      call.apply(reference);
+    }
+    const std::string got = writer.finish();
+    const std::string want = reference.finish();
+    const auto diff =
+        std::mismatch(got.begin(), got.end(), want.begin(), want.end());
+    EXPECT_EQ(got.size(), want.size()) << "seed " << seed;
+    EXPECT_TRUE(diff.first == got.end() && diff.second == want.end())
+        << "seed " << seed << ": first difference at byte "
+        << (diff.first - got.begin());
+  }
 }
 
 TEST(Metrics, FnvHelpersAreTheSharedCommonDigest) {

@@ -1032,6 +1032,68 @@ TEST(ServeObs, SweepSnapshotsMatchTheRowByRowScan) {
   const auto exhausted = serve::serve(exhausted_config);
   ASSERT_GT(exhausted.retry_exhausted, 0u);
   expect_sweep_matches_scan(exhausted, exhausted_config.obs);
+
+  // The sweep finds an event's row from x / interval: intervals that do not
+  // divide the makespan, and a row cap that widens the interval.
+  for (const auto* report : {&killed, &missed, &exhausted}) {
+    for (const double interval : {0.25, 0.1, 1.0 / 3.0}) {
+      for (const std::size_t cap : {std::size_t{256}, std::size_t{7}}) {
+        serve::ObsOptions options;
+        options.snapshot_interval = Seconds{interval};
+        options.max_snapshots = cap;
+        expect_sweep_matches_scan(*report, options);
+      }
+    }
+  }
+
+  // Offers exactly on the accumulated row instants, on the exact multiples
+  // of the interval they drift from, and one ulp either side: the guess
+  // x / interval can land a row early or late, and stepping must fix both.
+  for (const double interval : {0.1, 1.0 / 3.0}) {
+    serve::ServeReport offers;
+    const auto offer = [&](double at) {
+      serve::JobOutcome o;
+      o.id = offers.outcomes.size();
+      o.rejected = true;
+      o.arrival = SimTime{at};
+      offers.outcomes.push_back(o);
+    };
+    SimTime t = SimTime::zero() + Seconds{interval};
+    for (int k = 1; k <= 2000; ++k, t += Seconds{interval}) {
+      for (const double at : {t.seconds(), k * interval}) {
+        offer(at);
+        offer(std::nextafter(at, 0.0));
+        offer(std::nextafter(at, 1e9));
+      }
+    }
+    offers.makespan = t;
+    serve::ObsOptions options;
+    options.snapshot_interval = Seconds{interval};
+    options.max_snapshots = 4096;
+    expect_sweep_matches_scan(offers, options);
+  }
+
+  // A run long enough that the default row cap widens the interval, then
+  // intervals x / k for event instants x: row k - 1 lands on x or within a
+  // rounding of it, unless the cap widens the interval again.
+  auto long_config = hot_config(2, 120, 2);
+  long_config.offered_load = 1.0;
+  const auto long_run = serve::serve(long_config);
+  ASSERT_GT(long_run.makespan.seconds() /
+                long_config.obs.snapshot_interval.value(),
+            static_cast<double>(long_config.obs.max_snapshots));
+  expect_sweep_matches_scan(long_run, long_config.obs);
+  for (std::size_t i = 0; i < long_run.outcomes.size(); i += 7) {
+    const auto& o = long_run.outcomes[i];
+    for (const SimTime x : {o.arrival, o.resolved}) {
+      if (x.seconds() <= 0.0) continue;
+      for (const double k : {1.0, 3.0, 10.0}) {
+        serve::ObsOptions options = long_config.obs;
+        options.snapshot_interval = Seconds{x.seconds() / k};
+        expect_sweep_matches_scan(long_run, options);
+      }
+    }
+  }
 }
 
 TEST(ServeObs, SweepSnapshotsMatchTheScanWithRowsOnEventInstants) {
