@@ -66,8 +66,13 @@ void reject_unknown_flags(int argc, char** argv,
 }
 
 bool flag_present(int argc, char** argv, const char* name) {
+  const std::size_t len = std::strlen(name);
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
+    const char* arg = argv[i];
+    if (std::strcmp(arg, name) == 0) return true;
+    if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
+      die(std::string(name) + " takes no value, got '" + arg + "'");
+    }
   }
   return false;
 }

@@ -30,7 +30,9 @@ namespace isp::exec {
 void reject_unknown_flags(int argc, char** argv,
                           const std::vector<const char*>& known);
 
-/// True if `--name` appears in argv (boolean flag, no value).
+/// True if `--name` appears in argv (boolean flag, no value).  Exits with
+/// status 2 on the `--name=V` spelling, which reject_unknown_flags() lets
+/// through, so `--quick=1` cannot silently run the full-size defaults.
 [[nodiscard]] bool flag_present(int argc, char** argv, const char* name);
 
 /// Parse `--name V` (or `--name=V`) as an unsigned integer in [lo, hi].

@@ -131,14 +131,13 @@ constexpr std::size_t kFixed6Bytes = 320;
 /// Write v at p exactly as printf "%.6f" renders it in the C locale, and
 /// return the end.
 ///
-/// Exact integer paths for |v| < 2^44, every trace timestamp and duration
-/// in practice.  |v| = m·2^e with a 53-bit m.  From 4 up, the integer part
-/// is m's top bits and the fraction's f·10^6 = (f·15625)·2^(e+6) fits 64
-/// bits; from 2^-30 up, the whole of |v|·10^6 = (m·15625)·2^(e+6) takes one
-/// 128-bit shift.  Either way the shifted-out bits decide the rounding
-/// exactly, half to even as printf rounds.  Below 2^-30 (< 5e-7) the value
-/// rounds to zero.  Larger and non-finite values take std::to_chars fixed
-/// with precision 6, specified as that conversion.
+/// Exact integer path for 2^-30 <= |v| < 2^44, every trace timestamp and
+/// duration in practice.  |v| = m·2^e with a 53-bit m, so |v|·10^6 =
+/// (m·15625)·2^(e+6) and e + 6 <= -3 here: one 128-bit shift gives the
+/// integer part, and the shifted-out bits decide the rounding exactly, half
+/// to even as printf rounds.  Below 2^-30 (< 5e-7) the value rounds to
+/// zero; 2^44·10^6 still fits 64 bits.  Larger and non-finite values take
+/// std::to_chars fixed with precision 6, specified as that conversion.
 char* fixed6_to(char* p, double v) {
   const auto bits = std::bit_cast<std::uint64_t>(v);
   const int biased = static_cast<int>((bits >> 52) & 0x7ff);
@@ -149,34 +148,20 @@ char* fixed6_to(char* p, double v) {
     ISP_CHECK(ec == std::errc{}, "fixed-point formatting overflowed");
     return end;
   }
-  constexpr std::uint64_t kHidden = std::uint64_t{1} << 52;
-  const std::uint64_t m = (bits & (kHidden - 1)) | kHidden;
-  std::uint64_t whole = 0;  // |v| rounded to six decimals: integer part
-  std::uint64_t frac = 0;   // ... and the decimals, times 10^6
-  if (biased >= kOne + 2) {
-    const int s = kOne + 52 - biased;  // fraction bits, 9 <= s <= 50
-    whole = m >> s;
-    const std::uint64_t t = (m & ((std::uint64_t{1} << s) - 1)) * 15625;
-    const int j = s - 6;  // t / 2^j is the fraction times 10^6
-    frac = t >> j;
-    const std::uint64_t rem = t & ((std::uint64_t{1} << j) - 1);
-    const std::uint64_t half = std::uint64_t{1} << (j - 1);
-    if (rem > half || (rem == half && (frac & 1) != 0)) ++frac;
-    if (frac == 1000000) {
-      ++whole;
-      frac = 0;
-    }
-  } else if (biased >= kOne - 30) {
-    const Uint128 x = static_cast<Uint128>(m) * 15625;
+  std::uint64_t scaled = 0;  // |v|·10^6, rounded
+  if (biased >= kOne - 30) {
+    constexpr std::uint64_t kHidden = std::uint64_t{1} << 52;
+    const Uint128 x =
+        static_cast<Uint128>((bits & (kHidden - 1)) | kHidden) * 15625;
     const int k = kOne + 52 - 6 - biased;  // 3 <= k <= 76
     const Uint128 q = x >> k;
     const Uint128 rem = x - (q << k);
     const Uint128 half = static_cast<Uint128>(1) << (k - 1);
-    auto scaled = static_cast<std::uint64_t>(q);
+    scaled = static_cast<std::uint64_t>(q);
     if (rem > half || (rem == half && (scaled & 1) != 0)) ++scaled;
-    whole = scaled / 1000000;
-    frac = scaled % 1000000;
   }
+  const std::uint64_t whole = scaled / 1000000;
+  const std::uint64_t frac = scaled % 1000000;
   if ((bits >> 63) != 0) *p++ = '-';  // printf keeps the sign of -0.0
   // Integer part below 2^44 (14 digits), in two pieces of up to eight.
   if (whole < 100000000) {

@@ -278,5 +278,22 @@ TEST(Cli, UnknownFlagNamesTheFirstUndeclaredFlag) {
   EXPECT_STREQ(unknown_flag(3, const_cast<char**>(two), known), "--first");
 }
 
+TEST(Cli, FlagPresentRejectsAValue) {
+  const char* argv[] = {"prog", "--quick", "--strictly", "--jobs=2"};
+  EXPECT_TRUE(flag_present(4, const_cast<char**>(argv), "--quick"));
+  EXPECT_FALSE(flag_present(4, const_cast<char**>(argv), "--strict"));
+  EXPECT_FALSE(flag_present(4, const_cast<char**>(argv), "--quiet"));
+  // unknown_flag() accepts `--quick=1` for a declared --quick; the boolean
+  // reader must not then read it as absent and run the defaults.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* valued : {"--quick=1", "--quick=", "--quick=0"}) {
+    const char* with_value[] = {"prog", "--jobs", "2", valued};
+    EXPECT_EXIT(
+        (void)flag_present(4, const_cast<char**>(with_value), "--quick"),
+        testing::ExitedWithCode(2), "--quick takes no value")
+        << valued;
+  }
+}
+
 }  // namespace
 }  // namespace isp::exec
