@@ -1455,6 +1455,34 @@ TEST(ServeBackend, MixedFleetByteIdenticalAcrossJobsAndCaches) {
   EXPECT_GE(reclaim.value(), 0.0);
 }
 
+TEST(ServeBackend, CrashedRunThenMoreRunsOnTheSameBackendKind) {
+  // Point faults make every dispatch a memo miss, so each persisting job
+  // drives a backend of its lane's kind.  Job 0 is the first persisting
+  // job, on FTL lane 0; its power cut crashes and remounts that backend,
+  // and the FTL runs after it must behave as on a freshly built one.
+  auto config = mixed_backend_config(4);
+  config.fault.set_rate_all(0.01);
+  config.power_loss_job = 0;
+  config.power_loss_after = 3;
+  const auto r = serve::serve(config);
+  ASSERT_EQ(r.outcomes[0].job_class, 0u);
+  ASSERT_FALSE(r.outcomes[0].on_host);
+  EXPECT_GE(r.outcomes[0].power_losses, 1u);
+  EXPECT_EQ(r.sim_cache_hits, 0u);
+  std::size_t later_ftl_persisting = 0;
+  for (const auto& o : r.outcomes) {
+    if (o.id > 0 && o.job_class == 0 && !o.on_host && o.lane % 2 == 0) {
+      ++later_ftl_persisting;
+    }
+  }
+  EXPECT_GE(later_ftl_persisting, 2u);
+  expect_golden(r, {0xaa9f9b4f9dfd88f0ULL, 0x1278949569806887ULL,
+                    0x96824fec194a6e59ULL, 0x84d13da739e39e59ULL,
+                    0x246ade10182ef12dULL});
+  config.jobs = 1;
+  expect_identical(r, serve::serve(config));
+}
+
 TEST(ServeHotpath, CapacityOneMemoFoldsByPointerExactly) {
   // One memo entry: a wave that both hits that entry and misses evicts it
   // with its deferred insert.  A fold that read a hit through its pointer
