@@ -58,20 +58,39 @@ std::uint64_t Ftl::checked_logical_pages(const FtlConfig& config) {
 Ftl::Ftl(FtlConfig config)
     : config_(config),
       logical_pages_(checked_logical_pages(config_)),
+      l2p_(logical_pages_),
+      p2l_(config_.geometry.total_pages()),
+      blocks_(config_.geometry.total_blocks()),
       log_(config_.journal, config_.geometry, logical_pages_,
            config_.geometry.total_blocks(), config_.geometry.pages_per_block,
-           /*journal_programs=*/true) {
+           /*journal_programs=*/true),
+      retired_(config_.geometry.total_blocks()) {
+  bits_resize(free_bits_, blocks_.size());
+  bits_resize(full_bits_, blocks_.size());
+  bits_resize(valid_bits_, p2l_.size());
+  reset_state();
+}
+
+void Ftl::format() {
+  l2p_.release();
+  p2l_.release();
+  log_.format();
+  reset_state();
+}
+
+void Ftl::reset_state() {
   const auto& g = config_.geometry;
-  const auto physical_pages = g.total_pages();
-  l2p_.assign(logical_pages_, kNoPage);
-  p2l_.assign(physical_pages, kNoPage);
-  blocks_.assign(g.total_blocks(), Block{});
-  retired_.assign(g.total_blocks(), 0);
-  free_count_ = static_cast<std::uint32_t>(g.total_blocks());
-  bits_resize(free_bits_, g.total_blocks());
-  for (std::uint64_t b = 0; b < g.total_blocks(); ++b) bit_set(free_bits_, b);
-  bits_resize(full_bits_, g.total_blocks());
-  bits_resize(valid_bits_, physical_pages);
+  mounted_ = true;
+  std::fill(blocks_.begin(), blocks_.end(), Block{});
+  std::fill(retired_.begin(), retired_.end(), 0);
+  retired_count_ = 0;
+  free_count_ = static_cast<std::uint32_t>(blocks_.size());
+  mapped_count_ = 0;
+  bits_clear_all(free_bits_);
+  bits_set_range(free_bits_, 0, blocks_.size());
+  bits_clear_all(full_bits_);
+  bits_clear_all(valid_bits_);
+  stats_ = FtlStats{};
 
   active_block_ = allocate_free_block();
   gc_active_block_ = allocate_free_block();
@@ -129,8 +148,8 @@ void Ftl::persist(std::uint64_t journal_pages) {
 }
 
 void Ftl::install_mapping(Lpn lpn, Ppn ppn) {
-  l2p_[lpn] = ppn;
-  p2l_[ppn] = lpn;
+  l2p_.set(lpn, ppn);
+  p2l_.set(ppn, lpn);
   bit_set(valid_bits_, ppn);
   const std::uint64_t block = page_block(ppn);
   ++blocks_[block].valid;
@@ -144,7 +163,7 @@ void Ftl::write(Lpn lpn) {
   // for the invalidation itself: validity is derived from the newest
   // mapping during recovery.
   if (const Ppn old = l2p_[lpn]; old != kNoPage) {
-    p2l_[old] = kNoPage;
+    p2l_.set(old, kNoPage);
     bit_clear(valid_bits_, old);
     Block& blk = blocks_[page_block(old)];
     ISP_DCHECK(blk.valid > 0, "valid-count underflow");
@@ -195,7 +214,7 @@ void Ftl::write_span(Lpn first, std::uint64_t count) {
     const Lpn lpn0 = lpn;
     for (std::uint64_t i = 0; i < run; ++i, ++lpn) {
       if (const Ppn old = l2p_[lpn]; old != kNoPage) {
-        p2l_[old] = kNoPage;
+        p2l_.set(old, kNoPage);
         bit_clear(valid_bits_, old);
         Block& ob = blocks_[page_block(old)];
         ISP_DCHECK(ob.valid > 0, "valid-count underflow");
@@ -203,8 +222,8 @@ void Ftl::write_span(Lpn first, std::uint64_t count) {
       } else {
         ++mapped_count_;
       }
-      l2p_[lpn] = start + i;
-      p2l_[start + i] = lpn;
+      l2p_.set(lpn, start + i);
+      p2l_.set(start + i, lpn);
     }
     blk.next_free_page += static_cast<std::uint32_t>(run);
     blk.valid += static_cast<std::uint32_t>(run);
@@ -229,12 +248,12 @@ std::optional<Ppn> Ftl::translate(Lpn lpn) const {
 
 void Ftl::trim_one(Lpn lpn) {
   if (const Ppn old = l2p_[lpn]; old != kNoPage) {
-    p2l_[old] = kNoPage;
+    p2l_.set(old, kNoPage);
     bit_clear(valid_bits_, old);
     Block& blk = blocks_[page_block(old)];
     ISP_DCHECK(blk.valid > 0, "valid-count underflow");
     --blk.valid;
-    l2p_[lpn] = kNoPage;
+    l2p_.set(lpn, kNoPage);
     --mapped_count_;
     persist(log_.trim(lpn));
   }
@@ -278,7 +297,7 @@ void Ftl::relocate_block(std::uint64_t block) {
         const Lpn lpn = p2l_[src];
         ISP_DCHECK(lpn != kNoPage, "valid bit set on unmapped page");
         const Ppn dst = append_to_active(/*for_gc=*/true);
-        p2l_[src] = kNoPage;
+        p2l_.set(src, kNoPage);
         bit_clear(valid_bits_, src);
         --blocks_[block].valid;
         install_mapping(lpn, dst);
@@ -373,8 +392,8 @@ FtlCrash Ftl::power_loss() {
   // buffered journal tail.  The log's durable state (OOB stamps, block
   // headers, journal pages, checkpoint) and the bad-block table survive.
   const FtlCrash crash = log_.lose_tail();
-  l2p_.assign(logical_pages_, kNoPage);
-  p2l_.assign(p2l_.size(), kNoPage);
+  l2p_.clear();
+  p2l_.clear();
   for (auto& b : blocks_) b = Block{};
   bits_clear_all(free_bits_);
   bits_clear_all(full_bits_);
@@ -401,7 +420,7 @@ FtlRecovery Ftl::recover() {
   for (Lpn lpn = 0; lpn < logical_pages_; ++lpn) {
     const Ppn ppn = l2p_[lpn];
     if (ppn == kNoPage) continue;
-    p2l_[ppn] = lpn;
+    p2l_.set(ppn, lpn);
     bit_set(valid_bits_, ppn);
     ++blocks_[page_block(ppn)].valid;
     ++mapped_count_;

@@ -157,6 +157,11 @@ class Ftl final : public StorageBackend {
   /// the partially written blocks, and re-verify every invariant.
   FtlRecovery recover() override;
 
+  /// Back to the freshly built state (flash/backend.hpp contract), mounted
+  /// or crashed: the page maps go back to the OS, the rest is rebuilt by
+  /// the constructor's own initial-state path.
+  void format() override;
+
   /// Fraction of array bandwidth background storage management has consumed
   /// over the run so far: relocated + metadata traffic relative to all
   /// write traffic.  Used to derate the internal bandwidth visible to ISP
@@ -211,20 +216,23 @@ class Ftl final : public StorageBackend {
   /// Shared block walks: GC victims, retirement and remount compaction all
   /// relocate a block's valid pages (walking the valid-page bitmap).
   void relocate_block(std::uint64_t block);
+  /// The freshly built state over unmapped page maps: the constructor's and
+  /// format()'s one initial-state path.
+  void reset_state();
 
   FtlConfig config_;
   std::uint64_t logical_pages_;
-  bool mounted_ = true;
+  bool mounted_;
 
   // ---- volatile state (lost on power_loss) ----------------------------
   // Flat sentinel-coded maps (kNoPage = unmapped): see the note on kNoPage.
-  std::vector<Ppn> l2p_;
-  std::vector<Lpn> p2l_;  // valid reverse map (kNoPage = invalid/free)
+  PageMap<Ppn> l2p_;
+  PageMap<Lpn> p2l_;  // valid reverse map (kNoPage = invalid/free)
   std::vector<Block> blocks_;
   std::uint64_t active_block_;     // current host append block
   std::uint64_t gc_active_block_;  // current GC relocation block
   std::uint32_t free_count_;
-  std::uint64_t mapped_count_ = 0;
+  std::uint64_t mapped_count_;
   // Hot-path bit indexes (volatile; rebuilt on recover).  Allocation walks
   // free_bits_ with ctz for the lowest free block, GC victim selection walks
   // full_bits_ (full, non-free, non-retired blocks), and relocation walks
@@ -237,7 +245,7 @@ class Ftl final : public StorageBackend {
   // ---- durable state (survives power_loss) ----------------------------
   MetadataLog log_;  // OOB stamps, block headers, journal, checkpoint
   std::vector<char> retired_;  // durable bad-block table
-  std::uint32_t retired_count_ = 0;
+  std::uint32_t retired_count_;
 
   FtlStats stats_;
 };

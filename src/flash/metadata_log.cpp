@@ -28,22 +28,47 @@ MetadataLog::MetadataLog(const JournalConfig& config,
       page_bytes_(geometry.page_bytes.count()),
       pages_per_block_(geometry.pages_per_block),
       unit_pages_(unit_pages),
-      journal_programs_(journal_programs) {
+      journal_programs_(journal_programs),
+      max_seq_(units),
+      programmed_(units) {
   check_config(config_, geometry);
-  max_seq_.assign(units, 0);
-  programmed_.assign(units, 0);
   bits_resize(dirty_, units);
-  if (!config_.enabled) return;
-  entries_per_page_ =
-      static_cast<std::uint32_t>(page_bytes_ / config_.entry_bytes);
-  media_.assign(units * unit_pages_, Oob{});
-  checkpoint_.assign(logical_pages, kNoPage);
-  // The buffers cycle at fixed sizes: one page of records in the open
-  // journal page, at most checkpoint_interval_pages of durable records
-  // before a fold clears them.  Reserve once instead of regrowing on the
-  // hot write path.
-  buffer_.reserve(entries_per_page_);
-  journal_.reserve(fold_entries());
+  if (config_.enabled) {
+    entries_per_page_ =
+        static_cast<std::uint32_t>(page_bytes_ / config_.entry_bytes);
+    media_ = PageMap<Oob>(units * unit_pages_);
+    checkpoint_ = PageMap<Ppn>(logical_pages);
+    // The buffers cycle at fixed sizes: one page of records in the open
+    // journal page, at most checkpoint_interval_pages of durable records
+    // before a fold clears them.  Reserve once instead of regrowing on the
+    // hot write path.
+    buffer_.reserve(entries_per_page_);
+    journal_.reserve(fold_entries());
+  }
+  reset();
+}
+
+void MetadataLog::format() {
+  media_.release();
+  checkpoint_.release();
+  replay_seq_ = {};
+  reset();
+}
+
+void MetadataLog::reset() {
+  std::fill(max_seq_.begin(), max_seq_.end(), 0);
+  std::fill(programmed_.begin(), programmed_.end(), 0);
+  bits_clear_all(dirty_);
+  seq_ = 0;
+  buffer_.clear();
+  journal_.clear();
+  checkpoint_seq_ = 0;
+  checkpoint_pages_ = 0;
+  journal_pages_since_fold_ = 0;
+  programs_since_fold_ = 0;
+  meta_pages_live_ = 0;
+  durable_seq_ = 0;
+  held_horizon_ = ~std::uint64_t{0};
 }
 
 std::uint64_t MetadataLog::program(std::uint64_t unit, Ppn ppn, Lpn lpn) {
@@ -54,7 +79,7 @@ std::uint64_t MetadataLog::program(std::uint64_t unit, Ppn ppn, Lpn lpn) {
   programmed_[unit] = static_cast<std::uint32_t>(ppn - unit * unit_pages_ + 1);
   bit_set(dirty_, unit);
   if (!config_.enabled) return 0;
-  media_[ppn] = Oob{lpn, seq};
+  media_.set(ppn, Oob{lpn, seq});
   if (journal_programs_) return append(lpn, ppn, seq);
   ++programs_since_fold_;
   return 0;
@@ -72,7 +97,7 @@ std::uint64_t MetadataLog::program_run(std::uint64_t unit, Ppn first, Lpn lpn,
   if (!config_.enabled) return 0;
   // lpn, ppn and seq all advance by one per page: straight sequential fills.
   for (std::uint64_t i = 0; i < count; ++i) {
-    media_[first + i] = Oob{lpn + i, seq0 + i + 1};
+    media_.set(first + i, Oob{lpn + i, seq0 + i + 1});
   }
   if (!journal_programs_) {
     programs_since_fold_ += count;
@@ -117,11 +142,7 @@ std::uint64_t MetadataLog::program_page_if_full() {
 }
 
 void MetadataLog::erase(std::uint64_t unit) {
-  if (!media_.empty()) {
-    const auto first = static_cast<std::ptrdiff_t>(unit * unit_pages_);
-    std::fill(media_.begin() + first,
-              media_.begin() + first + programmed_[unit], Oob{});
-  }
+  if (!media_.empty()) media_.clear(unit * unit_pages_, programmed_[unit]);
   max_seq_[unit] = 0;
   programmed_[unit] = 0;
   bit_set(dirty_, unit);
@@ -133,11 +154,11 @@ bool MetadataLog::fold_due() const {
           programs_since_fold_ >= fold_entries());
 }
 
-MetaIo MetadataLog::fold(const std::vector<Ppn>& map, std::uint64_t mapped) {
+MetaIo MetadataLog::fold(const PageMap<Ppn>& map, std::uint64_t mapped) {
   // Snapshot the whole map; the old checkpoint + journal region is then
   // recycled (erased) and a fresh journal starts empty.  Buffered records
   // are superseded by the snapshot.
-  checkpoint_ = map;
+  checkpoint_.copy_from(map);
   checkpoint_seq_ = seq_;
   checkpoint_pages_ = std::max<std::uint64_t>(
       1,  // map header page
@@ -169,19 +190,19 @@ StorageCrash MetadataLog::lose_tail() {
   return crash;
 }
 
-StorageRecovery MetadataLog::replay(std::vector<Ppn>& map) {
+StorageRecovery MetadataLog::replay(PageMap<Ppn>& map) {
   StorageRecovery rec;
   const std::uint64_t horizon = std::min(durable_seq_, held_horizon_);
 
   // 1. Checkpoint.  An unmapped entry is stamped with the fold sequence
   //    too: the lpn held nothing then.
-  map = checkpoint_;
+  map.copy_from(checkpoint_);
   replay_seq_.assign(map.size(), checkpoint_seq_);
   rec.checkpoint_pages_read = checkpoint_pages_;
 
   // 2. Durable journal, in sequence order.
   for (const Record& r : journal_) {
-    map[r.lpn] = r.ppn == kTrimRecord ? kNoPage : r.ppn;
+    map.set(r.lpn, r.ppn == kTrimRecord ? kNoPage : r.ppn);
     replay_seq_[r.lpn] = r.seq;
   }
   rec.journal_entries_replayed = journal_.size();
@@ -197,9 +218,9 @@ StorageRecovery MetadataLog::replay(std::vector<Ppn>& map) {
     rec.pages_scanned += unit_pages_;
     const Ppn first = unit * unit_pages_;
     for (Ppn ppn = first; ppn < first + unit_pages_; ++ppn) {
-      const Oob& oob = media_[ppn];
+      const Oob oob = media_[ppn];
       if (oob.seq <= horizon || oob.seq <= replay_seq_[oob.lpn]) continue;
-      map[oob.lpn] = ppn;
+      map.set(oob.lpn, ppn);
       replay_seq_[oob.lpn] = oob.seq;
       ++rec.tail_updates_rescued;
     }
@@ -210,7 +231,7 @@ StorageRecovery MetadataLog::replay(std::vector<Ppn>& map) {
   //    already supplied any newer location.
   for (Lpn lpn = 0; lpn < map.size(); ++lpn) {
     if (map[lpn] != kNoPage && media_[map[lpn]].lpn != lpn) {
-      map[lpn] = kNoPage;
+      map.set(lpn, kNoPage);
       ++rec.stale_mappings_dropped;
     }
   }
@@ -226,7 +247,7 @@ void MetadataLog::check_unit(std::uint64_t unit) const {
   const Ppn first = unit * unit_pages_;
   std::uint64_t max_seq = 0;
   for (std::uint32_t p = 0; p < unit_pages_; ++p) {
-    const Oob& oob = media_[first + p];
+    const Oob oob = media_[first + p];
     ISP_CHECK((oob.lpn != kNoPage) == (p < programmed_[unit]),
               "unit " << unit << " programmed pages are not a prefix");
     max_seq = std::max(max_seq, oob.seq);

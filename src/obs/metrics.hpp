@@ -115,7 +115,8 @@ class Histogram {
   /// min_value·growth^i, tabulated once at construction.
   [[nodiscard]] double bucket_upper_edge(std::size_t i) const;
   /// Index of the bucket a value lands in: the first bucket whose upper
-  /// edge is at or above `v`, found by binary search over the edge table.
+  /// edge is at or above `v` (std::lower_bound's answer), found by a
+  /// logarithmic guess and a step or two over the edge table.
   [[nodiscard]] std::size_t bucket_index(double v) const;
 
   [[nodiscard]] std::uint64_t digest(std::uint64_t h = kFnvOffset) const;
@@ -123,6 +124,7 @@ class Histogram {
  private:
   HistogramOptions options_;
   std::vector<double> edges_;           // upper edges of the regular buckets
+  double inv_log_growth_ = 0.0;         // 1 / log(growth)
   std::vector<std::uint64_t> buckets_;  // buckets + 1 overflow
   // Every non-zero bucket lies in [lo_, hi_); empty is lo_ > hi_.
   std::size_t lo_ = 0;

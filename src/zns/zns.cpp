@@ -70,24 +70,39 @@ ZnsDevice::ZnsDevice(ZnsConfig config)
     : config_(config),
       zone_pages_(config_.zone_blocks * config_.geometry.pages_per_block),
       logical_pages_(checked_logical_pages(config_)),
-      log_(config_.journal, config_.geometry, logical_pages_,
-           config_.geometry.total_blocks() / config_.zone_blocks, zone_pages_,
-           /*journal_programs=*/false) {
-  const auto& g = config_.geometry;
-  const std::uint64_t zone_count = g.total_blocks() / config_.zone_blocks;
-  const std::uint64_t data_zone_count = zone_count - config_.meta_zones;
+      l2p_(logical_pages_),
+      p2l_(config_.geometry.total_pages()),
+      zones_(config_.geometry.total_blocks() / config_.zone_blocks),
+      log_(config_.journal, config_.geometry, logical_pages_, zones_.size(),
+           zone_pages_, /*journal_programs=*/false),
+      retired_(zones_.size()) {
+  bits_resize(free_bits_, zones_.size());
+  bits_resize(full_bits_, zones_.size());
+  bits_resize(valid_bits_, p2l_.size());
+  reset_state();
+}
 
-  l2p_.assign(logical_pages_, flash::kNoPage);
-  p2l_.assign(g.total_pages(), flash::kNoPage);
-  zones_.assign(zone_count, Zone{});
-  retired_.assign(zone_count, 0);
-  free_count_ = static_cast<std::uint32_t>(data_zone_count);
-  bits_resize(free_bits_, zone_count);
-  bits_resize(full_bits_, zone_count);
-  bits_resize(valid_bits_, g.total_pages());
-  for (std::uint64_t z = config_.meta_zones; z < zone_count; ++z) {
-    bit_set(free_bits_, z);
-  }
+void ZnsDevice::format() {
+  l2p_.release();
+  p2l_.release();
+  log_.format();
+  reset_state();
+}
+
+void ZnsDevice::reset_state() {
+  mounted_ = true;
+  std::fill(zones_.begin(), zones_.end(), Zone{});
+  std::fill(retired_.begin(), retired_.end(), 0);
+  retired_count_ = 0;
+  free_count_ = static_cast<std::uint32_t>(data_zones());
+  open_count_ = 0;
+  open_stamp_ = 0;
+  mapped_count_ = 0;
+  bits_clear_all(free_bits_);
+  bits_set_range(free_bits_, config_.meta_zones, zones_.size());
+  bits_clear_all(full_bits_);
+  bits_clear_all(valid_bits_);
+  stats_ = ZnsStats{};
 
   active_zone_ = allocate_append_zone();
   reclaim_zone_ = allocate_append_zone();
@@ -178,7 +193,7 @@ std::uint64_t ZnsDevice::allocate_append_zone() {
 
 void ZnsDevice::invalidate(flash::Lpn lpn) {
   if (const flash::Ppn old = l2p_[lpn]; old != flash::kNoPage) {
-    p2l_[old] = flash::kNoPage;
+    p2l_.set(old, flash::kNoPage);
     bit_clear(valid_bits_, old);
     Zone& z = zones_[page_zone(old)];
     ISP_DCHECK(z.live > 0, "live-count underflow");
@@ -189,8 +204,8 @@ void ZnsDevice::invalidate(flash::Lpn lpn) {
 }
 
 void ZnsDevice::install_mapping(flash::Lpn lpn, flash::Ppn ppn) {
-  l2p_[lpn] = ppn;
-  p2l_[ppn] = lpn;
+  l2p_.set(lpn, ppn);
+  p2l_.set(ppn, lpn);
   bit_set(valid_bits_, ppn);
   const std::uint64_t zone = page_zone(ppn);
   ++zones_[zone].live;
@@ -255,8 +270,9 @@ void ZnsDevice::write(flash::Lpn lpn) {
 std::optional<flash::Ppn> ZnsDevice::translate(flash::Lpn lpn) const {
   ISP_CHECK(mounted_, "ZNS not mounted (crashed; call recover() first)");
   ISP_CHECK(lpn < logical_pages_, "lpn out of range: " << lpn);
-  if (l2p_[lpn] == flash::kNoPage) return std::nullopt;
-  return l2p_[lpn];
+  const flash::Ppn ppn = l2p_[lpn];
+  if (ppn == flash::kNoPage) return std::nullopt;
+  return ppn;
 }
 
 void ZnsDevice::trim(flash::Lpn lpn) {
@@ -267,12 +283,12 @@ void ZnsDevice::trim(flash::Lpn lpn) {
 
 void ZnsDevice::trim_one(flash::Lpn lpn) {
   if (const flash::Ppn old = l2p_[lpn]; old != flash::kNoPage) {
-    p2l_[old] = flash::kNoPage;
+    p2l_.set(old, flash::kNoPage);
     bit_clear(valid_bits_, old);
     Zone& z = zones_[page_zone(old)];
     ISP_DCHECK(z.live > 0, "live-count underflow");
     --z.live;
-    l2p_[lpn] = flash::kNoPage;
+    l2p_.set(lpn, flash::kNoPage);
     --mapped_count_;
     // A trim is the one update the OOB append order cannot reconstruct, so
     // it is the one record the ZNS journal carries.
@@ -454,8 +470,8 @@ flash::StorageCrash ZnsDevice::power_loss() {
   // tail (trims only, so every lost record is a lost trim).  The log's
   // durable state and the offline-zone table survive.
   const flash::StorageCrash crash = log_.lose_tail();
-  l2p_.assign(logical_pages_, flash::kNoPage);
-  p2l_.assign(p2l_.size(), flash::kNoPage);
+  l2p_.clear();
+  p2l_.clear();
   for (auto& z : zones_) z = Zone{};
   bits_clear_all(free_bits_);
   bits_clear_all(full_bits_);
@@ -498,7 +514,7 @@ flash::StorageRecovery ZnsDevice::recover() {
   for (flash::Lpn lpn = 0; lpn < logical_pages_; ++lpn) {
     const flash::Ppn ppn = l2p_[lpn];
     if (ppn == flash::kNoPage) continue;
-    p2l_[ppn] = lpn;
+    p2l_.set(ppn, lpn);
     bit_set(valid_bits_, ppn);
     ++zones_[page_zone(ppn)].live;
     ++mapped_count_;
@@ -733,8 +749,8 @@ void ZnsDevice::write_span(flash::Lpn first, std::uint64_t count) {
     const flash::Lpn lpn0 = lpn;
     for (std::uint64_t i = 0; i < run; ++i, ++lpn) {
       invalidate(lpn);
-      l2p_[lpn] = start + i;
-      p2l_[start + i] = lpn;
+      l2p_.set(lpn, start + i);
+      p2l_.set(start + i, lpn);
     }
     bits_set_range(valid_bits_, start, start + run);
     az.write_pointer += static_cast<std::uint32_t>(run);

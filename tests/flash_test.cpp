@@ -469,6 +469,85 @@ TEST(FtlSpan, RejectsOutOfRangeExtents) {
   ftl.check_invariants();
 }
 
+// ---------------------------------------------------------------------------
+// format(): a used FTL returns to exactly its freshly built state.  A first
+// seeded stream dirties every kind of state (maps and GC past the
+// watermark, checkpoint folds, a retired block, power cycles); after
+// format() a second stream drives the formatted device beside a freshly
+// built twin, and every observable must match.
+
+/// Span writes, trims and reads; one retired block; with the journal on, a
+/// power cycle every 40 ops.
+void format_stream(Ftl& ftl, std::uint64_t seed) {
+  const auto ops = random_span_ops(seed, ftl.logical_pages(), 300, 0.15);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    apply_span(ftl, ops[i]);
+    (void)ftl.read_span(ops[i].first, ops[i].count, nullptr);
+    if (i == 100) ftl.retire_block(seed % ftl.total_blocks());
+    if (ftl.journaling() && i % 40 == 39) {
+      (void)ftl.power_loss();
+      (void)ftl.recover();
+    }
+  }
+}
+
+/// One more power cycle on both devices: the same loss, the same replay.
+void expect_same_power_cycle(Ftl& a, Ftl& b) {
+  const auto crash_a = a.power_loss();
+  const auto crash_b = b.power_loss();
+  EXPECT_EQ(crash_a.lost_tail_updates, crash_b.lost_tail_updates);
+  EXPECT_EQ(crash_a.lost_trims, crash_b.lost_trims);
+  const auto rec_a = a.recover();
+  const auto rec_b = b.recover();
+  EXPECT_EQ(rec_a.checkpoint_pages_read, rec_b.checkpoint_pages_read);
+  EXPECT_EQ(rec_a.journal_pages_read, rec_b.journal_pages_read);
+  EXPECT_EQ(rec_a.journal_entries_replayed, rec_b.journal_entries_replayed);
+  EXPECT_EQ(rec_a.blocks_scanned, rec_b.blocks_scanned);
+  EXPECT_EQ(rec_a.pages_scanned, rec_b.pages_scanned);
+  EXPECT_EQ(rec_a.mappings_recovered, rec_b.mappings_recovered);
+  EXPECT_EQ(rec_a.tail_updates_rescued, rec_b.tail_updates_rescued);
+  EXPECT_EQ(rec_a.stale_mappings_dropped, rec_b.stale_mappings_dropped);
+  expect_identical(a, b);
+}
+
+void expect_formatted_equals_fresh(const FtlConfig& config,
+                                   bool crashed_at_format) {
+  Ftl used(config);
+  format_stream(used, 11);
+  EXPECT_GT(used.stats().gc_invocations, 0u);
+  EXPECT_EQ(used.retired_blocks(), 1u);
+  if (used.journaling()) {
+    EXPECT_GT(used.stats().checkpoint_folds, 0u);
+    EXPECT_GT(used.stats().recoveries, 0u);
+  }
+  if (crashed_at_format) (void)used.power_loss();
+  used.format();
+
+  Ftl fresh(config);
+  EXPECT_TRUE(used.mounted());
+  EXPECT_EQ(used.retired_blocks(), 0u);
+  expect_identical(used, fresh);
+  format_stream(used, 29);
+  format_stream(fresh, 29);
+  expect_identical(used, fresh);
+  if (used.journaling()) expect_same_power_cycle(used, fresh);
+}
+
+TEST(FtlFormat, FormattedEqualsFresh) {
+  {
+    SCOPED_TRACE("journal on");
+    expect_formatted_equals_fresh(journaled_small(), false);
+  }
+  {
+    SCOPED_TRACE("journal on, formatted while crashed");
+    expect_formatted_equals_fresh(journaled_small(), true);
+  }
+  {
+    SCOPED_TRACE("journal off");
+    expect_formatted_equals_fresh(small_ftl(), false);
+  }
+}
+
 TEST(Ftl, RecordMetricsExportsFreePagesAndWaGauges) {
   Ftl ftl(small_ftl());
   for (Lpn lpn = 0; lpn < 30; ++lpn) ftl.write(lpn);

@@ -398,6 +398,58 @@ TEST(Histogram, NonFiniteAndEdgeValuesLandWhereTheyAlwaysDid) {
   }
 }
 
+/// bucket_index's definition: the first bucket whose upper edge is at or
+/// above v, by std::lower_bound over the edge table (NaN in bucket 1).
+std::size_t lower_bound_bucket_index(const std::vector<double>& edges,
+                                     double v) {
+  if (v <= edges[0]) return 0;
+  if (std::isnan(v)) return 1;
+  return static_cast<std::size_t>(
+      std::lower_bound(edges.begin() + 1, edges.end(), v) - edges.begin());
+}
+
+TEST(Histogram, BucketIndexMatchesTheLowerBoundOracle) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  obs::HistogramOptions wa{.min_value = 1.0, .growth = 1.05, .buckets = 96};
+  obs::HistogramOptions coarse{.min_value = 1e-3, .growth = 3.0,
+                               .buckets = 12};
+  for (const auto& o : {obs::HistogramOptions{}, wa, coarse}) {
+    const std::string layout = "min " + std::to_string(o.min_value) +
+                               " growth " + std::to_string(o.growth);
+    const obs::Histogram h(o);
+    std::vector<double> edges(o.buckets);
+    for (std::size_t i = 0; i < o.buckets; ++i) {
+      edges[i] = h.bucket_upper_edge(i);
+    }
+    std::vector<double> probes = {
+        o.min_value, std::nextafter(o.min_value, kInf), -o.min_value, -1e300,
+        -kInf, kInf, std::numeric_limits<double>::quiet_NaN(), -0.0, 0.0,
+        std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min() / 3,
+        std::numeric_limits<double>::max()};
+    for (const double e : edges) {
+      probes.insert(probes.end(),
+                    {e, std::nextafter(e, -kInf), std::nextafter(e, kInf)});
+    }
+    // Every magnitude: uniformly random bit patterns span every exponent,
+    // both signs, subnormals, infinities and NaNs.
+    std::mt19937_64 bits(0x5eed);
+    for (int i = 0; i < 1'000'000; ++i) {
+      probes.push_back(std::bit_cast<double>(bits()));
+    }
+    std::size_t mismatches = 0;
+    for (const double v : probes) {
+      const std::size_t want = lower_bound_bucket_index(edges, v);
+      if (h.bucket_index(v) != want && ++mismatches <= 5) {
+        ADD_FAILURE() << layout << ": bucket_index(" << v
+                      << ") = " << h.bucket_index(v) << ", lower_bound says "
+                      << want;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << layout;
+  }
+}
+
 TEST(Histogram, CountSumMinMaxMeanAndEmpty) {
   obs::Histogram h;
   EXPECT_EQ(h.count(), 0u);
