@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -91,6 +92,24 @@ std::uint64_t u64_flag(int argc, char** argv, const char* name,
   if (v < lo || v > hi) {
     die(std::string(name) + ": " + std::to_string(v) + " is outside [" +
         std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  }
+  return v;
+}
+
+double double_flag(int argc, char** argv, const char* name, double fallback,
+                   double lo, double hi) {
+  const char* text = flag_value(argc, argv, name);
+  if (text == nullptr) return fallback;
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (errno != 0 || end == text || *end != '\0' || !std::isfinite(v)) {
+    die(std::string(name) + ": '" + text + "' is not a number");
+  }
+  if (v < lo || v > hi) {
+    char range[96];
+    std::snprintf(range, sizeof range, ": %g is outside [%g, %g]", v, lo, hi);
+    die(name + std::string(range));
   }
   return v;
 }

@@ -42,6 +42,12 @@ void reject_unknown_flags(int argc, char** argv,
                                      std::uint64_t fallback, std::uint64_t lo,
                                      std::uint64_t hi);
 
+/// Parse `--name V` (or `--name=V`) as a finite number in [lo, hi].
+/// Returns `fallback` when the flag is absent.  Exits with status 2 on a
+/// malformed, non-finite or missing value, or a value outside [lo, hi].
+[[nodiscard]] double double_flag(int argc, char** argv, const char* name,
+                                 double fallback, double lo, double hi);
+
 /// Parse `--name V` (or `--name=V`) as a non-empty string.  Returns
 /// `fallback` (which may be nullptr) when the flag is absent.  Exits with
 /// status 2 on a missing or empty value.

@@ -249,6 +249,22 @@ TEST(Cli, EnumFlagParsesBothSpellingsAndFallsBack) {
             2u);
 }
 
+TEST(Cli, DoubleFlagParsesBothSpellingsWithinTheRange) {
+  const char* argv[] = {"prog", "--rate", "0.25", "--share=1e-3", "--top",
+                        "1"};
+  EXPECT_EQ(double_flag(6, const_cast<char**>(argv), "--rate", 0.5, 0.0, 1.0),
+            0.25);
+  EXPECT_EQ(double_flag(6, const_cast<char**>(argv), "--share", 0.5, 0.0, 1.0),
+            1e-3);
+  // The range is inclusive at both ends.
+  EXPECT_EQ(double_flag(6, const_cast<char**>(argv), "--top", 0.5, 0.0, 1.0),
+            1.0);
+  // Absent flag: the fallback, even outside the range.
+  EXPECT_EQ(
+      double_flag(6, const_cast<char**>(argv), "--missing", 7.0, 0.0, 1.0),
+      7.0);
+}
+
 TEST(Cli, UnknownFlagAcceptsDeclaredFlagsInBothSpellings) {
   const std::vector<const char*> known = {"--jobs", "--quick", "--trace-out"};
   // Values (even negative numbers) and positional words are not flags.

@@ -7,10 +7,14 @@ of `perfbench/run.py` for every workload at a fixed seed, once with
 per-layer metrics).
 
     python3 tools/perf_compare.py A B
-        Print, per workload and metric, row A's value, row B's value and the
-        change from A to B.  A and B are commit prefixes, or `#N` for the
-        row at index N (`#-1` is the last row).  Exits 1 if either row is
-        not `correct: true`, or if the two rows were not measured with the
+        Print, per workload and metric, A's value, B's value and the change
+        from A to B.  A and B are commit prefixes, or `#N` for the row at
+        index N (`#-1` is the last row).  A commit with several rows stands
+        for the median of each metric over them, and n says how many.  An
+        end-to-end change is "better" or "worse" only past that metric's
+        BENCHMARK.json bound, and "within bound" otherwise; per-layer
+        metrics have no bound and get no verdict.  Exits 1 if any row is
+        not `correct: true`, or if the rows were not all measured with the
         same run length and seeds.
 
     python3 tools/perf_compare.py --check [BENCH_perf.json]
@@ -27,6 +31,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 
@@ -104,56 +109,77 @@ def load_rows(path):
     return record, rows
 
 
-def find_row(rows, key):
+def find_rows(rows, key):
+    """The rows `key` names: `#N` one row, a commit prefix all its rows."""
     if key.startswith("#"):
         try:
-            return rows[int(key[1:])]
+            return [rows[int(key[1:])]]
         except (ValueError, IndexError):
             raise ValueError(f"{key!r} is not a row index") from None
     matches = [r for r in rows if str(r.get("commit", "")).startswith(key)]
-    if len(matches) != 1:
-        raise ValueError(f"{key!r} matches {len(matches)} rows")
-    return matches[0]
+    commits = {r["commit"] for r in matches}
+    if len(commits) != 1:
+        raise ValueError(f"{key!r} matches {len(commits)} commits")
+    return matches
+
+
+def median_metric(rows, workload, mode, name):
+    """The median of one metric over rows, or None if a row lacks it."""
+    values = []
+    for row in rows:
+        got = row["results"][workload][mode]["metrics"].get(name)
+        if got is None:
+            return None
+        values.append(got["value"])
+    return statistics.median(values)
+
+
+def change_label(metric, va, vb):
+    """How B's value differs from A's, judged against the metric's bound."""
+    if metric["unit"] == "count":
+        return "same" if va == vb else f"changed by {vb - va:+g}"
+    if va == 0:
+        return "new"
+    rel = (vb - va) / abs(va)
+    if rel == 0:
+        return "same"
+    if "bound" not in metric:
+        return f"{rel:+.1%}"
+    if abs(rel) <= metric["bound"]:
+        return f"{rel:+.1%} (within bound)"
+    better = rel > 0 if metric["better"] == "higher" else rel < 0
+    return f"{rel:+.1%} ({'better' if better else 'worse'})"
 
 
 def compare(rows, a_key, b_key, spec):
-    a, b = find_row(rows, a_key), find_row(rows, b_key)
+    a, b = find_rows(rows, a_key), find_rows(rows, b_key)
     status = 0
-    for name, row in ((a_key, a), (b_key, b)):
-        for problem in check_row(name, row, spec):
-            print(f"not correct: {problem}", file=sys.stderr)
-            status = 1
-    method = [a.get("seconds") == b.get("seconds")] + [
-        a["results"][w]["seed"] == b["results"][w]["seed"] for w in WORKLOADS]
+    for name, group in ((a_key, a), (b_key, b)):
+        for row in group:
+            for problem in check_row(name, row, spec):
+                print(f"not correct: {problem}", file=sys.stderr)
+                status = 1
+    first = a[0]
+    method = [row.get("seconds") == first.get("seconds") and
+              all(row["results"][w]["seed"] == first["results"][w]["seed"]
+                  for w in WORKLOADS) for row in a + b]
     if not all(method):
         print("not comparable: the rows differ in run length or seeds",
               file=sys.stderr)
         return 1
-    print(f"A = {a['commit']}  {a.get('note', '')}")
-    print(f"B = {b['commit']}  {b.get('note', '')}")
+    for label, group in (("A", a), ("B", b)):
+        print(f"{label} = {group[0]['commit']} (n={len(group)})  "
+              f"{group[-1].get('note', '')}")
     for workload in WORKLOADS:
         for mode in MODES:
-            ma = a["results"][workload][mode]["metrics"]
-            mb = b["results"][workload][mode]["metrics"]
             print(f"\n{workload} --trace {mode[-1]}")
             for m in spec[mode]:
-                name = m["name"]
-                if name not in ma or name not in mb:
+                va = median_metric(a, workload, mode, m["name"])
+                vb = median_metric(b, workload, mode, m["name"])
+                if va is None or vb is None or va == vb == 0:
                     continue
-                va, vb = ma[name]["value"], mb[name]["value"]
-                if va == vb == 0:
-                    continue
-                if m["unit"] == "count":
-                    change = "same" if va == vb else f"changed by {vb - va:+g}"
-                elif va == 0:
-                    change = "new"
-                else:
-                    rel = (vb - va) / abs(va)
-                    better = rel > 0 if m["better"] == "higher" else rel < 0
-                    change = f"{rel:+.1%} ({'better' if better else 'worse'})"
-                    if rel == 0:
-                        change = "same"
-                print(f"  {name:<24} {va:>14.6g} {vb:>14.6g}  {change}")
+                print(f"  {m['name']:<24} {va:>14.6g} {vb:>14.6g}  "
+                      f"{change_label(m, va, vb)}")
     return status
 
 
