@@ -23,17 +23,17 @@ zns::ZnsConfig zns_config(const CsdConfig& config) {
 
 /// The backend constructor's checks, run eagerly so an infeasible config
 /// fails where the device is built rather than at its first storage use.
-/// Returns the logical page count the backend exposes.
-std::uint64_t checked_logical_pages(const CsdConfig& config) {
+void check_backend_config(const CsdConfig& config) {
   switch (config.backend) {
     case flash::BackendKind::Ftl:
-      return flash::Ftl::checked_logical_pages(ftl_config(config));
+      (void)flash::Ftl::checked_logical_pages(ftl_config(config));
+      return;
     case flash::BackendKind::Zns:
-      return zns::ZnsDevice::checked_logical_pages(zns_config(config));
+      (void)zns::ZnsDevice::checked_logical_pages(zns_config(config));
+      return;
   }
   ISP_CHECK(false, "unknown storage backend kind: "
                        << static_cast<unsigned>(config.backend));
-  return 0;
 }
 
 std::unique_ptr<flash::StorageBackend> make_storage(const CsdConfig& config) {
@@ -59,24 +59,12 @@ CsdDevice::CsdDevice(sim::Simulator& simulator, CsdConfig config)
       io_queue_(/*id=*/1, config.queue_depth),
       call_queue_(config.call_queue_depth),
       status_queue_(config.status_queue_depth) {
-  (void)checked_logical_pages(config_);
+  check_backend_config(config_);
 }
 
 flash::StorageBackend& CsdDevice::storage() {
   if (storage_ == nullptr) storage_ = make_storage(config_);
   return *storage_;
-}
-
-void CsdDevice::adopt_storage(std::unique_ptr<flash::StorageBackend> backend) {
-  ISP_CHECK(storage_ == nullptr, "adopt_storage() after storage() built one");
-  ISP_CHECK(backend != nullptr && backend->kind() == config_.backend &&
-                backend->logical_pages() == checked_logical_pages(config_),
-            "adopt_storage() needs a backend of the device's kind and shape");
-  storage_ = std::move(backend);
-}
-
-std::unique_ptr<flash::StorageBackend> CsdDevice::release_storage() {
-  return std::move(storage_);
 }
 
 Seconds CsdDevice::call_overhead() const {

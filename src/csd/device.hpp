@@ -67,13 +67,6 @@ class CsdDevice {
   [[nodiscard]] flash::StorageBackend& storage();
   /// Has storage() built the backend yet?
   [[nodiscard]] bool storage_built() const { return storage_ != nullptr; }
-  /// Supply the backend storage() would build: a freshly built or
-  /// formatted one of this device's CsdConfig::backend kind, given before
-  /// the first storage() call.
-  void adopt_storage(std::unique_ptr<flash::StorageBackend> backend);
-  /// Hand the backend out (null if storage() never built one); a later
-  /// storage() call builds a new one.
-  [[nodiscard]] std::unique_ptr<flash::StorageBackend> release_storage();
   [[nodiscard]] nvme::Controller& controller() { return controller_; }
   [[nodiscard]] nvme::QueuePair& io_queue() { return io_queue_; }
   [[nodiscard]] nvme::CallQueue& call_queue() { return call_queue_; }

@@ -162,16 +162,6 @@ class StorageBackend {
   /// and re-verify every invariant.
   virtual StorageRecovery recover() = 0;
 
-  /// Return the backend to exactly its freshly built state (valid on a
-  /// mounted or a crashed backend): every page unwritten, every block or
-  /// zone free, stats, journal, checkpoint and bad-block table empty.  The
-  /// same call sequence then produces the same state, stats and recovery
-  /// outcome as on a new backend of the same config.  Large per-page maps
-  /// go back to the OS (flash/page_map.hpp), so the cost follows the pages
-  /// the backend touched, not its capacity, and an idle formatted backend
-  /// holds almost no memory.
-  virtual void format() = 0;
-
   /// Fraction of array bandwidth background storage management has consumed
   /// over the run so far (reclaim + metadata relative to all write traffic).
   [[nodiscard]] virtual double gc_pressure() const = 0;

@@ -60,37 +60,17 @@ Ftl::Ftl(FtlConfig config)
       logical_pages_(checked_logical_pages(config_)),
       l2p_(logical_pages_),
       p2l_(config_.geometry.total_pages()),
-      blocks_(config_.geometry.total_blocks()),
       log_(config_.journal, config_.geometry, logical_pages_,
            config_.geometry.total_blocks(), config_.geometry.pages_per_block,
-           /*journal_programs=*/true),
-      retired_(config_.geometry.total_blocks()) {
-  bits_resize(free_bits_, blocks_.size());
-  bits_resize(full_bits_, blocks_.size());
-  bits_resize(valid_bits_, p2l_.size());
-  reset_state();
-}
-
-void Ftl::format() {
-  l2p_.release();
-  p2l_.release();
-  log_.format();
-  reset_state();
-}
-
-void Ftl::reset_state() {
+           /*journal_programs=*/true) {
   const auto& g = config_.geometry;
-  mounted_ = true;
-  std::fill(blocks_.begin(), blocks_.end(), Block{});
-  std::fill(retired_.begin(), retired_.end(), 0);
-  retired_count_ = 0;
-  free_count_ = static_cast<std::uint32_t>(blocks_.size());
-  mapped_count_ = 0;
-  bits_clear_all(free_bits_);
-  bits_set_range(free_bits_, 0, blocks_.size());
-  bits_clear_all(full_bits_);
-  bits_clear_all(valid_bits_);
-  stats_ = FtlStats{};
+  blocks_.assign(g.total_blocks(), Block{});
+  retired_.assign(g.total_blocks(), 0);
+  free_count_ = static_cast<std::uint32_t>(g.total_blocks());
+  bits_resize(free_bits_, g.total_blocks());
+  bits_set_range(free_bits_, 0, g.total_blocks());
+  bits_resize(full_bits_, g.total_blocks());
+  bits_resize(valid_bits_, g.total_pages());
 
   active_block_ = allocate_free_block();
   gc_active_block_ = allocate_free_block();

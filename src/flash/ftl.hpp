@@ -157,11 +157,6 @@ class Ftl final : public StorageBackend {
   /// the partially written blocks, and re-verify every invariant.
   FtlRecovery recover() override;
 
-  /// Back to the freshly built state (flash/backend.hpp contract), mounted
-  /// or crashed: the page maps go back to the OS, the rest is rebuilt by
-  /// the constructor's own initial-state path.
-  void format() override;
-
   /// Fraction of array bandwidth background storage management has consumed
   /// over the run so far: relocated + metadata traffic relative to all
   /// write traffic.  Used to derate the internal bandwidth visible to ISP
@@ -216,13 +211,10 @@ class Ftl final : public StorageBackend {
   /// Shared block walks: GC victims, retirement and remount compaction all
   /// relocate a block's valid pages (walking the valid-page bitmap).
   void relocate_block(std::uint64_t block);
-  /// The freshly built state over unmapped page maps: the constructor's and
-  /// format()'s one initial-state path.
-  void reset_state();
 
   FtlConfig config_;
   std::uint64_t logical_pages_;
-  bool mounted_;
+  bool mounted_ = true;
 
   // ---- volatile state (lost on power_loss) ----------------------------
   // Flat sentinel-coded maps (kNoPage = unmapped): see the note on kNoPage.
@@ -232,7 +224,7 @@ class Ftl final : public StorageBackend {
   std::uint64_t active_block_;     // current host append block
   std::uint64_t gc_active_block_;  // current GC relocation block
   std::uint32_t free_count_;
-  std::uint64_t mapped_count_;
+  std::uint64_t mapped_count_ = 0;
   // Hot-path bit indexes (volatile; rebuilt on recover).  Allocation walks
   // free_bits_ with ctz for the lowest free block, GC victim selection walks
   // full_bits_ (full, non-free, non-retired blocks), and relocation walks
@@ -245,7 +237,7 @@ class Ftl final : public StorageBackend {
   // ---- durable state (survives power_loss) ----------------------------
   MetadataLog log_;  // OOB stamps, block headers, journal, checkpoint
   std::vector<char> retired_;  // durable bad-block table
-  std::uint32_t retired_count_;
+  std::uint32_t retired_count_ = 0;
 
   FtlStats stats_;
 };

@@ -28,47 +28,22 @@ MetadataLog::MetadataLog(const JournalConfig& config,
       page_bytes_(geometry.page_bytes.count()),
       pages_per_block_(geometry.pages_per_block),
       unit_pages_(unit_pages),
-      journal_programs_(journal_programs),
-      max_seq_(units),
-      programmed_(units) {
+      journal_programs_(journal_programs) {
   check_config(config_, geometry);
+  max_seq_.assign(units, 0);
+  programmed_.assign(units, 0);
   bits_resize(dirty_, units);
-  if (config_.enabled) {
-    entries_per_page_ =
-        static_cast<std::uint32_t>(page_bytes_ / config_.entry_bytes);
-    media_ = PageMap<Oob>(units * unit_pages_);
-    checkpoint_ = PageMap<Ppn>(logical_pages);
-    // The buffers cycle at fixed sizes: one page of records in the open
-    // journal page, at most checkpoint_interval_pages of durable records
-    // before a fold clears them.  Reserve once instead of regrowing on the
-    // hot write path.
-    buffer_.reserve(entries_per_page_);
-    journal_.reserve(fold_entries());
-  }
-  reset();
-}
-
-void MetadataLog::format() {
-  media_.release();
-  checkpoint_.release();
-  replay_seq_ = {};
-  reset();
-}
-
-void MetadataLog::reset() {
-  std::fill(max_seq_.begin(), max_seq_.end(), 0);
-  std::fill(programmed_.begin(), programmed_.end(), 0);
-  bits_clear_all(dirty_);
-  seq_ = 0;
-  buffer_.clear();
-  journal_.clear();
-  checkpoint_seq_ = 0;
-  checkpoint_pages_ = 0;
-  journal_pages_since_fold_ = 0;
-  programs_since_fold_ = 0;
-  meta_pages_live_ = 0;
-  durable_seq_ = 0;
-  held_horizon_ = ~std::uint64_t{0};
+  if (!config_.enabled) return;
+  entries_per_page_ =
+      static_cast<std::uint32_t>(page_bytes_ / config_.entry_bytes);
+  media_ = PageMap<Oob>(units * unit_pages_);
+  checkpoint_ = PageMap<Ppn>(logical_pages);
+  // The buffers cycle at fixed sizes: one page of records in the open
+  // journal page, at most checkpoint_interval_pages of durable records
+  // before a fold clears them.  Reserve once instead of regrowing on the
+  // hot write path.
+  buffer_.reserve(entries_per_page_);
+  journal_.reserve(fold_entries());
 }
 
 std::uint64_t MetadataLog::program(std::uint64_t unit, Ppn ppn, Lpn lpn) {

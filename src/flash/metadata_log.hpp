@@ -81,11 +81,6 @@ class MetadataLog {
               std::uint64_t logical_pages, std::uint64_t units,
               std::uint32_t unit_pages, bool journal_programs);
 
-  /// Back to the freshly built state: every page unprogrammed, no journal,
-  /// no checkpoint.  The per-page maps are released (PageMap::release), so
-  /// the cost follows the pages in use, not the capacity.
-  void format();
-
   // ---- Updates ----------------------------------------------------------
   // program(), program_run() and trim() return the journal pages they
   // programmed (0 or 1).  A backend calls them after its volatile map
@@ -167,9 +162,6 @@ class MetadataLog {
   }
   std::uint64_t append(Lpn lpn, Ppn ppn, std::uint64_t seq);
   std::uint64_t program_page_if_full();
-  /// The freshly built state of everything but the per-page maps (which
-  /// the caller has unmapped): the constructor's and format()'s one path.
-  void reset();
 
   JournalConfig config_;
   std::uint64_t page_bytes_;
@@ -182,24 +174,24 @@ class MetadataLog {
   std::vector<std::uint64_t> max_seq_;
   std::vector<std::uint32_t> programmed_;
   std::vector<std::uint64_t> dirty_;
-  std::uint64_t seq_;
+  std::uint64_t seq_ = 0;
 
   std::vector<Record> buffer_;   // records in the open journal page
   std::vector<Record> journal_;  // records on programmed journal pages
   PageMap<Ppn> checkpoint_;      // kNoPage = unmapped at fold time
-  std::uint64_t checkpoint_seq_;
-  std::uint64_t checkpoint_pages_;
-  std::uint32_t journal_pages_since_fold_;
-  std::uint64_t programs_since_fold_;  // unjournaled programs
-  std::uint64_t meta_pages_live_;  // journal + checkpoint, not recycled
+  std::uint64_t checkpoint_seq_ = 0;
+  std::uint64_t checkpoint_pages_ = 0;
+  std::uint32_t journal_pages_since_fold_ = 0;
+  std::uint64_t programs_since_fold_ = 0;  // unjournaled programs
+  std::uint64_t meta_pages_live_ = 0;  // journal + checkpoint, not recycled
   // Every update at or below this sequence is in the checkpoint or on a
   // programmed journal page; held_horizon_ caps it after a rescuing
   // remount until the next fold.
-  std::uint64_t durable_seq_;
-  std::uint64_t held_horizon_;
+  std::uint64_t durable_seq_ = 0;
+  std::uint64_t held_horizon_ = ~std::uint64_t{0};
 
   // Remount scratch: the sequence of each map entry.  A member so repeated
-  // power cycles reuse the allocation; format() frees it.
+  // power cycles reuse the allocation.
   std::vector<std::uint64_t> replay_seq_;
 };
 

@@ -1,28 +1,20 @@
-// Flat per-page maps that can be handed back to the OS without losing their
-// meaning.
+// Flat per-page maps whose unmapped entries are all-zero bytes.
 //
 // The storage backends keep four arrays with one entry per logical or
 // physical page: the map, the reverse map, the OOB stamps and the
 // checkpoint.  At the default geometry they hold ≈19 MiB, while a serving
 // run touches a few thousand entries.  A PageMap stores its entries so that
-// the "unmapped" value is all-zero bytes (PageCodec below).  A large map
-// lives in a page-aligned anonymous mapping of its own, and anonymous
-// memory the OS has taken back reads as zero, so release() returns every
-// page to the OS and leaves every entry unmapped: a used map becomes a
-// fresh one at a cost that depends on its resident pages, not its
-// capacity.  Only the pages touched afterwards come back, one first-touch
-// fault each.
-//
-// A large map's pages come in on first touch, so building one costs a
-// mapping, not a fill, and a backend holds only the pages its runs touch
-// (reading an untouched page costs no memory: it reads the shared zero
-// page).  A checkpoint fold or a remount copies whole maps and so touches
-// every page.  A map below 2 MiB is a plain heap array filled in the
-// constructor: every page is resident from the start, so a small backend's
-// data plane (storage_churn's geometry, the unit tests') never takes a
-// first-touch fault, and a rebuilt small backend reuses memory the heap
-// still holds.  Its release() clears it in place, which costs at most a
-// 2 MiB fill.  clear() unmaps every entry in place and keeps the pages
+// the "unmapped" value is all-zero bytes (PageCodec below).  A map of 2 MiB
+// or more lives in a page-aligned anonymous mapping of its own, which reads
+// as zero until written: its pages come in on first touch, so building one
+// costs a mapping, not a fill, and a backend holds only the pages its runs
+// touch (reading an untouched page costs no memory: it reads the shared
+// zero page).  A checkpoint fold or a remount copies whole maps and so
+// touches every page.  A map below 2 MiB is a plain heap array filled in
+// the constructor: every page is resident from the start, so a small
+// backend's data plane (storage_churn's geometry, the unit tests') never
+// takes a first-touch fault, and a rebuilt small backend reuses memory the
+// heap still holds.  clear() unmaps entries in place and keeps the pages
 // resident; power_loss() uses it so the timed remount that follows stays
 // fault-free.
 #pragma once
@@ -109,16 +101,6 @@ class PageMap {
   }
   /// Unmap every entry in place; the pages stay resident.
   void clear() { clear(0, size_); }
-
-  /// Unmap every entry, returning an own mapping's pages to the OS.
-  void release() {
-    if (!own_mapping()) {
-      clear();
-      return;
-    }
-    ISP_CHECK(::madvise(data_, bytes(), MADV_DONTNEED) == 0,
-              "madvise(MADV_DONTNEED) failed on a page map");
-  }
 
   /// Make this map's entries equal `other`'s (the same size).
   void copy_from(const PageMap& other) {

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <array>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -134,53 +132,16 @@ struct Dispatch {
   sim::AvailabilitySchedule device_schedule;
 };
 
-/// Idle storage backends, at most one per BackendKind, for a serve() call's
-/// persisting dispatches.  Every engine run of the call builds its device
-/// from the same CsdConfig apart from the backend kind, so a formatted
-/// backend of the right kind is exactly the one the run would build.  A
-/// run takes its kind's idle
-/// backend if there is one and builds its own otherwise, so runs never wait
-/// for each other; it hands the backend back formatted, and the pool keeps
-/// it only while the kind's slot is empty.  An idle backend's page maps hold
-/// no memory.
-class BackendPool {
- public:
-  /// The kind's idle backend, or null if there is none.
-  std::unique_ptr<flash::StorageBackend> take(flash::BackendKind kind) {
-    const std::lock_guard lock(mu_);
-    return std::move(idle_[static_cast<std::size_t>(kind)]);
-  }
-  /// Format `backend` and keep it if its kind's slot is empty; otherwise it
-  /// is destroyed on return.
-  void give(std::unique_ptr<flash::StorageBackend> backend) {
-    backend->format();
-    const std::lock_guard lock(mu_);
-    auto& idle = idle_[static_cast<std::size_t>(backend->kind())];
-    if (idle == nullptr) idle = std::move(backend);
-  }
-
- private:
-  std::mutex mu_;
-  std::array<std::unique_ptr<flash::StorageBackend>, 2> idle_;
-};
-
 // SimResult lives in serve/memo.hpp (PR 7): a memo hit replays one.
 
 SimResult simulate_dispatch(const ServeConfig& config, const Profile& profile,
-                            const Dispatch& d, BackendPool& backends) {
+                            const Dispatch& d) {
   system::SystemConfig sc = config.fleet.system;
   if (!d.on_host) {
     sc.link.bandwidth = sc.link.bandwidth * d.link_share;
     sc.csd.backend = config.fleet.devices[d.lane].backend;
   }
   system::SystemModel system(sc);
-  const bool persist = config.job_classes[d.job.job_class].persist;
-  csd::CsdDevice& device = system.csd_device();
-  if (persist) {
-    if (auto idle = backends.take(sc.csd.backend)) {
-      device.adopt_storage(std::move(idle));
-    }
-  }
 
   runtime::RunConfig rc;
   rc.mode = config.mode;
@@ -189,7 +150,7 @@ SimResult simulate_dispatch(const ServeConfig& config, const Profile& profile,
   // as live mappings, outputs go through write()/zone_append, and the
   // backend-internal reclaim traffic stalls the device inside the measured
   // service time.
-  rc.engine.drive_storage = persist;
+  rc.engine.drive_storage = config.job_classes[d.job.job_class].persist;
   rc.engine.fault = config.fault;
   rc.engine.fault.seed = splitmix64(config.seed ^ (0xf1ee7000ULL + d.job.id));
   if (config.power_loss_job >= 0 &&
@@ -214,7 +175,6 @@ SimResult simulate_dispatch(const ServeConfig& config, const Profile& profile,
 
   runtime::ActiveRuntime active(system);
   const auto result = active.run(profile.program, rc);
-  if (persist) backends.give(device.release_storage());
 
   r.service = result.report.total;
   r.migrations = result.report.migrations;
@@ -494,7 +454,6 @@ struct ServeState {
   // decision and execution stages redo, never what serve() reports.
   BidCache bids;
   SimMemoCache memo;
-  BackendPool backends;
   ServeReport report;
   /// Deepest each tenant's queue ever got (serial bookkeeping, so the gauge
   /// is deterministic by construction).
@@ -663,8 +622,7 @@ WaveResults execute_wave(ServeState& s) {
       misses.size(),
       [&](std::size_t m) {
         const auto& d = s.wave[misses[m].first];
-        return simulate_dispatch(s.config, *s.profiles[d.job.job_class], d,
-                                 s.backends);
+        return simulate_dispatch(s.config, *s.profiles[d.job.job_class], d);
       },
       s.config.jobs);
   for (std::size_t m = 0; m < misses.size(); ++m) {

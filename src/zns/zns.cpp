@@ -72,37 +72,20 @@ ZnsDevice::ZnsDevice(ZnsConfig config)
       logical_pages_(checked_logical_pages(config_)),
       l2p_(logical_pages_),
       p2l_(config_.geometry.total_pages()),
-      zones_(config_.geometry.total_blocks() / config_.zone_blocks),
-      log_(config_.journal, config_.geometry, logical_pages_, zones_.size(),
-           zone_pages_, /*journal_programs=*/false),
-      retired_(zones_.size()) {
-  bits_resize(free_bits_, zones_.size());
-  bits_resize(full_bits_, zones_.size());
-  bits_resize(valid_bits_, p2l_.size());
-  reset_state();
-}
+      log_(config_.journal, config_.geometry, logical_pages_,
+           config_.geometry.total_blocks() / config_.zone_blocks, zone_pages_,
+           /*journal_programs=*/false) {
+  const auto& g = config_.geometry;
+  const std::uint64_t zone_count = g.total_blocks() / config_.zone_blocks;
+  const std::uint64_t data_zone_count = zone_count - config_.meta_zones;
 
-void ZnsDevice::format() {
-  l2p_.release();
-  p2l_.release();
-  log_.format();
-  reset_state();
-}
-
-void ZnsDevice::reset_state() {
-  mounted_ = true;
-  std::fill(zones_.begin(), zones_.end(), Zone{});
-  std::fill(retired_.begin(), retired_.end(), 0);
-  retired_count_ = 0;
-  free_count_ = static_cast<std::uint32_t>(data_zones());
-  open_count_ = 0;
-  open_stamp_ = 0;
-  mapped_count_ = 0;
-  bits_clear_all(free_bits_);
-  bits_set_range(free_bits_, config_.meta_zones, zones_.size());
-  bits_clear_all(full_bits_);
-  bits_clear_all(valid_bits_);
-  stats_ = ZnsStats{};
+  zones_.assign(zone_count, Zone{});
+  retired_.assign(zone_count, 0);
+  free_count_ = static_cast<std::uint32_t>(data_zone_count);
+  bits_resize(free_bits_, zone_count);
+  bits_resize(full_bits_, zone_count);
+  bits_resize(valid_bits_, g.total_pages());
+  bits_set_range(free_bits_, config_.meta_zones, zone_count);
 
   active_zone_ = allocate_append_zone();
   reclaim_zone_ = allocate_append_zone();

@@ -150,11 +150,6 @@ class ZnsDevice final : public flash::StorageBackend {
   [[nodiscard]] bool mounted() const override { return mounted_; }
   flash::StorageCrash power_loss() override;
   flash::StorageRecovery recover() override;
-  /// Back to the freshly built state, mounted or crashed: every zone Empty
-  /// (the ZNS recycling primitive is the zone reset, not re-provisioning),
-  /// the page maps back to the OS, the rest rebuilt by the constructor's
-  /// own initial-state path.
-  void format() override;
   [[nodiscard]] double gc_pressure() const override;
   [[nodiscard]] double write_amplification() const override {
     return stats_.write_amplification();
@@ -252,14 +247,11 @@ class ZnsDevice final : public flash::StorageBackend {
   /// forward the same way, walking the valid-page bitmap instead of probing
   /// p2l_ across the whole write-pointer prefix.
   void copy_forward_live(std::uint64_t zone);
-  /// The freshly built state over unmapped page maps: the constructor's and
-  /// format()'s one initial-state path.
-  void reset_state();
 
   ZnsConfig config_;
   std::uint32_t zone_pages_ = 0;
   std::uint64_t logical_pages_ = 0;
-  bool mounted_;
+  bool mounted_ = true;
 
   // ---- volatile state (lost on power_loss) ----------------------------
   // Flat maps, flash::kNoPage = unmapped (see the note on kNoPage).
@@ -268,10 +260,10 @@ class ZnsDevice final : public flash::StorageBackend {
   std::vector<Zone> zones_;
   std::uint64_t active_zone_;   // host append target
   std::uint64_t reclaim_zone_;  // copy-forward append target
-  std::uint32_t free_count_;    // Empty data zones
-  std::uint32_t open_count_;    // implicit + explicit opens
-  std::uint64_t open_stamp_;    // LRU clock for implicit shedding
-  std::uint64_t mapped_count_;
+  std::uint32_t free_count_ = 0;   // Empty data zones
+  std::uint32_t open_count_ = 0;   // implicit + explicit opens
+  std::uint64_t open_stamp_ = 0;   // LRU clock for implicit shedding
+  std::uint64_t mapped_count_ = 0;
   // Hot-path bit indexes (volatile; rebuilt on recover): Empty data zones
   // (allocation), Full zones (reclaim victim selection) and valid pages
   // (copy-forward walks), mirroring the FTL's free/full/valid bitsets.
@@ -282,7 +274,7 @@ class ZnsDevice final : public flash::StorageBackend {
   // ---- durable state (survives power_loss) ----------------------------
   flash::MetadataLog log_;  // OOB stamps, zone headers, journal, checkpoint
   std::vector<char> retired_;  // durable offline-zone table
-  std::uint32_t retired_count_;
+  std::uint32_t retired_count_ = 0;
 
   ZnsStats stats_;
 };

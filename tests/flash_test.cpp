@@ -2,14 +2,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "flash/flash_array.hpp"
 #include "flash/ftl.hpp"
+#include "flash/metadata_log.hpp"
 #include "flash/nand.hpp"
+#include "flash/page_map.hpp"
 #include "obs/metrics.hpp"
 
 namespace isp::flash {
@@ -470,83 +475,118 @@ TEST(FtlSpan, RejectsOutOfRangeExtents) {
 }
 
 // ---------------------------------------------------------------------------
-// format(): a used FTL returns to exactly its freshly built state.  A first
-// seeded stream dirties every kind of state (maps and GC past the
-// watermark, checkpoint folds, a retired block, power cycles); after
-// format() a second stream drives the formatted device beside a freshly
-// built twin, and every observable must match.
+// PageMap, the backends' per-page map store, on both of its storage paths:
+// one entry below 2 MiB (a heap array filled at construction) and exactly
+// 2 MiB (a mapping of its own whose pages fault in on first touch), for the
+// map's word type and for the OOB stamp.
 
-/// Span writes, trims and reads; one retired block; with the journal on, a
-/// power cycle every 40 ops.
-void format_stream(Ftl& ftl, std::uint64_t seed) {
-  const auto ops = random_span_ops(seed, ftl.logical_pages(), 300, 0.15);
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    apply_span(ftl, ops[i]);
-    (void)ftl.read_span(ops[i].first, ops[i].count, nullptr);
-    if (i == 100) ftl.retire_block(seed % ftl.total_blocks());
-    if (ftl.journaling() && i % 40 == 39) {
-      (void)ftl.power_loss();
-      (void)ftl.recover();
-    }
+struct PageMapCase {
+  const char* name;
+  bool oob;          // PageMap<Oob>, else PageMap<Ppn>
+  bool own_mapping;  // exactly 2 MiB, else one entry below
+};
+void PrintTo(const PageMapCase& c, std::ostream* os) { *os << c.name; }
+
+class PageMapPaths : public ::testing::TestWithParam<PageMapCase> {};
+
+using EntryKey = std::pair<std::uint64_t, std::uint64_t>;
+constexpr EntryKey kUnmappedKey{kNoPage, 0};  // kNoPage and {kNoPage, 0}
+
+EntryKey key(Ppn v) { return {v, 0}; }
+EntryKey key(Oob v) { return {v.lpn, v.seq}; }
+
+/// A mapped (never unmapped) value for entry i.
+template <typename T>
+T mapped_entry(std::uint64_t i);
+template <>
+Ppn mapped_entry<Ppn>(std::uint64_t i) { return 3 * i + 1; }
+template <>
+Oob mapped_entry<Oob>(std::uint64_t i) { return Oob{3 * i + 1, i + 1}; }
+
+template <typename T>
+void check_page_map(std::size_t size) {
+  PageMap<T> map(size);
+  ASSERT_EQ(map.size(), size);
+  ASSERT_FALSE(map.empty());
+
+  // Probes: both ends, both edges of the cleared range, and random indices.
+  const std::size_t first = size / 4;
+  const std::size_t count = size / 2;
+  std::vector<std::size_t> probes{0,         size - 1,          first - 1,
+                                  first,     first + count - 1, first + count};
+  Rng rng(size);
+  for (int i = 0; i < 64; ++i) {
+    probes.push_back(static_cast<std::size_t>(rng.uniform_u64(0, size - 1)));
+  }
+  const auto in_cleared = [&](std::size_t i) {
+    return i >= first && i < first + count;
+  };
+
+  for (const auto i : probes) EXPECT_EQ(key(map[i]), kUnmappedKey) << i;
+
+  for (const auto i : probes) map.set(i, mapped_entry<T>(i));
+  for (const auto i : probes) {
+    EXPECT_EQ(key(map[i]), key(mapped_entry<T>(i))) << i;
+  }
+
+  PageMap<T> copy(size);
+  copy.copy_from(map);
+  for (const auto i : probes) {
+    EXPECT_EQ(key(copy[i]), key(mapped_entry<T>(i))) << i;
+  }
+
+  map.clear(first, count);
+  for (const auto i : probes) {
+    EXPECT_EQ(key(map[i]),
+              in_cleared(i) ? kUnmappedKey : key(mapped_entry<T>(i)))
+        << i;
+  }
+  map.clear();
+  for (const auto i : probes) EXPECT_EQ(key(map[i]), kUnmappedKey) << i;
+  map.set(size - 1, mapped_entry<T>(size - 1));
+  EXPECT_EQ(key(map[size - 1]), key(mapped_entry<T>(size - 1)));
+
+  // The copy is independent of the source's clears.
+  for (const auto i : probes) {
+    EXPECT_EQ(key(copy[i]), key(mapped_entry<T>(i))) << i;
+  }
+
+  // A move leaves the source empty.
+  PageMap<T> moved(std::move(copy));
+  EXPECT_TRUE(copy.empty());
+  EXPECT_EQ(copy.size(), 0u);
+  ASSERT_EQ(moved.size(), size);
+  for (const auto i : probes) {
+    EXPECT_EQ(key(moved[i]), key(mapped_entry<T>(i))) << i;
+  }
+  PageMap<T> assigned;
+  assigned = std::move(moved);
+  EXPECT_TRUE(moved.empty());
+  ASSERT_EQ(assigned.size(), size);
+  EXPECT_EQ(key(assigned[0]), key(mapped_entry<T>(0)));
+}
+
+TEST_P(PageMapPaths, FreshSetClearCopyMove) {
+  constexpr std::size_t kTwoMiB = std::size_t{2} << 20;
+  const PageMapCase& c = GetParam();
+  const std::size_t entry_bytes = c.oob ? sizeof(Oob) : sizeof(Ppn);
+  const std::size_t size = kTwoMiB / entry_bytes - (c.own_mapping ? 0 : 1);
+  if (c.oob) {
+    check_page_map<Oob>(size);
+  } else {
+    check_page_map<Ppn>(size);
   }
 }
 
-/// One more power cycle on both devices: the same loss, the same replay.
-void expect_same_power_cycle(Ftl& a, Ftl& b) {
-  const auto crash_a = a.power_loss();
-  const auto crash_b = b.power_loss();
-  EXPECT_EQ(crash_a.lost_tail_updates, crash_b.lost_tail_updates);
-  EXPECT_EQ(crash_a.lost_trims, crash_b.lost_trims);
-  const auto rec_a = a.recover();
-  const auto rec_b = b.recover();
-  EXPECT_EQ(rec_a.checkpoint_pages_read, rec_b.checkpoint_pages_read);
-  EXPECT_EQ(rec_a.journal_pages_read, rec_b.journal_pages_read);
-  EXPECT_EQ(rec_a.journal_entries_replayed, rec_b.journal_entries_replayed);
-  EXPECT_EQ(rec_a.blocks_scanned, rec_b.blocks_scanned);
-  EXPECT_EQ(rec_a.pages_scanned, rec_b.pages_scanned);
-  EXPECT_EQ(rec_a.mappings_recovered, rec_b.mappings_recovered);
-  EXPECT_EQ(rec_a.tail_updates_rescued, rec_b.tail_updates_rescued);
-  EXPECT_EQ(rec_a.stale_mappings_dropped, rec_b.stale_mappings_dropped);
-  expect_identical(a, b);
-}
-
-void expect_formatted_equals_fresh(const FtlConfig& config,
-                                   bool crashed_at_format) {
-  Ftl used(config);
-  format_stream(used, 11);
-  EXPECT_GT(used.stats().gc_invocations, 0u);
-  EXPECT_EQ(used.retired_blocks(), 1u);
-  if (used.journaling()) {
-    EXPECT_GT(used.stats().checkpoint_folds, 0u);
-    EXPECT_GT(used.stats().recoveries, 0u);
-  }
-  if (crashed_at_format) (void)used.power_loss();
-  used.format();
-
-  Ftl fresh(config);
-  EXPECT_TRUE(used.mounted());
-  EXPECT_EQ(used.retired_blocks(), 0u);
-  expect_identical(used, fresh);
-  format_stream(used, 29);
-  format_stream(fresh, 29);
-  expect_identical(used, fresh);
-  if (used.journaling()) expect_same_power_cycle(used, fresh);
-}
-
-TEST(FtlFormat, FormattedEqualsFresh) {
-  {
-    SCOPED_TRACE("journal on");
-    expect_formatted_equals_fresh(journaled_small(), false);
-  }
-  {
-    SCOPED_TRACE("journal on, formatted while crashed");
-    expect_formatted_equals_fresh(journaled_small(), true);
-  }
-  {
-    SCOPED_TRACE("journal off");
-    expect_formatted_equals_fresh(small_ftl(), false);
-  }
-}
+INSTANTIATE_TEST_SUITE_P(
+    Paths, PageMapPaths,
+    ::testing::Values(PageMapCase{"PpnBelow2MiB", false, false},
+                      PageMapCase{"PpnAt2MiB", false, true},
+                      PageMapCase{"OobBelow2MiB", true, false},
+                      PageMapCase{"OobAt2MiB", true, true}),
+    [](const ::testing::TestParamInfo<PageMapCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(Ftl, RecordMetricsExportsFreePagesAndWaGauges) {
   Ftl ftl(small_ftl());

@@ -552,96 +552,6 @@ TEST(ZnsSpanCrash, IncrementalAndExhaustiveRemountVerifyAgree) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// format(): a used ZNS device returns to exactly its freshly built state
-// (every zone Empty, no offline table, no journal).  A first seeded stream
-// dirties every kind of state (zone fills, reclaim past the watermark,
-// checkpoint folds, an offline zone, power cycles); after format() a second
-// stream drives the formatted device beside a freshly built twin.
-
-/// small_zns() with room to retire one zone.
-ZnsConfig retirable_zns(bool journal) {
-  ZnsConfig config = small_zns(journal);
-  config.overprovision = 0.5;
-  return config;
-}
-
-/// Span writes, trims and reads; one finished and one retired zone; with
-/// the journal on, a power cycle every 40 ops.
-void format_stream(ZnsDevice& zns, std::uint64_t seed) {
-  const auto ops = random_span_ops(seed, zns.logical_pages(), 300, 0.15);
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    apply_span(zns, ops[i]);
-    (void)zns.read_span(ops[i].first, ops[i].count, nullptr);
-    if (i == 60) {
-      for (std::uint64_t z = 1; z < zns.zone_count(); ++z) {
-        if (zns.zone_state(z) == ZoneState::Closed) zns.finish_zone(z);
-      }
-    }
-    if (i == 100) zns.retire_zone(1 + seed % zns.data_zones());
-    if (zns.journaling() && i % 40 == 39) {
-      (void)zns.power_loss();
-      (void)zns.recover();
-    }
-  }
-}
-
-/// One more power cycle on both devices: the same loss, the same replay.
-void expect_same_power_cycle(ZnsDevice& a, ZnsDevice& b) {
-  const auto crash_a = a.power_loss();
-  const auto crash_b = b.power_loss();
-  EXPECT_EQ(crash_a.lost_tail_updates, crash_b.lost_tail_updates);
-  EXPECT_EQ(crash_a.lost_trims, crash_b.lost_trims);
-  const auto rec_a = a.recover();
-  const auto rec_b = b.recover();
-  EXPECT_EQ(rec_a.checkpoint_pages_read, rec_b.checkpoint_pages_read);
-  EXPECT_EQ(rec_a.journal_pages_read, rec_b.journal_pages_read);
-  EXPECT_EQ(rec_a.journal_entries_replayed, rec_b.journal_entries_replayed);
-  EXPECT_EQ(rec_a.blocks_scanned, rec_b.blocks_scanned);
-  EXPECT_EQ(rec_a.pages_scanned, rec_b.pages_scanned);
-  EXPECT_EQ(rec_a.mappings_recovered, rec_b.mappings_recovered);
-  EXPECT_EQ(rec_a.tail_updates_rescued, rec_b.tail_updates_rescued);
-  EXPECT_EQ(rec_a.stale_mappings_dropped, rec_b.stale_mappings_dropped);
-  expect_identical(a, b);
-}
-
-void expect_formatted_equals_fresh(const ZnsConfig& config,
-                                   bool crashed_at_format) {
-  ZnsDevice used(config);
-  format_stream(used, 11);
-  EXPECT_GT(used.stats().reclaim_invocations, 0u);
-  EXPECT_EQ(used.stats().zones_retired, 1u);
-  if (used.journaling()) {
-    EXPECT_GT(used.stats().checkpoint_folds, 0u);
-    EXPECT_GT(used.stats().recoveries, 0u);
-  }
-  if (crashed_at_format) (void)used.power_loss();
-  used.format();
-
-  ZnsDevice fresh(config);
-  EXPECT_TRUE(used.mounted());
-  expect_identical(used, fresh);
-  format_stream(used, 29);
-  format_stream(fresh, 29);
-  expect_identical(used, fresh);
-  if (used.journaling()) expect_same_power_cycle(used, fresh);
-}
-
-TEST(ZnsFormat, FormattedEqualsFresh) {
-  {
-    SCOPED_TRACE("journal on");
-    expect_formatted_equals_fresh(retirable_zns(true), false);
-  }
-  {
-    SCOPED_TRACE("journal on, formatted while crashed");
-    expect_formatted_equals_fresh(retirable_zns(true), true);
-  }
-  {
-    SCOPED_TRACE("journal off");
-    expect_formatted_equals_fresh(retirable_zns(false), false);
-  }
-}
-
 TEST(ZnsSpan, ReadSpanMatchesTranslateLoop) {
   ZnsDevice zns(small_zns());
   for (flash::Lpn lpn = 10; lpn < 40; ++lpn) zns.write(lpn);
