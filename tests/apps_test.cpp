@@ -333,6 +333,13 @@ TEST(KernelGolden, Sparsemv) {
                               {0.03, 99, 0x98e2527ab087711eULL}});
 }
 
+TEST(KernelGolden, Kmeans) {
+  expect_goldens("kmeans", {{0.003, 42, 0xdc527ef921b2bcd5ULL},
+                            {0.003, 99, 0xce63d37f1193c3d5ULL},
+                            {0.03, 42, 0x61f8e614ea84b528ULL},
+                            {0.03, 99, 0x96dbe7ab0c0d728eULL}});
+}
+
 // Through `logits` only: the GELU epilogue calls libm tanhf, whose last bit
 // may differ between C libraries; the GEMM and the bf16 loads use none.
 TEST(KernelGolden, MixedgemmThroughLogits) {
