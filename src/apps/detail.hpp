@@ -4,9 +4,11 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "apps/data_gen.hpp"
 #include "apps/registry.hpp"
+#include "common/error.hpp"
 #include "common/units.hpp"
 
 namespace isp::apps::detail {
@@ -45,6 +47,50 @@ inline constexpr std::uint32_t kForestFeatures = 32;
 /// its tree, and if `features` holds fewer than margins.size() rows.
 void forest_predict(std::span<const float> features,
                     std::span<const TreeNode> forest, std::span<float> margins);
+
+/// KMeans clusters 8-dimensional single-precision points into 8 clusters;
+/// a centroid table is cluster-major (mean of cluster k, dimension j at
+/// k * 8 + j).
+inline constexpr std::uint32_t kKmeansDims = 8;
+inline constexpr std::uint32_t kKmeansClusters = 8;
+
+/// labels[i] = the cluster nearest to point i: the first k whose squared
+/// distance (summed over j = 0..7 in order, no fused multiply-add) is below
+/// FLT_MAX and below every earlier cluster's, else 0.  So NaN never wins and
+/// ties keep the lower k.  No state carries from one point to the next, so
+/// the compiler scores several points per vector.  Throws isp::Error if
+/// `centroids` is not 8 × 8 floats or `points` holds fewer than
+/// labels.size() points.
+void kmeans_assign(std::span<const float> points,
+                   std::span<const float> centroids,
+                   std::span<std::uint32_t> labels);
+
+/// Dense ids in first-seen order over the key domain [0, domain): the first
+/// distinct key gets id 0, the next new one id 1, and so on.  The table is
+/// indexed by key directly, one slot per key of the domain (0: unseen,
+/// otherwise id + 1).  The CSR builders of pagerank and sparsemv remap their
+/// vertex ids through it, with the domain their generator draws from.
+class DenseIds {
+ public:
+  explicit DenseIds(std::uint32_t domain) : slots_(domain, 0) {}
+
+  /// The dense id of `key`, assigning the next one on first sight.  Throws
+  /// isp::Error if `key` is at or past the domain.
+  std::uint32_t id_of(std::uint32_t key) {
+    ISP_CHECK(key < slots_.size(),
+              "id " << key << " outside the domain of " << slots_.size());
+    auto& slot = slots_[key];
+    if (slot == 0) slot = ++count_;
+    return slot - 1;
+  }
+
+  /// The number of distinct keys seen so far.
+  std::uint32_t size() const { return count_; }
+
+ private:
+  std::vector<std::uint32_t> slots_;
+  std::uint32_t count_ = 0;
+};
 
 /// Edge of the square bf16 GEMM tile.
 inline constexpr std::size_t kGemmDim = 64;

@@ -4,10 +4,14 @@
 // assign-and-update iterations appear as six separate lines — each is a
 // single-entry-single-exit region in the interpreted program — followed by a
 // final labelling pass whose output (one label per point) is the only
-// sizeable product.
+// sizeable product.  Every pass labels points through detail::kmeans_assign,
+// a loop with no state from one point to the next that the compiler runs
+// over several points per vector; assign_update labels a block of points,
+// then adds them to the cluster sums in point order.
+#include <algorithm>
 #include <array>
-#include <cmath>
 #include <limits>
+#include <span>
 #include <string>
 
 #include "apps/data_gen.hpp"
@@ -17,36 +21,57 @@ namespace isp::apps {
 
 namespace {
 
-constexpr std::uint32_t kDims = 8;
-constexpr std::uint32_t kClusters = 8;
+constexpr std::uint32_t kDims = detail::kKmeansDims;
+constexpr std::uint32_t kClusters = detail::kKmeansClusters;
 constexpr std::uint32_t kIterations = 6;
 /// On-disk points are double precision (the feed's native format)...
 constexpr std::size_t kFilePointBytes = kDims * sizeof(double);
 /// ...and are normalised into single precision for clustering.
 constexpr std::size_t kPointBytes = kDims * sizeof(float);
+/// Points labelled per pass of assign_update before their sums are added.
+constexpr std::size_t kAssignBlock = 256;
 
 struct Centroids {
   std::array<float, kClusters * kDims> mean;
 };
 
-std::uint32_t nearest(const float* point, const Centroids& c) {
-  std::uint32_t best = 0;
-  float best_d = std::numeric_limits<float>::max();
-  for (std::uint32_t k = 0; k < kClusters; ++k) {
-    float d = 0.0F;
-    for (std::uint32_t j = 0; j < kDims; ++j) {
-      const float diff = point[j] - c.mean[k * kDims + j];
-      d += diff * diff;
+}  // namespace
+
+namespace detail {
+
+void kmeans_assign(std::span<const float> points,
+                   std::span<const float> centroids,
+                   std::span<std::uint32_t> labels) {
+  ISP_CHECK(centroids.size() == kClusters * kDims,
+            "centroid table has " << centroids.size() << " floats, expected "
+                                  << kClusters * kDims);
+  ISP_CHECK(points.size() / kDims >= labels.size(),
+            labels.size() << " labels need " << labels.size() * kDims
+                          << " coordinates, got " << points.size());
+  // A local copy, so the compiler sees that no label store can change the
+  // table and vectorises the loop below across points.
+  std::array<float, kClusters * kDims> c;
+  std::copy(centroids.begin(), centroids.end(), c.begin());
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    const float* point = points.data() + i * kDims;
+    std::uint32_t best = 0;
+    float best_d = std::numeric_limits<float>::max();
+    for (std::uint32_t k = 0; k < kClusters; ++k) {
+      float d = 0.0F;
+      for (std::uint32_t j = 0; j < kDims; ++j) {
+        const float diff = point[j] - c[k * kDims + j];
+        d += diff * diff;
+      }
+      if (d < best_d) {
+        best_d = d;
+        best = k;
+      }
     }
-    if (d < best_d) {
-      best_d = d;
-      best = k;
-    }
+    labels[i] = best;
   }
-  return best;
 }
 
-}  // namespace
+}  // namespace detail
 
 ir::Program make_kmeans(const AppConfig& config) {
   ir::Program program("kmeans", config.virtual_scale);
@@ -125,12 +150,21 @@ ir::Program make_kmeans(const AppConfig& config) {
       std::array<double, kClusters * kDims> sums{};
       std::array<double, kClusters> counts{};
       const std::size_t n = pts.size() / kDims;
-      for (std::size_t i = 0; i < n; ++i) {
-        const float* p = pts.data() + i * kDims;
-        const std::uint32_t k = nearest(p, c_in);
-        counts[k] += 1.0;
-        for (std::uint32_t j = 0; j < kDims; ++j) {
-          sums[k * kDims + j] += p[j];
+      // Label a block of points first, then add them in point order: the
+      // labelling loop then runs several points per vector, while the sums
+      // keep the order of a one-point-at-a-time loop.
+      std::array<std::uint32_t, kAssignBlock> labels;
+      for (std::size_t i0 = 0; i0 < n; i0 += kAssignBlock) {
+        const std::size_t count = std::min(kAssignBlock, n - i0);
+        detail::kmeans_assign(pts.subspan(i0 * kDims, count * kDims),
+                              c_in.mean, std::span(labels).first(count));
+        for (std::size_t b = 0; b < count; ++b) {
+          const float* p = pts.data() + (i0 + b) * kDims;
+          const std::uint32_t k = labels[b];
+          counts[k] += 1.0;
+          for (std::uint32_t j = 0; j < kDims; ++j) {
+            sums[k * kDims + j] += p[j];
+          }
         }
       }
       auto& out = ctx.output(0);
@@ -165,10 +199,7 @@ ir::Program make_kmeans(const AppConfig& config) {
       const std::size_t n = pts.size() / kDims;
       auto& out = ctx.output(0);
       out.physical.resize_elems<std::uint32_t>(n);
-      auto dst = out.physical.as<std::uint32_t>();
-      for (std::size_t i = 0; i < n; ++i) {
-        dst[i] = nearest(pts.data() + i * kDims, c);
-      }
+      detail::kmeans_assign(pts, c.mean, out.physical.as<std::uint32_t>());
     };
     program.add_line(std::move(line));
   }

@@ -3,6 +3,9 @@
 // The pipeline converts the edge list to a compacted CSR — remapping the
 // distinct vertex ids to a dense range, as cache-conscious graph engines do —
 // then runs damped power iterations and extracts the top-ranked vertices.
+// The remap is a direct-indexed table over the generator's vertex domain
+// (detail::DenseIds): dense ids in first-seen order, src before dst, and a
+// vertex id outside the domain fails the run.
 //
 // CSR construction is the paper's estimation outlier (§V): its output volume
 // is 4·E plus the row-pointer array over the *distinct* vertices, and the
@@ -13,7 +16,6 @@
 #include <algorithm>
 #include <cstring>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "apps/data_gen.hpp"
@@ -48,28 +50,22 @@ const std::uint32_t* csr_cols(const std::byte* base, std::uint64_t v) {
       base + sizeof(CsrHeader) + (v + 1) * sizeof(std::uint64_t));
 }
 
-void build_csr(ir::KernelCtx& ctx) {
+void build_csr(ir::KernelCtx& ctx, std::uint32_t vertices) {
   const auto edges = ctx.input(0).physical.as<Edge>();
 
   // Compact the vertex id space: dense ids in first-seen order.
-  std::unordered_map<std::uint32_t, std::uint32_t> remap;
-  remap.reserve(edges.size());
-  auto id_of = [&](std::uint32_t v) {
-    const auto [it, inserted] =
-        remap.try_emplace(v, static_cast<std::uint32_t>(remap.size()));
-    return it->second;
-  };
+  detail::DenseIds ids(vertices);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> compact;
   compact.reserve(edges.size());
   for (const auto& e : edges) {
     // Sequence the remapping explicitly: argument evaluation order is
     // unspecified, and first-seen ids must be assigned src-before-dst for
     // the layout to be compiler-independent.
-    const auto src = id_of(e.src);
-    const auto dst = id_of(e.dst);
+    const auto src = ids.id_of(e.src);
+    const auto dst = ids.id_of(e.dst);
     compact.emplace_back(src, dst);
   }
-  const std::uint64_t v_count = remap.size();
+  const std::uint64_t v_count = ids.size();
   const std::uint64_t e_count = compact.size();
 
   auto& out = ctx.output(0);
@@ -170,7 +166,7 @@ ir::Program make_pagerank(const AppConfig& config) {
     line.host_threads = 1;
     line.csd_threads = 6;
     line.chunks = 64;
-    line.kernel = build_csr;
+    line.kernel = [vertices](ir::KernelCtx& ctx) { build_csr(ctx, vertices); };
     program.add_line(std::move(line));
   }
 

@@ -4,13 +4,14 @@
 //
 // Triplets are compacted into CSR over one shared row/column id space (the
 // matrix is treated as an operator on that space), then three y = A·x power
-// steps run with renormalisation, ending in a norm.  Like PageRank, the CSR
-// conversion's output volume is concave in sampled triplets, so ActivePy
-// over-estimates it.
+// steps run with renormalisation, ending in a norm.  The compaction remaps
+// ids through a direct-indexed table over the generator's id domain
+// (detail::DenseIds): first-seen order, row before column, and an id outside
+// the domain fails the run.  Like PageRank, the CSR conversion's output
+// volume is concave in sampled triplets, so ActivePy over-estimates it.
 #include <cmath>
 #include <cstring>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "apps/data_gen.hpp"
@@ -65,26 +66,20 @@ const float* vals_of(const std::byte* base, std::uint64_t v,
       n * sizeof(std::uint32_t));
 }
 
-void build_csr(ir::KernelCtx& ctx) {
+void build_csr(ir::KernelCtx& ctx, std::uint32_t id_domain) {
   const auto triplets = ctx.input(0).physical.as<Triplet>();
 
-  std::unordered_map<std::uint32_t, std::uint32_t> remap;
-  remap.reserve(triplets.size());
-  auto id_of = [&](std::uint32_t v) {
-    const auto [it, inserted] =
-        remap.try_emplace(v, static_cast<std::uint32_t>(remap.size()));
-    return it->second;
-  };
+  detail::DenseIds ids(id_domain);
   std::vector<Triplet> compact;
   compact.reserve(triplets.size());
   for (const auto& t : triplets) {
     // Sequenced explicitly: brace-init evaluates left-to-right by the
     // standard, but keep the remap order unmistakable.
-    const auto row = id_of(t.row);
-    const auto col = id_of(t.col);
+    const auto row = ids.id_of(t.row);
+    const auto col = ids.id_of(t.col);
     compact.push_back(Triplet{row, col, t.value});
   }
-  const std::uint64_t v_count = remap.size();
+  const std::uint64_t v_count = ids.size();
   const std::uint64_t nnz = compact.size();
 
   auto& out = ctx.output(0);
@@ -194,7 +189,7 @@ ir::Program make_sparsemv(const AppConfig& config) {
     line.host_threads = 1;
     line.csd_threads = 6;
     line.chunks = 64;
-    line.kernel = build_csr;
+    line.kernel = [ids](ir::KernelCtx& ctx) { build_csr(ctx, ids); };
     program.add_line(std::move(line));
   }
 

@@ -11,6 +11,8 @@
 #include <limits>
 #include <map>
 #include <span>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "apps/data_gen.hpp"
@@ -357,6 +359,326 @@ TEST(GemmKernel, RegisterBlockedMatchesNaiveBitForBit) {
     detail::gemm_tile_bf16(a.data(), b.data(), got.data());
     EXPECT_TRUE(same_bits(got, expected)) << "round " << round;
   }
+}
+
+/// First-seen dense ids through a hash map: the remap both CSR builders ran
+/// before detail::DenseIds.
+class HashIds {
+ public:
+  std::uint32_t id_of(std::uint32_t key) {
+    const auto [it, inserted] =
+        ids_.try_emplace(key, static_cast<std::uint32_t>(ids_.size()));
+    return it->second;
+  }
+  std::size_t size() const { return ids_.size(); }
+
+ private:
+  std::unordered_map<std::uint32_t, std::uint32_t> ids_;
+};
+
+TEST(DenseIds, MatchesHashRemapOnZipfStreams) {
+  Rng rng{0xd3e5};
+  for (const std::uint32_t domain : {2U, 64U, 1000U, 83'000U}) {
+    for (const double skew : {0.65, 1.2}) {
+      detail::DenseIds dense(domain);
+      HashIds hash;
+      for (int i = 0; i < 20'000; ++i) {
+        const auto key = static_cast<std::uint32_t>(rng.zipf(domain, skew));
+        ASSERT_EQ(dense.id_of(key), hash.id_of(key))
+            << "domain " << domain << " skew " << skew << " key " << key;
+      }
+      EXPECT_EQ(dense.size(), hash.size()) << domain;
+    }
+  }
+}
+
+TEST(DenseIds, EdgesOfTheDomain) {
+  detail::DenseIds one(1);
+  EXPECT_EQ(one.id_of(0), 0U);
+  EXPECT_EQ(one.id_of(0), 0U);
+  EXPECT_EQ(one.size(), 1U);
+  EXPECT_THROW(one.id_of(1), Error);
+
+  // The last key first, then the first; then one key many times.
+  constexpr std::uint32_t kDomain = 500;
+  detail::DenseIds ends(kDomain);
+  EXPECT_EQ(ends.id_of(kDomain - 1), 0U);
+  EXPECT_EQ(ends.id_of(0), 1U);
+  EXPECT_EQ(ends.id_of(kDomain - 1), 0U);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(ends.id_of(7), 2U);
+  EXPECT_EQ(ends.size(), 3U);
+  EXPECT_THROW(ends.id_of(kDomain), Error);
+  EXPECT_THROW(ends.id_of(0xFFFFFFFFU), Error);
+  EXPECT_EQ(ends.size(), 3U);
+
+  detail::DenseIds empty(0);
+  EXPECT_THROW(empty.id_of(0), Error);
+  EXPECT_EQ(empty.size(), 0U);
+}
+
+/// The CSR both apps lay out, built through HashIds: {vertices, entries} |
+/// rowptr u64[V+1] | cols u32[N] | values f32[N] (sparsemv only), zero-padded
+/// to 8 bytes.  `rows` and `cols` hold raw ids, remapped row before column.
+std::vector<std::byte> oracle_csr(std::span<const std::uint32_t> rows,
+                                  std::span<const std::uint32_t> cols,
+                                  std::span<const float> values) {
+  HashIds ids;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> entries;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto r = ids.id_of(rows[i]);
+    const auto c = ids.id_of(cols[i]);
+    entries.emplace_back(r, c);
+  }
+  const std::uint64_t v = ids.size();
+  const std::uint64_t n = entries.size();
+  std::vector<std::uint64_t> rowptr(v + 1, 0);
+  for (const auto& [r, c] : entries) ++rowptr[r + 1];
+  for (std::uint64_t i = 0; i < v; ++i) rowptr[i + 1] += rowptr[i];
+  std::vector<std::uint32_t> out_cols(n);
+  std::vector<float> out_values(values.empty() ? 0 : n);
+  std::vector<std::uint64_t> cursor(rowptr.begin(), rowptr.end() - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto at = cursor[entries[i].first]++;
+    out_cols[at] = entries[i].second;
+    if (!values.empty()) out_values[at] = values[i];
+  }
+
+  std::vector<std::byte> bytes;
+  auto append = [&bytes](const void* data, std::size_t size) {
+    const auto* b = static_cast<const std::byte*>(data);
+    bytes.insert(bytes.end(), b, b + size);
+  };
+  const std::uint64_t header[2] = {v, n};
+  append(header, sizeof header);
+  append(rowptr.data(), rowptr.size() * sizeof(std::uint64_t));
+  append(out_cols.data(), out_cols.size() * sizeof(std::uint32_t));
+  append(out_values.data(), out_values.size() * sizeof(float));
+  bytes.resize((bytes.size() + 7) & ~std::size_t{7}, std::byte{0});
+  return bytes;
+}
+
+bool same_bytes(std::span<const std::byte> x, std::span<const std::byte> y) {
+  return x.size() == y.size() &&
+         (x.empty() || std::memcmp(x.data(), y.data(), x.size()) == 0);
+}
+
+/// sparsemv's on-disk and narrowed triplets (the layouts the app defines).
+struct TripletRecord {
+  std::uint32_t row;
+  std::uint32_t col;
+  double value;
+};
+struct Triplet {
+  std::uint32_t row;
+  std::uint32_t col;
+  float value;
+};
+
+TEST(CsrKernel, PagerankCsrMatchesHashRemapOracle) {
+  for (const double size_factor : {0.003, 0.03}) {
+    AppConfig config = tiny();
+    config.size_factor = size_factor;
+    const auto program = make_pagerank(config);
+    auto store = run_host(program);
+    const auto edges = store.at("edges").physical.as<Edge>();
+    std::vector<std::uint32_t> src, dst;
+    for (const auto& e : edges) {
+      src.push_back(e.src);
+      dst.push_back(e.dst);
+    }
+    EXPECT_TRUE(same_bytes(store.at("csr").physical.as<std::byte>(),
+                           oracle_csr(src, dst, {})))
+        << "size_factor " << size_factor;
+  }
+}
+
+TEST(CsrKernel, SparsemvCsrMatchesHashRemapOracle) {
+  for (const double size_factor : {0.003, 0.03}) {
+    AppConfig config = tiny();
+    config.size_factor = size_factor;
+    const auto program = make_sparsemv(config);
+    auto store = run_host(program);
+    const auto triplets = store.at("triplets").physical.as<Triplet>();
+    std::vector<std::uint32_t> rows, cols;
+    std::vector<float> values;
+    for (const auto& t : triplets) {
+      rows.push_back(t.row);
+      cols.push_back(t.col);
+      values.push_back(t.value);
+    }
+    ASSERT_FALSE(values.empty());
+    EXPECT_TRUE(same_bytes(store.at("csr").physical.as<std::byte>(),
+                           oracle_csr(rows, cols, values)))
+        << "size_factor " << size_factor;
+  }
+}
+
+void expect_run_throws(const ir::Program& program, ir::ObjectStore& store,
+                       const std::string& what) {
+  system::SystemModel system;
+  runtime::EngineOptions options;
+  options.monitoring = false;
+  options.migration = false;
+  EXPECT_THROW(runtime::run_program(
+                   system, program, ir::Plan::host_only(program.line_count()),
+                   codegen::ExecMode::NativeC, options, &store),
+               Error)
+      << what;
+}
+
+TEST(CsrKernel, OutOfDomainIdFailsTheRun) {
+  // Each app draws its ids from [0, max(records / 2, 64)); the first id at
+  // or past that bound has no slot in the remap table.
+  {
+    const auto program = make_pagerank(tiny());
+    for (const bool dst : {false, true}) {
+      auto store = program.make_store();
+      auto records = store.at("edges_file").physical.as<EdgeRecord>();
+      const std::uint64_t domain =
+          std::max<std::uint64_t>(records.size() / 2, 64);
+      if (dst) {
+        records[records.size() / 2].dst = domain;
+      } else {
+        records[0].src = domain;
+      }
+      expect_run_throws(program, store, dst ? "pagerank dst" : "pagerank src");
+    }
+  }
+  {
+    const auto program = make_sparsemv(tiny());
+    for (const bool col : {false, true}) {
+      auto store = program.make_store();
+      auto records = store.at("triplets_file").physical.as<TripletRecord>();
+      const auto domain = static_cast<std::uint32_t>(
+          std::max<std::size_t>(records.size() / 2, 64));
+      if (col) {
+        records.back().col = 0xFFFFFFFFU;
+      } else {
+        records[0].row = domain;
+      }
+      expect_run_throws(program, store, col ? "sparsemv col" : "sparsemv row");
+    }
+  }
+}
+
+constexpr std::uint32_t kKmDims = detail::kKmeansDims;
+constexpr std::uint32_t kKmClusters = detail::kKmeansClusters;
+
+/// One point at a time: the first cluster whose distance is strictly below
+/// the best so far (which starts at FLT_MAX).
+std::uint32_t nearest_scalar(const float* point, const float* centroids) {
+  std::uint32_t best = 0;
+  float best_d = std::numeric_limits<float>::max();
+  for (std::uint32_t k = 0; k < kKmClusters; ++k) {
+    float d = 0.0F;
+    for (std::uint32_t j = 0; j < kKmDims; ++j) {
+      const float diff = point[j] - centroids[k * kKmDims + j];
+      d += diff * diff;
+    }
+    if (d < best_d) {
+      best_d = d;
+      best = k;
+    }
+  }
+  return best;
+}
+
+TEST(KmeansKernel, PickMatchesScalarOracleOnSpecialValues) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kMax = std::numeric_limits<float>::max();
+  const float specials[] = {kNan,
+                            kInf,
+                            -kInf,
+                            std::numeric_limits<float>::denorm_min(),
+                            -1e-40F,
+                            0.0F,
+                            -0.0F,
+                            kMax,
+                            -kMax,
+                            1.5e19F};  // its square overflows to inf
+  Rng rng{0x4b3e};
+  for (int round = 0; round < 40; ++round) {
+    // Later rounds make special values common; some rounds copy clusters so
+    // that distances tie exactly.
+    const std::uint64_t special_per_16 = static_cast<std::uint64_t>(round % 5);
+    auto draw = [&] {
+      if (rng.uniform_u64(0, 15) < special_per_16) {
+        return specials[rng.uniform_u64(0, std::size(specials) - 1)];
+      }
+      return static_cast<float>(rng.uniform(-1.0, 1.0));
+    };
+    std::vector<float> centroids(kKmClusters * kKmDims);
+    for (auto& v : centroids) v = draw();
+    if (round % 2 == 1) {
+      for (std::uint32_t k = 1; k < kKmClusters; k += 2) {
+        std::copy_n(centroids.begin() + (k - 1) * kKmDims, kKmDims,
+                    centroids.begin() + k * kKmDims);
+      }
+    }
+    // 0..40 points: empty, a partial vector, several full ones and a tail;
+    // some points sit exactly on a centroid or halfway between two.
+    const std::size_t count = static_cast<std::size_t>(round);
+    std::vector<float> points(count * kKmDims);
+    for (auto& v : points) v = draw();
+    for (std::size_t i = 0; i < count; i += 3) {
+      const auto k = rng.uniform_u64(0, kKmClusters - 1);
+      const auto k2 = rng.uniform_u64(0, kKmClusters - 1);
+      for (std::uint32_t j = 0; j < kKmDims; ++j) {
+        const float a = centroids[k * kKmDims + j];
+        const float b = centroids[k2 * kKmDims + j];
+        points[i * kKmDims + j] = i % 2 == 0 ? a : (a + b) * 0.5F;
+      }
+    }
+    std::vector<std::uint32_t> expected(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      expected[i] = nearest_scalar(points.data() + i * kKmDims,
+                                   centroids.data());
+    }
+    std::vector<std::uint32_t> got(count, 99);
+    detail::kmeans_assign(points, centroids, got);
+    EXPECT_EQ(got, expected) << "round " << round;
+  }
+}
+
+TEST(KmeansKernel, NoDistanceBelowFltMaxPicksClusterZero) {
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kMax = std::numeric_limits<float>::max();
+  // Cluster 1 sits at the origin; every other cluster is so far away that
+  // its distance overflows to inf.
+  std::vector<float> centroids(kKmClusters * kKmDims, 1e30F);
+  std::fill_n(centroids.begin() + kKmDims, kKmDims, 0.0F);
+  // 4095² + 90² + 9² + 3² = 2^24 - 1, so this point's distance to the
+  // origin is exactly FLT_MAX = (2^24 - 1) · 2^104, every partial sum exact.
+  const float u = std::ldexp(1.0F, 52);
+  std::vector<float> points = {4095 * u, 90 * u, 9 * u, 3 * u, 0, 0, 0, 0};
+  float d = 0.0F;
+  for (std::uint32_t j = 0; j < kKmDims; ++j) d += points[j] * points[j];
+  ASSERT_EQ(d, kMax);
+  // Then a NaN point and one whose distance to the origin overflows.
+  points.insert(points.end(), kKmDims, kNan);
+  points.insert(points.end(), kKmDims, 1e30F);
+  points[2 * kKmDims + 7] = 0.0F;  // not on the far clusters either
+  std::vector<std::uint32_t> labels(3, 99);
+  detail::kmeans_assign(points, centroids, labels);
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    EXPECT_EQ(labels[i], 0U) << "point " << i;
+    EXPECT_EQ(nearest_scalar(points.data() + i * kKmDims, centroids.data()),
+              0U)
+        << "point " << i;
+  }
+}
+
+TEST(KmeansKernel, RejectsMismatchedSizes) {
+  const std::vector<float> centroids(kKmClusters * kKmDims, 0.0F);
+  const std::vector<float> points(3 * kKmDims, 0.5F);
+  std::vector<std::uint32_t> labels(3);
+  EXPECT_NO_THROW(detail::kmeans_assign(points, centroids, labels));
+  const std::span<const float> short_table(centroids.data(),
+                                           centroids.size() - 1);
+  EXPECT_THROW(detail::kmeans_assign(points, short_table, labels), Error);
+  std::vector<std::uint32_t> too_many(4);
+  EXPECT_THROW(detail::kmeans_assign(points, centroids, too_many), Error);
 }
 
 TEST(ReferencePagerank, MatchesDensePowerIteration) {
