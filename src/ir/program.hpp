@@ -87,7 +87,10 @@ struct CodeRegion {
   /// the NAND program path on the CSD, or link + NAND when running on the
   /// host.
   bool writes_storage = false;
-  Kernel kernel;  // may be empty for timing-only modelling
+  /// May be empty for timing-only modelling.  The engine then sizes the
+  /// line's outputs from the plan's estimates, so such a line needs a plan
+  /// that carries them (Engine::run rejects one that does not).
+  Kernel kernel;
 
   [[nodiscard]] double elems_for(Bytes input_virtual) const {
     return input_virtual.as_double() / elem_bytes;

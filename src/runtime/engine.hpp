@@ -8,19 +8,34 @@
 // paper's single-entry-single-exit regions); concurrency with device-side
 // contention is expressed through availability schedules.
 //
-// Per line the engine charges, in order:
-//   1. input residency: stored data at the placement-side bandwidth, then
-//      inter-side intermediates over the host link (BAR penalty for objects
-//      a migration left behind);
-//   2. control: call-queue invocation when entering a CSD group, interpreter
-//      dispatch, code-image distribution before the first CSD call;
-//   3. language-runtime marshalling copies (mode-dependent);
-//   4. compute, in chunks, through the CSE availability schedule; each CSD
-//      chunk posts a status update and feeds the monitor;
-//   5. the real kernel (functional output), or the output sizes a kernel
-//      run recorded, then output bookkeeping.
-// Migration takes effect at the end of the current line, exactly as §III-D
-// prescribes.
+// Engine::run is a sequence of named stages over one run state (RunState
+// in engine.cpp):
+//   set-up: the object store, the storage dataset names, private copies of
+//      the availability schedules, the monitor, the compile charge, the
+//      fault plan, and the storage helper, which mounts the datasets when
+//      the backend is driven.  The helper (DeviceStorage) owns faulted flash
+//      I/O, the write-back cursor, the reclaim stall and the power cycle.
+//   per line, in order:
+//     1. begin: a crash opportunity at the line start;
+//     2. inputs: stored data at the placement-side bandwidth, the other
+//        side's objects over the host link (BAR penalty for objects a
+//        migration left behind);
+//     3. control: code-image distribution before the first CSD call, the
+//        call-queue invocation entering a CSD group, interpreter dispatch,
+//        then input marshalling (mode-dependent);
+//     4. compute: on the host, or in chunks through the CSE availability
+//        schedule, where each chunk boundary is a crash opportunity and
+//        each chunk posts a status update that feeds the monitor;
+//     5. break-now migration: a CSD line that gave up at a chunk boundary
+//        (the monitor's advice, or a fault the retries could not absorb)
+//        hands its unprocessed fraction to the host;
+//     6. outputs: the real kernel, the output sizes a kernel run recorded,
+//        or the plan's estimates for a line without a kernel; then output
+//        marshalling;
+//     7. write-back of persisted outputs (and the reclaim stall it causes);
+//     8. between-lines migration: a decision taken on a line's last chunk
+//        takes effect at the end of the line (§III-D);
+//   results to host, then the report and metrics.
 #pragma once
 
 #include <optional>
