@@ -73,7 +73,7 @@ void gc_contention_section() {
   flash::Ftl ftl(ftl_config);
   Rng rng(3);
   for (int i = 0; i < 200000; ++i) {
-    ftl.write(rng.uniform_u64(0, ftl.logical_pages() - 1));
+    ftl.write_span(rng.uniform_u64(0, ftl.logical_pages() - 1), 1);
   }
   const double pressure = ftl.gc_pressure();
   std::printf(

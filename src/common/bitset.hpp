@@ -1,12 +1,13 @@
 // Flat word-packed bitsets for the storage data plane's hot indexes.
 //
-// The FTL and ZNS backends keep three kinds of per-page / per-block state
-// that their hot loops scan: which blocks are free (allocation), which are
-// full (GC/reclaim victim selection), and which physical pages hold valid
-// data (relocation walks).  Scanning vectors of structs for those answers is
-// O(pages); packing each predicate into a bitset makes every scan a ctz /
-// popcount word walk.  These helpers are the shared word mechanics so both
-// backends index the same way.
+// The storage backends' erase-unit pool (flash/unit_pool.hpp) keeps three
+// kinds of per-page / per-unit state that its hot loops scan: which units
+// are free (allocation), which are full (GC/reclaim victim selection), and
+// which physical pages hold valid data (relocation walks).  Scanning
+// vectors of structs for those answers is O(pages); packing each predicate
+// into a bitset makes every scan a ctz / popcount word walk.  These helpers
+// are the word mechanics, and the metadata log's dirty-unit set uses them
+// too.
 //
 // All functions treat the bitset as a plain std::vector<std::uint64_t> the
 // caller sizes via bits_resize; out-of-range bits are the caller's bug

@@ -4,26 +4,6 @@
 
 namespace isp::flash {
 
-void StorageBackend::write_span(Lpn first, std::uint64_t count) {
-  for (std::uint64_t i = 0; i < count; ++i) write(first + i);
-}
-
-void StorageBackend::trim_span(Lpn first, std::uint64_t count) {
-  for (std::uint64_t i = 0; i < count; ++i) trim(first + i);
-}
-
-std::uint64_t StorageBackend::read_span(Lpn first, std::uint64_t count,
-                                        std::vector<Ppn>* out) const {
-  std::uint64_t mapped = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    if (const auto ppn = translate(first + i)) {
-      ++mapped;
-      if (out != nullptr) out->push_back(*ppn);
-    }
-  }
-  return mapped;
-}
-
 const char* to_string(BackendKind kind) {
   switch (kind) {
     case BackendKind::Ftl:

@@ -12,6 +12,10 @@
 // written once against the seam and a device picks its backend by
 // configuration (`CsdConfig::backend`).
 //
+// Both backends own one flash::UnitPool (flash/unit_pool.hpp): the map,
+// the erase-unit accounting, victim selection and the watermark loop are
+// written once, and each backend adds only its own steps.
+//
 // The crash/recovery contract is shared, and so is its implementation
 // (flash/metadata_log.hpp): both backends journal durable metadata into
 // reserved flash, stamp every data-page program with (lpn, seq) in the
@@ -118,36 +122,28 @@ class StorageBackend {
   /// Number of logical pages exposed.
   [[nodiscard]] virtual std::uint64_t logical_pages() const = 0;
 
-  /// Write one logical page (out of place / append-only).  May trigger the
-  /// backend's reclaim machinery (GC or zone reclaim).
-  virtual void write(Lpn lpn) = 0;
+  // ---- Extent I/O ---------------------------------------------------------
+  // The only I/O: contiguous LPN extents [first, first + count), processed
+  // in ascending LPN order.  A one-page extent is the unit step, and any
+  // extent is exactly the same extent split into one-page extents: state,
+  // stats, journal contents and recovery outcome bit for bit.
 
-  /// Physical location of a logical page, if it has ever been written.
-  [[nodiscard]] virtual std::optional<Ppn> translate(Lpn lpn) const = 0;
+  /// Write `count` pages starting at `first`, each out of place (FTL) or
+  /// appended (ZNS).  May trigger the backend's reclaim (GC or zone
+  /// reclaim).
+  virtual void write_span(Lpn first, std::uint64_t count) = 0;
 
-  /// Trim: drop the mapping, invalidating the physical page.
-  virtual void trim(Lpn lpn) = 0;
-
-  // ---- Span (extent) operations ----------------------------------------
-  // Batched forms of write/trim/translate over a contiguous LPN extent
-  // [first, first + count).  The contract is exact equivalence: state,
-  // stats, journal contents and recovery outcome are bit-for-bit what the
-  // scalar loop `for (i) op(first + i)` would produce — a backend override
-  // is an algorithmic fast path (hoisted checks, run-at-a-time bookkeeping,
-  // bitmap walks), never a semantic change.  The defaults are the scalar
-  // loops, so a backend that doesn't override still honours the contract.
-
-  /// Write `count` pages starting at `first` (each out of place, in
-  /// ascending LPN order, with the same reclaim triggers as write()).
-  virtual void write_span(Lpn first, std::uint64_t count);
-
-  /// Trim `count` pages starting at `first`, in ascending LPN order.
-  virtual void trim_span(Lpn first, std::uint64_t count);
+  /// Trim `count` pages starting at `first`: drop each mapping, invalidating
+  /// its physical page.
+  virtual void trim_span(Lpn first, std::uint64_t count) = 0;
 
   /// Translate the extent: returns how many pages are mapped and, when
   /// `out` is non-null, appends each mapped page's Ppn in LPN order.
   virtual std::uint64_t read_span(Lpn first, std::uint64_t count,
-                                  std::vector<Ppn>* out) const;
+                                  std::vector<Ppn>* out) const = 0;
+
+  /// Physical location of one logical page, if it has been written.
+  [[nodiscard]] virtual std::optional<Ppn> translate(Lpn lpn) const = 0;
 
   [[nodiscard]] virtual bool journaling() const = 0;
   [[nodiscard]] virtual bool mounted() const = 0;

@@ -15,30 +15,20 @@
 // checkpoint + journal + OOB replay a remount runs.  The only updates a
 // crash can lose are trims buffered since the last journal page program.
 //
-// Data plane (PR 10): the hot loops are extent-oriented.  write_span/
-// trim_span/read_span process contiguous LPN runs with per-run bookkeeping,
-// allocation and GC victim selection walk word-packed bitsets (free blocks,
-// full blocks, valid pages) via ctz/popcount, and remount consults durable
-// per-block summaries (max OOB sequence + programmed-prefix length) instead
-// of scanning every page.  All of it is bit-for-bit equivalent to the scalar
-// page-by-page paths — the win is algorithmic, not semantic.
-//
-// Invariants (enforced and property-tested):
-//   * a logical page maps to at most one valid physical page;
-//   * no two logical pages share a physical page;
-//   * per-block valid counts equal the number of valid pages in the block;
-//   * free + in-use + retired block counts always sum to the block total.
+// Data plane: the map, the block accounting, greedy GC and retirement are
+// the shared erase-unit pool (flash/unit_pool.hpp) with a unit of one
+// block; the FTL adds its config, its stats names and the compaction of
+// stray partial blocks at remount.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "common/bitset.hpp"
 #include "common/units.hpp"
 #include "flash/backend.hpp"
-#include "flash/metadata_log.hpp"
 #include "flash/nand.hpp"
+#include "flash/unit_pool.hpp"
 
 namespace isp::obs {
 class MetricsRegistry;
@@ -70,8 +60,8 @@ struct FtlStats {
   std::uint64_t blocks_retired = 0;
   std::uint64_t recoveries = 0;    // successful remounts after power loss
   /// Data pages writable without further GC right now: pages in free blocks
-  /// plus the unwritten tails of the open append blocks.  Maintained
-  /// incrementally by the Ftl so record_metrics can export it as a gauge.
+  /// plus the unwritten tails of the open append blocks
+  /// (UnitPool::free_pages), exported as a gauge.
   std::uint64_t free_pages = 0;
 
   /// Metadata persistence is real write traffic: it amplifies exactly like
@@ -106,25 +96,26 @@ class Ftl final : public StorageBackend {
 
   /// Number of logical pages exposed.
   [[nodiscard]] std::uint64_t logical_pages() const override {
-    return logical_pages_;
+    return pool_.logical_pages();
   }
 
-  /// Write one logical page (out of place). May trigger GC.
-  void write(Lpn lpn) override;
-
   /// Physical location of a logical page, if it has ever been written.
-  [[nodiscard]] std::optional<Ppn> translate(Lpn lpn) const override;
+  [[nodiscard]] std::optional<Ppn> translate(Lpn lpn) const override {
+    return pool_.translate(lpn);
+  }
 
-  /// Trim: drop the mapping, invalidating the physical page.
-  void trim(Lpn lpn) override;
-
-  /// Batched extent ops (flash/backend.hpp contract: bit-for-bit the scalar
-  /// loop's state, stats and journal, reached via run-at-a-time bookkeeping
-  /// instead of per-page re-checks).
-  void write_span(Lpn first, std::uint64_t count) override;
-  void trim_span(Lpn first, std::uint64_t count) override;
+  /// Extent ops (flash/backend.hpp): out-of-place writes with greedy GC at
+  /// the low watermark, trims, and map reads.
+  void write_span(Lpn first, std::uint64_t count) override {
+    pool_.write_span(first, count);
+  }
+  void trim_span(Lpn first, std::uint64_t count) override {
+    pool_.trim_span(first, count);
+  }
   std::uint64_t read_span(Lpn first, std::uint64_t count,
-                          std::vector<Ppn>* out) const override;
+                          std::vector<Ppn>* out) const override {
+    return pool_.read_span(first, count, out);
+  }
 
   /// Decommission a block (grown-bad media): relocate its valid pages, add
   /// it to the durable bad-block table, and exclude it from allocation
@@ -132,114 +123,71 @@ class Ftl final : public StorageBackend {
   /// penalty.  No-op if already retired.
   void retire_block(std::uint64_t block);
 
-  [[nodiscard]] const FtlStats& stats() const { return stats_; }
-  [[nodiscard]] std::uint32_t free_blocks() const { return free_count_; }
-  [[nodiscard]] std::uint32_t retired_blocks() const { return retired_count_; }
-  [[nodiscard]] std::uint64_t total_blocks() const { return blocks_.size(); }
+  [[nodiscard]] FtlStats stats() const;
+  [[nodiscard]] std::uint32_t free_blocks() const {
+    return pool_.free_units();
+  }
+  [[nodiscard]] std::uint32_t retired_blocks() const {
+    return pool_.retired_units();
+  }
+  [[nodiscard]] std::uint64_t total_blocks() const { return pool_.units(); }
 
   [[nodiscard]] bool journaling() const override {
-    return config_.journal.enabled;
+    return pool_.journaling();
   }
-  [[nodiscard]] bool mounted() const override { return mounted_; }
+  [[nodiscard]] bool mounted() const override { return pool_.mounted(); }
   /// Mapping updates buffered in the volatile journal tail right now.
   [[nodiscard]] std::uint64_t journal_tail_updates() const {
-    return log_.buffered();
+    return pool_.log().buffered();
   }
 
   /// Power cut: all volatile state (map, reverse map, block bookkeeping,
   /// buffered journal tail) is gone.  Requires journal mode.  Every call
   /// except recover(), stats() and the config accessors is invalid until
   /// the remount completes.
-  FtlCrash power_loss() override;
+  FtlCrash power_loss() override { return pool_.power_loss(); }
 
-  /// Remount after power_loss(): replay the durable metadata (MetadataLog::
-  /// replay), rebuild the reverse map and per-block valid counts, re-open
-  /// the partially written blocks, and re-verify every invariant.
+  /// Remount after power_loss(): replay the durable metadata and rebuild
+  /// the maps and block state (UnitPool::remount), re-open the partially
+  /// written blocks, and re-verify every invariant.
   FtlRecovery recover() override;
 
   /// Fraction of array bandwidth background storage management has consumed
   /// over the run so far: relocated + metadata traffic relative to all
   /// write traffic.  Used to derate the internal bandwidth visible to ISP
   /// tasks.
-  [[nodiscard]] double gc_pressure() const override;
+  [[nodiscard]] double gc_pressure() const override {
+    return pool_.gc_pressure();
+  }
 
   [[nodiscard]] double write_amplification() const override {
-    return stats_.write_amplification();
+    return counters().write_amplification();
   }
 
   [[nodiscard]] StorageCounters counters() const override {
-    return StorageCounters{.host_pages = stats_.host_writes,
-                           .reclaim_pages = stats_.gc_writes,
-                           .meta_pages = stats_.meta_writes,
-                           .resets = stats_.erases,
-                           .reclaim_events = stats_.gc_invocations,
-                           .recoveries = stats_.recoveries};
+    return pool_.counters();
   }
 
   void record_metrics(obs::MetricsRegistry& registry) const override {
-    stats_.record_metrics(registry);
+    stats().record_metrics(registry);
   }
 
   /// Validate every invariant; throws isp::Error on violation.  Cheap enough
   /// to call from property tests after every operation.
-  void check_invariants() const override;
+  void check_invariants() const override { pool_.check_invariants(); }
 
   /// The remount-time subset of check_invariants(): O(blocks) bitmap
   /// popcount cross-checks over the whole device, deep per-page checks only
   /// on the blocks dirtied since the last checkpoint fold.  recover() runs
   /// this on every remount; public so tests can check it alongside the
   /// full sweep.
-  void check_invariants_incremental() const;
+  void check_invariants_incremental() const {
+    pool_.check_invariants_incremental();
+  }
 
  private:
-  struct Block {
-    std::uint32_t valid = 0;
-    std::uint32_t next_free_page = 0;  // append pointer within the block
-    bool is_free = true;
-  };
-
-  [[nodiscard]] Ppn block_first_page(std::uint64_t block) const;
-  [[nodiscard]] std::uint64_t page_block(Ppn ppn) const;
-  std::uint64_t allocate_free_block();
-  Ppn append_to_active(bool for_gc);
-  void garbage_collect();
-  void install_mapping(Lpn lpn, Ppn ppn);
-  /// Charge the journal pages a log update programmed, then fold the
-  /// checkpoint if it is due.
-  void persist(std::uint64_t journal_pages);
-  void trim_one(Lpn lpn);
-  /// Shared block walks: GC victims, retirement and remount compaction all
-  /// relocate a block's valid pages (walking the valid-page bitmap).
-  void relocate_block(std::uint64_t block);
-
-  FtlConfig config_;
-  std::uint64_t logical_pages_;
-  bool mounted_ = true;
-
-  // ---- volatile state (lost on power_loss) ----------------------------
-  // Flat sentinel-coded maps (kNoPage = unmapped): see the note on kNoPage.
-  PageMap<Ppn> l2p_;
-  PageMap<Lpn> p2l_;  // valid reverse map (kNoPage = invalid/free)
-  std::vector<Block> blocks_;
-  std::uint64_t active_block_;     // current host append block
-  std::uint64_t gc_active_block_;  // current GC relocation block
-  std::uint32_t free_count_;
-  std::uint64_t mapped_count_ = 0;
-  // Hot-path bit indexes (volatile; rebuilt on recover).  Allocation walks
-  // free_bits_ with ctz for the lowest free block, GC victim selection walks
-  // full_bits_ (full, non-free, non-retired blocks), and relocation walks
-  // valid_bits_ (one bit per ppn with a reverse mapping) instead of probing
-  // p2l_ page by page.
-  std::vector<std::uint64_t> free_bits_;
-  std::vector<std::uint64_t> full_bits_;
-  std::vector<std::uint64_t> valid_bits_;
-
-  // ---- durable state (survives power_loss) ----------------------------
-  MetadataLog log_;  // OOB stamps, block headers, journal, checkpoint
-  std::vector<char> retired_;  // durable bad-block table
-  std::uint32_t retired_count_ = 0;
-
-  FtlStats stats_;
+  UnitPool::Hooks hooks_;  // the FTL adds no steps to the pool's
+  UnitPool pool_;
 };
 
 }  // namespace isp::flash

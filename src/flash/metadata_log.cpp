@@ -78,7 +78,7 @@ std::uint64_t MetadataLog::program_run(std::uint64_t unit, Ppn first, Lpn lpn,
     programs_since_fold_ += count;
     return 0;
   }
-  ISP_DCHECK(count <= room_in_page(), "program run crosses a journal page");
+  ISP_DCHECK(count <= run_room(), "program run crosses a journal page");
   const std::size_t base = buffer_.size();
   buffer_.resize(base + count);
   for (std::uint64_t i = 0; i < count; ++i) {

@@ -90,8 +90,7 @@ class MetadataLog {
   /// OOB area and the unit header with the next sequence number.
   std::uint64_t program(std::uint64_t unit, Ppn ppn, Lpn lpn);
   /// `count` consecutive programs: lpn + i at first + i, one sequence
-  /// number each.  The run must not cross a journal page boundary
-  /// (room_in_page()) or the fold cadence (programs_until_fold()).
+  /// number each.  The run must fit in run_room().
   std::uint64_t program_run(std::uint64_t unit, Ppn first, Lpn lpn,
                             std::uint64_t count);
   /// A trim of `lpn`: journaled on both backends.
@@ -104,13 +103,13 @@ class MetadataLog {
   /// recycle the old checkpoint and journal pages.
   MetaIo fold(const PageMap<Ppn>& map, std::uint64_t mapped);
 
-  /// Records that fit in the open journal page before it programs.
-  [[nodiscard]] std::uint64_t room_in_page() const {
-    return entries_per_page_ - buffer_.size();
-  }
-  /// Unjournaled programs left before the fold cadence is due.
-  [[nodiscard]] std::uint64_t programs_until_fold() const {
-    return fold_entries() - programs_since_fold_;
+  /// The longest program_run() that fits: the room left in the open
+  /// journal page when programs are journaled, else the programs left
+  /// before the fold cadence is due.  Unbounded with the journal off.
+  [[nodiscard]] std::uint64_t run_room() const {
+    if (!config_.enabled) return ~std::uint64_t{0};
+    return journal_programs_ ? entries_per_page_ - buffer_.size()
+                             : fold_entries() - programs_since_fold_;
   }
   /// Records buffered in the open journal page.
   [[nodiscard]] std::uint64_t buffered() const { return buffer_.size(); }

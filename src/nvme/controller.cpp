@@ -83,14 +83,11 @@ void Controller::process_next() {
         status = Status::Error;
         break;
       }
-      if (storage != nullptr) {
-        // Validate the mapping exists; timing itself is bulk-analytic.
-        for (std::uint32_t i = 0; i < entry->length_pages; ++i) {
-          if (!storage->translate(entry->lba + i).has_value()) {
-            status = Status::Error;
-            break;
-          }
-        }
+      // Validate every page is mapped; timing itself is bulk-analytic.
+      if (storage != nullptr &&
+          storage->read_span(entry->lba, entry->length_pages, nullptr) !=
+              entry->length_pages) {
+        status = Status::Error;
       }
       if (status == Status::Success) {
         array_->note_read(io_bytes);
@@ -108,9 +105,7 @@ void Controller::process_next() {
         break;
       }
       if (storage != nullptr) {
-        for (std::uint32_t i = 0; i < entry->length_pages; ++i) {
-          storage->write(entry->lba + i);
-        }
+        storage->write_span(entry->lba, entry->length_pages);
       }
       array_->note_write(io_bytes);
       const auto io = array_->write_io(simulator_->now(), io_bytes);

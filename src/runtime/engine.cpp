@@ -146,8 +146,8 @@ struct DeviceStorage {
   }
 
   /// Write the pages `bytes` cover at a cursor that wraps the logical
-  /// space, so whole contiguous runs take the backend's span path
-  /// (bit-for-bit the scalar write() loop by the StorageBackend contract).
+  /// space, as one extent per contiguous run (bit for bit the same pages
+  /// as one-page extents, by the StorageBackend contract).
   void write_pages(Bytes bytes) {
     const auto page = flash->geometry().page_bytes.count();
     std::uint64_t pages = (bytes.count() + page - 1) / page;

@@ -29,6 +29,11 @@
 // monotonically until the zone fills (zone_append returns the assigned
 // physical page, the ZNS "LBA assigned by the device").
 //
+// Data plane: the map, zone accounting, victim selection, the watermark
+// loop and retirement are the shared erase-unit pool (flash/unit_pool.hpp)
+// with a unit of one zone; the zone state machine and the open-zone LRU
+// plug into it as UnitPool::Hooks.
+//
 // Durability (docs/fault-model.md "ZNS power loss"): the mapping *is* the
 // append order, so — unlike the FTL — no per-write journal record exists.
 // Data-page programs stamp (lpn, seq) into the page OOB area; a dedicated
@@ -52,11 +57,10 @@
 #include <optional>
 #include <vector>
 
-#include "common/bitset.hpp"
 #include "common/units.hpp"
 #include "flash/backend.hpp"
-#include "flash/metadata_log.hpp"
 #include "flash/nand.hpp"
+#include "flash/unit_pool.hpp"
 
 namespace isp::obs {
 class MetricsRegistry;
@@ -114,7 +118,8 @@ struct ZnsStats {
 
 /// The zoned-namespace backend.  Untimed and deterministic, like the Ftl:
 /// callers charge NandTiming for the traffic the stats report.
-class ZnsDevice final : public flash::StorageBackend {
+class ZnsDevice final : public flash::StorageBackend,
+                        private flash::UnitPool::Hooks {
  public:
   explicit ZnsDevice(ZnsConfig config);
 
@@ -129,32 +134,44 @@ class ZnsDevice final : public flash::StorageBackend {
     return flash::BackendKind::Zns;
   }
   [[nodiscard]] std::uint64_t logical_pages() const override {
-    return logical_pages_;
+    return pool_.logical_pages();
   }
-  /// Host write of one logical page: an append to the device-chosen active
-  /// zone (implicitly opening it as needed).  May trigger watermark reclaim.
-  void write(flash::Lpn lpn) override;
   [[nodiscard]] std::optional<flash::Ppn> translate(
-      flash::Lpn lpn) const override;
-  void trim(flash::Lpn lpn) override;
-  /// Batched extent ops (flash/backend.hpp contract: bit-for-bit the scalar
-  /// loop's state, stats and journal, with the per-page open/watermark/fold
-  /// checks hoisted out of the bulk runs).
-  void write_span(flash::Lpn first, std::uint64_t count) override;
-  void trim_span(flash::Lpn first, std::uint64_t count) override;
-  std::uint64_t read_span(flash::Lpn first, std::uint64_t count,
-                          std::vector<flash::Ppn>* out) const override;
-  [[nodiscard]] bool journaling() const override {
-    return config_.journal.enabled;
+      flash::Lpn lpn) const override {
+    return pool_.translate(lpn);
   }
-  [[nodiscard]] bool mounted() const override { return mounted_; }
+  /// Extent ops (flash/backend.hpp): host writes append to the
+  /// device-chosen active zone (implicitly opening it as needed) and may
+  /// trigger watermark reclaim.
+  void write_span(flash::Lpn first, std::uint64_t count) override {
+    pool_.write_span(first, count);
+  }
+  void trim_span(flash::Lpn first, std::uint64_t count) override {
+    pool_.trim_span(first, count);
+  }
+  std::uint64_t read_span(flash::Lpn first, std::uint64_t count,
+                          std::vector<flash::Ppn>* out) const override {
+    return pool_.read_span(first, count, out);
+  }
+  [[nodiscard]] bool journaling() const override {
+    return pool_.journaling();
+  }
+  [[nodiscard]] bool mounted() const override { return pool_.mounted(); }
+  /// Trim records buffered in the volatile journal tail right now.
+  [[nodiscard]] std::uint64_t journal_tail_updates() const {
+    return pool_.log().buffered();
+  }
   flash::StorageCrash power_loss() override;
   flash::StorageRecovery recover() override;
-  [[nodiscard]] double gc_pressure() const override;
-  [[nodiscard]] double write_amplification() const override {
-    return stats_.write_amplification();
+  [[nodiscard]] double gc_pressure() const override {
+    return pool_.gc_pressure();
   }
-  [[nodiscard]] flash::StorageCounters counters() const override;
+  [[nodiscard]] double write_amplification() const override {
+    return counters().write_amplification();
+  }
+  [[nodiscard]] flash::StorageCounters counters() const override {
+    return pool_.counters();
+  }
   void record_metrics(obs::MetricsRegistry& registry) const override;
   void check_invariants() const override;
   /// The remount-time subset of check_invariants(): O(zones) summary
@@ -168,7 +185,9 @@ class ZnsDevice final : public flash::StorageBackend {
   [[nodiscard]] std::uint64_t data_zones() const {
     return zones_.size() - config_.meta_zones;
   }
-  [[nodiscard]] std::uint32_t zone_pages() const { return zone_pages_; }
+  [[nodiscard]] std::uint32_t zone_pages() const {
+    return pool_.unit_pages();
+  }
   [[nodiscard]] ZoneState zone_state(std::uint64_t zone) const;
   /// Pages programmed in the zone so far (monotone between resets).
   [[nodiscard]] std::uint32_t write_pointer(std::uint64_t zone) const;
@@ -176,7 +195,9 @@ class ZnsDevice final : public flash::StorageBackend {
   /// Zones currently open (implicitly + explicitly).
   [[nodiscard]] std::uint32_t open_zones() const { return open_count_; }
   /// Empty data zones (the reclaim watermark currency).
-  [[nodiscard]] std::uint32_t free_zones() const { return free_count_; }
+  [[nodiscard]] std::uint32_t free_zones() const {
+    return pool_.free_units();
+  }
   /// Sum of every data zone's write pointer (gauge: total WP advance).
   [[nodiscard]] std::uint64_t write_pointer_pages() const;
 
@@ -203,80 +224,46 @@ class ZnsDevice final : public flash::StorageBackend {
   /// One host-coordinated reclaim pass: pick Full victims with the fewest
   /// live pages, copy the live extents forward, reset the victims, until
   /// the Empty-zone pool recovers to the high watermark (or no victim
-  /// yields space).  write() invokes this at the low watermark; hosts may
+  /// yields space).  Writes invoke this at the low watermark; hosts may
   /// also call it explicitly at idle.
   void reclaim();
 
-  [[nodiscard]] const ZnsStats& stats() const { return stats_; }
+  [[nodiscard]] ZnsStats stats() const;
   [[nodiscard]] const ZnsConfig& config() const { return config_; }
 
  private:
   struct Zone {
     ZoneState state = ZoneState::Empty;
-    std::uint32_t write_pointer = 0;  // programmed-page prefix length
-    std::uint32_t live = 0;           // valid (mapped) pages in the zone
-    std::uint64_t opened_at = 0;      // open-order stamp, for LRU shedding
+    std::uint64_t opened_at = 0;  // open-order stamp, for LRU shedding
   };
 
-  [[nodiscard]] flash::Ppn zone_first_page(std::uint64_t zone) const;
-  [[nodiscard]] std::uint64_t page_zone(flash::Ppn ppn) const;
   [[nodiscard]] bool is_open(const Zone& z) const {
     return z.state == ZoneState::ImplicitlyOpen ||
            z.state == ZoneState::ExplicitlyOpen;
   }
+  void check_data_zone(std::uint64_t zone, const char* what) const;
   /// Transition `zone` into the given open state, shedding the LRU open
   /// zone first when the limit is hit.
   void make_open(std::uint64_t zone, ZoneState state);
-  /// Lowest-index Empty data zone, implicitly opened as an append target.
-  std::uint64_t allocate_append_zone();
-  /// Append mechanics shared by host appends and reclaim copies: open the
-  /// zone as needed, land at the write pointer, install the mapping.
-  flash::Ppn do_append(std::uint64_t zone, flash::Lpn lpn);
-  /// Append for the device's own machinery (reclaim copy-forward).
-  flash::Ppn append_internal(flash::Lpn lpn);
-  void install_mapping(flash::Lpn lpn, flash::Ppn ppn);
-  void invalidate(flash::Lpn lpn);
-  void trim_one(flash::Lpn lpn);
-  /// Charge the journal pages a log update programmed, then fold the
-  /// checkpoint if it is due.
-  void persist(std::uint64_t journal_pages);
-  void reset_zone_internal(std::uint64_t zone);
-  /// Erase the blocks a reset or retired zone's write pointer reached.
-  void erase_zone_media(std::uint64_t zone);
-  /// Shared zone walk: reclaim and retirement copy a victim's live extents
-  /// forward the same way, walking the valid-page bitmap instead of probing
-  /// p2l_ across the whole write-pointer prefix.
-  void copy_forward_live(std::uint64_t zone);
+  /// The zone state machine's invariants (the pool checks the pages).
+  void check_zones() const;
+
+  // ---- UnitPool::Hooks ---------------------------------------------------
+  /// An append target must be open: (re)open it implicitly.
+  void open(std::uint64_t zone) override;
+  /// The zone filled: it leaves the open-resource set on its own.
+  void filled(std::uint64_t zone) override;
+  /// A reset zone is Empty again; a retired one goes Offline.
+  void erased(std::uint64_t zone) override;
 
   ZnsConfig config_;
-  std::uint32_t zone_pages_ = 0;
-  std::uint64_t logical_pages_ = 0;
-  bool mounted_ = true;
-
-  // ---- volatile state (lost on power_loss) ----------------------------
-  // Flat maps, flash::kNoPage = unmapped (see the note on kNoPage).
-  flash::PageMap<flash::Ppn> l2p_;
-  flash::PageMap<flash::Lpn> p2l_;
+  // Volatile: lost on power_loss, rebuilt by recover().
   std::vector<Zone> zones_;
-  std::uint64_t active_zone_;   // host append target
-  std::uint64_t reclaim_zone_;  // copy-forward append target
-  std::uint32_t free_count_ = 0;   // Empty data zones
-  std::uint32_t open_count_ = 0;   // implicit + explicit opens
-  std::uint64_t open_stamp_ = 0;   // LRU clock for implicit shedding
-  std::uint64_t mapped_count_ = 0;
-  // Hot-path bit indexes (volatile; rebuilt on recover): Empty data zones
-  // (allocation), Full zones (reclaim victim selection) and valid pages
-  // (copy-forward walks), mirroring the FTL's free/full/valid bitsets.
-  std::vector<std::uint64_t> free_bits_;
-  std::vector<std::uint64_t> full_bits_;
-  std::vector<std::uint64_t> valid_bits_;
-
-  // ---- durable state (survives power_loss) ----------------------------
-  flash::MetadataLog log_;  // OOB stamps, zone headers, journal, checkpoint
-  std::vector<char> retired_;  // durable offline-zone table
-  std::uint32_t retired_count_ = 0;
-
-  ZnsStats stats_;
+  std::uint32_t open_count_ = 0;  // implicit + explicit opens
+  std::uint64_t open_stamp_ = 0;  // LRU clock for implicit shedding
+  std::uint64_t zone_resets_ = 0;
+  std::uint64_t implicit_closes_ = 0;
+  flash::UnitPool pool_;
 };
 
 }  // namespace isp::zns

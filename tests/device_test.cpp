@@ -76,7 +76,8 @@ TEST(CsdDevice, GcPressureDeratesFlash) {
   // Churn the FTL into GC, then couple the pressure into the array.
   Rng rng(7);
   for (int i = 0; i < 5000; ++i) {
-    device.storage().write(rng.uniform_u64(0, device.storage().logical_pages() - 1));
+    flash::StorageBackend& storage = device.storage();
+    storage.write_span(rng.uniform_u64(0, storage.logical_pages() - 1), 1);
   }
   ASSERT_GT(device.storage().gc_pressure(), 0.0);
   device.apply_gc_pressure();

@@ -18,9 +18,12 @@
 #include <string>
 #include <vector>
 
+#include "apps/registry.hpp"
 #include "common/rng.hpp"
 #include "exec/cli.hpp"
 #include "exec/pool.hpp"
+#include "runtime/active_runtime.hpp"
+#include "system/model.hpp"
 
 namespace isp::exec {
 namespace {
@@ -100,6 +103,54 @@ TEST(RunBatch, ByteIdenticalAcrossJobCountsAndRuns) {
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(again[i].values, serial[i].values);
   }
+}
+
+// A batch of full faulted runs (planner, engine, monitor and migration,
+// with ECC-failed flash reads, CSE crashes and lost status updates) lands
+// bit for bit the same serially and fanned out over four workers.  Each
+// task builds everything it mutates (the run_batch contract).
+TEST(RunBatch, FaultedRunsIdenticalAcrossJobCounts) {
+  struct Outcome {
+    double total = 0.0;
+    std::uint64_t injected = 0;
+    std::uint64_t status_updates = 0;
+    std::uint64_t migrations = 0;
+  };
+  const auto run = [](unsigned jobs) {
+    return run_batch(
+        std::size_t{6},
+        [](std::size_t i) {
+          apps::AppConfig config;
+          config.size_factor = 0.1;
+          const auto program = apps::make_app("tpch-q6", config);
+          system::SystemModel system;
+          runtime::RunConfig rc;
+          rc.engine.fault.seed = 100 + i;
+          rc.engine.fault.set_rate(fault::Site::FlashReadEcc, 0.2);
+          rc.engine.fault.set_rate(fault::Site::CseCrash, 0.3);
+          rc.engine.fault.set_rate(fault::Site::StatusLoss, 0.3);
+          runtime::ActiveRuntime active(system);
+          const auto result = active.run(program, rc);
+          return Outcome{result.report.total.value(),
+                         result.report.faults.total_injected(),
+                         result.report.status_updates,
+                         result.report.migrations};
+        },
+        jobs);
+  };
+  const auto serial = run(1);
+  const auto parallel = run(4);
+  ASSERT_EQ(parallel.size(), serial.size());
+  std::uint64_t injected = 0;
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    SCOPED_TRACE("task " + std::to_string(i));
+    EXPECT_EQ(parallel[i].total, serial[i].total);
+    EXPECT_EQ(parallel[i].injected, serial[i].injected);
+    EXPECT_EQ(parallel[i].status_updates, serial[i].status_updates);
+    EXPECT_EQ(parallel[i].migrations, serial[i].migrations);
+    injected += serial[i].injected;
+  }
+  EXPECT_GT(injected, 0u) << "no fault fired: the batch is not faulted";
 }
 
 TEST(RunBatch, ConfigOverloadPreservesConfigOrder) {

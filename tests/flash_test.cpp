@@ -15,7 +15,9 @@
 #include "flash/metadata_log.hpp"
 #include "flash/nand.hpp"
 #include "flash/page_map.hpp"
+#include "flash/unit_pool.hpp"
 #include "obs/metrics.hpp"
+#include "storage_oracle.hpp"
 
 namespace isp::flash {
 namespace {
@@ -79,16 +81,16 @@ FtlConfig small_ftl() {
 TEST(Ftl, TranslateAfterWrite) {
   Ftl ftl(small_ftl());
   EXPECT_FALSE(ftl.translate(0).has_value());
-  ftl.write(0);
+  ftl.write_span(0, 1);
   ASSERT_TRUE(ftl.translate(0).has_value());
   ftl.check_invariants();
 }
 
 TEST(Ftl, OverwriteMovesPage) {
   Ftl ftl(small_ftl());
-  ftl.write(3);
+  ftl.write_span(3, 1);
   const auto first = ftl.translate(3);
-  ftl.write(3);
+  ftl.write_span(3, 1);
   const auto second = ftl.translate(3);
   ASSERT_TRUE(first && second);
   EXPECT_NE(*first, *second);
@@ -97,17 +99,17 @@ TEST(Ftl, OverwriteMovesPage) {
 
 TEST(Ftl, TrimDropsMapping) {
   Ftl ftl(small_ftl());
-  ftl.write(5);
-  ftl.trim(5);
+  ftl.write_span(5, 1);
+  ftl.trim_span(5, 1);
   EXPECT_FALSE(ftl.translate(5).has_value());
   ftl.check_invariants();
   // Trim of an unwritten page is a no-op.
-  EXPECT_NO_THROW(ftl.trim(6));
+  EXPECT_NO_THROW(ftl.trim_span(6, 1));
 }
 
 TEST(Ftl, RejectsOutOfRange) {
   Ftl ftl(small_ftl());
-  EXPECT_THROW(ftl.write(ftl.logical_pages()), Error);
+  EXPECT_THROW(ftl.write_span(ftl.logical_pages(), 1), Error);
   EXPECT_THROW(static_cast<void>(ftl.translate(ftl.logical_pages())),
                Error);
 }
@@ -128,7 +130,7 @@ TEST(Ftl, RejectsInfeasibleWatermarks) {
 TEST(Ftl, SequentialFillNeverStarves) {
   Ftl ftl(small_ftl());
   for (Lpn lpn = 0; lpn < ftl.logical_pages(); ++lpn) {
-    ftl.write(lpn);
+    ftl.write_span(lpn, 1);
   }
   ftl.check_invariants();
   // Every page still resolves.
@@ -141,7 +143,7 @@ TEST(Ftl, SteadyStateOverwriteTriggersGc) {
   Ftl ftl(small_ftl());
   Rng rng(99);
   for (int i = 0; i < 2000; ++i) {
-    ftl.write(rng.uniform_u64(0, ftl.logical_pages() - 1));
+    ftl.write_span(rng.uniform_u64(0, ftl.logical_pages() - 1), 1);
   }
   EXPECT_GT(ftl.stats().gc_invocations, 0u);
   EXPECT_GT(ftl.stats().erases, 0u);
@@ -161,7 +163,7 @@ FtlConfig retirable_ftl() {
 
 TEST(FtlRetire, RetiredBlockRelocatesValidPagesAndStaysExcluded) {
   Ftl ftl(retirable_ftl());
-  for (Lpn lpn = 0; lpn < ftl.logical_pages(); ++lpn) ftl.write(lpn);
+  for (Lpn lpn = 0; lpn < ftl.logical_pages(); ++lpn) ftl.write_span(lpn, 1);
 
   // Retire the block holding lpn 0's page: the mapping must survive on a
   // different block, and the accounting must partition exactly.
@@ -204,7 +206,7 @@ TEST(FtlRetire, RefusesToRetireBelowFeasibility) {
   EXPECT_LT(retired, ftl.total_blocks());
   ftl.check_invariants();
   // The survivor set still absorbs a full logical overwrite pass.
-  for (Lpn lpn = 0; lpn < ftl.logical_pages(); ++lpn) ftl.write(lpn);
+  for (Lpn lpn = 0; lpn < ftl.logical_pages(); ++lpn) ftl.write_span(lpn, 1);
   ftl.check_invariants();
 }
 
@@ -220,9 +222,9 @@ TEST_P(FtlRetireChurn, InvariantsUnderChurnWithRetirement) {
   for (int i = 0; i < 3000; ++i) {
     const Lpn lpn = rng.uniform_u64(0, ftl.logical_pages() - 1);
     if (rng.next_double() < 0.85) {
-      ftl.write(lpn);
+      ftl.write_span(lpn, 1);
     } else {
-      ftl.trim(lpn);
+      ftl.trim_span(lpn, 1);
     }
     // Every ~700 ops retire another block — mid-churn, so GC is typically
     // between victims when the block disappears from its candidate set.
@@ -263,9 +265,9 @@ TEST_P(FtlChurn, InvariantsUnderRandomOps) {
   for (int i = 0; i < 3000; ++i) {
     const Lpn lpn = rng.uniform_u64(0, ftl.logical_pages() - 1);
     if (rng.next_double() < 0.85) {
-      ftl.write(lpn);
+      ftl.write_span(lpn, 1);
     } else {
-      ftl.trim(lpn);
+      ftl.trim_span(lpn, 1);
     }
   }
   ftl.check_invariants();
@@ -283,11 +285,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FtlChurn,
                          ::testing::Values(11, 23, 37, 41, 53, 67, 79, 97));
 
 // ---------------------------------------------------------------------------
-// Extent (span) data plane: write_span/trim_span/read_span are contractually
-// bit-for-bit the scalar loops — state, stats, journal and recovery all
-// identical — so every test here drives a scalar twin and a span twin with
-// the same operation list and demands exact equality, through GC churn and
-// across crash/remount cycles.
+// Extent data plane: an extent is contractually bit for bit the same extent
+// split into one-page extents (flash/backend.hpp), checked by the shared
+// storage oracle.
 
 FtlConfig journaled_small() {
   FtlConfig config = small_ftl();
@@ -297,159 +297,43 @@ FtlConfig journaled_small() {
   return config;
 }
 
-struct SpanOp {
-  bool is_trim = false;
-  Lpn first = 0;
-  std::uint64_t count = 0;
-};
-
-std::vector<SpanOp> random_span_ops(std::uint64_t seed, std::uint64_t logical,
-                                    int n, double trim_share) {
-  Rng rng(seed);
-  std::vector<SpanOp> ops;
-  ops.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    SpanOp op;
-    op.first = rng.uniform_u64(0, logical - 1);
-    op.count =
-        rng.uniform_u64(1, std::min<std::uint64_t>(24, logical - op.first));
-    op.is_trim = rng.next_double() < trim_share;
-    ops.push_back(op);
-  }
-  return ops;
-}
-
-void apply_scalar(StorageBackend& dev, const SpanOp& op) {
-  for (std::uint64_t i = 0; i < op.count; ++i) {
-    if (op.is_trim) {
-      dev.trim(op.first + i);
-    } else {
-      dev.write(op.first + i);
-    }
-  }
-}
-
-void apply_span(StorageBackend& dev, const SpanOp& op) {
-  if (op.is_trim) {
-    dev.trim_span(op.first, op.count);
-  } else {
-    dev.write_span(op.first, op.count);
-  }
-}
-
-void expect_identical(const Ftl& scalar, const Ftl& span) {
-  ASSERT_EQ(scalar.logical_pages(), span.logical_pages());
-  for (Lpn lpn = 0; lpn < scalar.logical_pages(); ++lpn) {
-    ASSERT_EQ(scalar.translate(lpn), span.translate(lpn))
-        << "mapping diverged at lpn " << lpn;
-  }
-  const auto& a = scalar.stats();
-  const auto& b = span.stats();
-  EXPECT_EQ(a.host_writes, b.host_writes);
-  EXPECT_EQ(a.gc_writes, b.gc_writes);
-  EXPECT_EQ(a.meta_writes, b.meta_writes);
-  EXPECT_EQ(a.erases, b.erases);
-  EXPECT_EQ(a.gc_invocations, b.gc_invocations);
-  EXPECT_EQ(a.checkpoint_folds, b.checkpoint_folds);
-  EXPECT_EQ(a.blocks_retired, b.blocks_retired);
-  EXPECT_EQ(a.recoveries, b.recoveries);
-  EXPECT_EQ(a.free_pages, b.free_pages);
-  EXPECT_DOUBLE_EQ(a.write_amplification(), b.write_amplification());
-  EXPECT_EQ(scalar.free_blocks(), span.free_blocks());
-  EXPECT_EQ(scalar.journal_tail_updates(), span.journal_tail_updates());
-  scalar.check_invariants();
-  span.check_invariants();
-  scalar.check_invariants_incremental();
-  span.check_invariants_incremental();
-}
-
-// Mixed write/trim extents through steady-state GC: enough churn that the
-// span path crosses the watermark fallback (reclaim invocations must match
-// exactly, including GC calls that stood down without reclaiming anything).
+// Each extent whole against the same extent as one-page extents
+// (storage_oracle.hpp), through GC churn at the watermark.
 class FtlSpanDiff : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FtlSpanDiff, SpanOpsMatchScalarOpsExactly) {
-  Ftl scalar(journaled_small());
-  Ftl span(journaled_small());
-  const auto ops =
-      random_span_ops(GetParam(), scalar.logical_pages(), 400, 0.15);
-  for (const auto& op : ops) {
-    apply_scalar(scalar, op);
-    apply_span(span, op);
-  }
-  EXPECT_GT(span.stats().gc_invocations, 0u)
-      << "workload too light to exercise the watermark fallback";
-  expect_identical(scalar, span);
+  storage_oracle::expect_spans_match_pages<Ftl>(journaled_small(), GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FtlSpanDiff,
                          ::testing::Values(5, 17, 43, 61, 89));
 
-// The acceptance sweep on the span path: crash at >= 50 distinct points in
-// a span-driven workload, remount, finish the workload — and at every point
-// the span device must match a scalar twin crash-driven identically:
-// recovery counters, stats and the full mapping.
+// The same comparison across power cuts at 50 points of the workload.
 TEST(FtlSpanCrash, FiftyPointSweepMatchesScalarTwin) {
-  constexpr int kPoints = 50;
-  std::vector<SpanOp> ops;
-  {
-    const Ftl probe(journaled_small());
-    ops = random_span_ops(0xfeedULL, probe.logical_pages(), 120, 0.1);
-  }
-  for (int point = 0; point < kPoints; ++point) {
-    const std::size_t crash_after = 2 + static_cast<std::size_t>(point) * 2;
-    ASSERT_LT(crash_after, ops.size());
-    Ftl scalar(journaled_small());
-    Ftl span(journaled_small());
-    for (std::size_t i = 0; i < crash_after; ++i) {
-      apply_scalar(scalar, ops[i]);
-      apply_span(span, ops[i]);
-    }
-    const auto crash_a = scalar.power_loss();
-    const auto crash_b = span.power_loss();
-    EXPECT_EQ(crash_a.lost_tail_updates, crash_b.lost_tail_updates);
-    EXPECT_EQ(crash_a.lost_trims, crash_b.lost_trims);
-    const auto rec_a = scalar.recover();
-    const auto rec_b = span.recover();
-    EXPECT_EQ(rec_a.checkpoint_pages_read, rec_b.checkpoint_pages_read);
-    EXPECT_EQ(rec_a.journal_pages_read, rec_b.journal_pages_read);
-    EXPECT_EQ(rec_a.journal_entries_replayed, rec_b.journal_entries_replayed);
-    EXPECT_EQ(rec_a.blocks_scanned, rec_b.blocks_scanned);
-    EXPECT_EQ(rec_a.pages_scanned, rec_b.pages_scanned);
-    EXPECT_EQ(rec_a.mappings_recovered, rec_b.mappings_recovered);
-    EXPECT_EQ(rec_a.tail_updates_rescued, rec_b.tail_updates_rescued);
-    EXPECT_EQ(rec_a.stale_mappings_dropped, rec_b.stale_mappings_dropped);
-    for (std::size_t i = crash_after; i < ops.size(); ++i) {
-      apply_scalar(scalar, ops[i]);
-      apply_span(span, ops[i]);
-    }
-    expect_identical(scalar, span);
-  }
+  storage_oracle::expect_crash_sweep_matches_pages<Ftl>(journaled_small());
 }
 
-// recover() runs the incremental remount check; the exhaustive sweep must
-// agree with it — both checkers pass on the device at every remount.
 TEST(FtlSpanCrash, IncrementalAndExhaustiveRemountVerifyAgree) {
-  Ftl ftl(journaled_small());
-  const auto ops = random_span_ops(0xabcdULL, ftl.logical_pages(), 150, 0.2);
-  std::size_t cursor = 0;
-  for (int cycle = 0; cycle < 3; ++cycle) {
-    for (std::size_t i = 0; i < 40; ++i, ++cursor) {
-      apply_span(ftl, ops[cursor % ops.size()]);
-    }
-    ftl.power_loss();
-    const auto rec = ftl.recover();
-    EXPECT_GT(rec.mappings_recovered, 0u);
-    ftl.check_invariants();
-    ftl.check_invariants_incremental();
-  }
+  storage_oracle::expect_remount_checks_agree<Ftl>(journaled_small());
 }
+
+// The map model (storage_oracle.hpp): no backend code, just which pages
+// the op stream left mapped.
+class FtlMapModel : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FtlMapModel, LastWriteWinsAndTrimsUnmap) {
+  Ftl ftl(journaled_small());
+  storage_oracle::expect_matches_map_model(ftl, GetParam());
+  ftl.check_invariants();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FtlMapModel, ::testing::Values(3, 31, 71));
 
 TEST(FtlSpan, ReadSpanMatchesTranslateLoop) {
   Ftl ftl(small_ftl());
-  for (Lpn lpn = 10; lpn < 30; ++lpn) ftl.write(lpn);
-  ftl.trim(15);
-  ftl.trim(22);
+  for (Lpn lpn = 10; lpn < 30; ++lpn) ftl.write_span(lpn, 1);
+  ftl.trim_span(15, 1);
+  ftl.trim_span(22, 1);
   std::vector<Ppn> collected;
   const auto mapped = ftl.read_span(0, ftl.logical_pages(), &collected);
   std::vector<Ppn> expected;
@@ -590,8 +474,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Ftl, RecordMetricsExportsFreePagesAndWaGauges) {
   Ftl ftl(small_ftl());
-  for (Lpn lpn = 0; lpn < 30; ++lpn) ftl.write(lpn);
-  for (Lpn lpn = 0; lpn < 30; ++lpn) ftl.write(lpn);  // force relocations
+  for (Lpn lpn = 0; lpn < 30; ++lpn) ftl.write_span(lpn, 1);
+  // One-page overwrites of the same 30 pages force relocations.
+  for (Lpn lpn = 0; lpn < 30; ++lpn) ftl.write_span(lpn, 1);
   obs::MetricsRegistry registry;
   ftl.stats().record_metrics(registry);
   ASSERT_NE(registry.find_gauge("ftl.free_pages"), nullptr);
@@ -602,6 +487,110 @@ TEST(Ftl, RecordMetricsExportsFreePagesAndWaGauges) {
   EXPECT_GE(registry.find_gauge("ftl.wa")->value, 1.0);
   EXPECT_DOUBLE_EQ(registry.find_gauge("ftl.wa")->value,
                    ftl.stats().write_amplification());
+}
+
+// ---------------------------------------------------------------------------
+// UnitPool, the erase-unit pool both backends own, driven directly: 16
+// one-block units of 4 pages, 32 logical pages, watermarks 2/4.
+
+PoolConfig small_pool() {
+  PoolConfig config;
+  config.geometry.channels = 1;
+  config.geometry.dies_per_channel = 1;
+  config.geometry.planes_per_die = 1;
+  config.geometry.blocks_per_die = 16;
+  config.geometry.pages_per_block = 4;
+  config.overprovision = 0.5;
+  config.low_watermark = 2;
+  config.high_watermark = 4;
+  config.names = {.backend = "FTL",
+                  .unit = "block",
+                  .units = "blocks",
+                  .reclaim = "GC",
+                  .append = "active",
+                  .pool = "total",
+                  .starved = "out of free blocks"};
+  return config;
+}
+
+/// Whether `fn` throws an isp::Error whose message ends in `message`.
+template <typename F>
+bool throws_message(F fn, const std::string& message) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    return what.size() >= message.size() &&
+           what.compare(what.size() - message.size(), message.size(),
+                        message) == 0;
+  }
+  return false;
+}
+
+TEST(UnitPool, VictimIsFirstStrictMinimumSkippingAppendPoints) {
+  UnitPool::Hooks hooks;
+  UnitPool pool(small_pool(), hooks);
+  pool.reopen_append_points({});
+  ASSERT_EQ(pool.host_point(), 0u);
+  ASSERT_EQ(pool.reclaim_point(), 1u);
+  // Units 0, 2, 3 and 4 fill in order (1 is the reclaim point); the host
+  // point ends on unit 4.
+  pool.write_span(0, 16);
+  ASSERT_EQ(pool.host_point(), 4u);
+  pool.trim_span(0, 1);   // unit 0: 3 valid
+  pool.trim_span(8, 1);   // unit 3: 3 valid, ties with unit 0
+  pool.trim_span(12, 2);  // unit 4: 2 valid, but the host append point
+  EXPECT_EQ(pool.valid(0), 3u);
+  EXPECT_EQ(pool.valid(2), 4u);
+  EXPECT_EQ(pool.valid(3), 3u);
+  EXPECT_EQ(pool.valid(4), 2u);
+  EXPECT_EQ(pool.victim(), 0u);
+  pool.check_invariants();
+}
+
+TEST(UnitPool, FullyValidVictimStandsDownButCountsTheInvocation) {
+  UnitPool::Hooks hooks;
+  UnitPool pool(small_pool(), hooks);
+  pool.reopen_append_points({});
+  pool.write_span(0, 12);  // units 0, 2, 3 full and fully valid
+  // Take free units out of the pool (as ZNS opens do) down to the low
+  // watermark, so reclaim has to run.
+  for (std::uint64_t u = 4; pool.free_units() > 2; ++u) pool.take(u);
+  // (A walk that relocated a fully valid unit would never gain space.)
+  ASSERT_EQ(pool.victim(), pool.units());
+  pool.reclaim();
+  EXPECT_EQ(pool.stats().reclaim_invocations, 1u);
+  EXPECT_EQ(pool.stats().erases, 0u);
+  EXPECT_EQ(pool.stats().reclaim_pages, 0u);
+  EXPECT_EQ(pool.free_units(), 2u);
+  // A host write at the watermark re-runs the loop: one more stand-down.
+  pool.write_span(12, 1);
+  EXPECT_EQ(pool.stats().reclaim_invocations, 2u);
+  EXPECT_EQ(pool.stats().reclaim_pages, 0u);
+  pool.check_invariants();
+}
+
+TEST(UnitPool, FeasibilityChecksKeepTheirMessages) {
+  PoolConfig tight = small_pool();
+  tight.overprovision = 0.1;  // 15 logical blocks + 2 + 4 > 16
+  EXPECT_TRUE(throws_message(
+      [&] { (void)UnitPool::checked_logical_pages(tight); },
+      "overprovision too small for the GC watermarks: 15 logical blocks + 2 "
+      "active + 4 watermark > 16 total"));
+
+  UnitPool::Hooks hooks;
+  UnitPool pool(small_pool(), hooks);
+  pool.reopen_append_points({});
+  pool.write_span(0, 8);
+  // 8 logical + 2 append + 4 watermark of 16 leaves two blocks to retire.
+  pool.retire(5);
+  pool.retire(6);
+  EXPECT_TRUE(throws_message(
+      [&] { pool.retire(7); },
+      "cannot retire block 7: too few healthy blocks would remain"));
+  EXPECT_FALSE(pool.retired(7));
+  EXPECT_EQ(pool.retired_units(), 2u);
+  pool.check_invariants();
 }
 
 }  // namespace

@@ -61,7 +61,9 @@ TEST(Equation1, ContentionCollapsesToNetProfitWhenNeutral) {
                        .bw_d2h = gb_per_s(5.0)};
   const Eq1Contention neutral{.queue_wait = Seconds::zero(),
                               .cse_availability = 1.0,
-                              .link_share = 1.0};
+                              .link_share = 1.0,
+                              .reclaim_wait = Seconds::zero(),
+                              .persist_cost = Seconds::zero()};
   EXPECT_DOUBLE_EQ(net_profit_under_contention(terms, neutral).value(),
                    net_profit(terms).value());
 }
@@ -76,12 +78,20 @@ TEST(Equation1, ContentionStretchesTheDeviceSideOnly) {
 
   // Queue wait subtracts one-for-one from the profit.
   const auto queued = net_profit_under_contention(
-      terms, {.queue_wait = Seconds{0.5}});
+      terms, {.queue_wait = Seconds{0.5},
+              .cse_availability = 1.0,
+              .link_share = 1.0,
+              .reclaim_wait = Seconds::zero(),
+              .persist_cost = Seconds::zero()});
   EXPECT_NEAR(queued.value(), base.value() - 0.5, 1e-9);
 
   // A throttled CSE inflates CT_device by 1/A.
   const auto throttled = net_profit_under_contention(
-      terms, {.queue_wait = Seconds::zero(), .cse_availability = 0.5});
+      terms, {.queue_wait = Seconds::zero(),
+              .cse_availability = 0.5,
+              .link_share = 1.0,
+              .reclaim_wait = Seconds::zero(),
+              .persist_cost = Seconds::zero()});
   EXPECT_NEAR(throttled.value(), base.value() - 2.8, 1e-9);
 
   // A halved link slows *both* transfers; with DS_raw >> DS_processed the
@@ -89,7 +99,9 @@ TEST(Equation1, ContentionStretchesTheDeviceSideOnly) {
   const auto shared_link = net_profit_under_contention(
       terms, {.queue_wait = Seconds::zero(),
               .cse_availability = 1.0,
-              .link_share = 0.5});
+              .link_share = 0.5,
+              .reclaim_wait = Seconds::zero(),
+              .persist_cost = Seconds::zero()});
   EXPECT_GT(shared_link, base);
 }
 
@@ -106,13 +118,19 @@ TEST(Equation1, SideSplitRecombinesBitForBit) {
   const Eq1Contention regimes[] = {
       {.queue_wait = Seconds::zero(),
        .cse_availability = 1.0,
-       .link_share = 1.0},
+       .link_share = 1.0,
+       .reclaim_wait = Seconds::zero(),
+       .persist_cost = Seconds::zero()},
       {.queue_wait = Seconds{0.75},
        .cse_availability = 0.37,
-       .link_share = 0.5},
+       .link_share = 0.5,
+       .reclaim_wait = Seconds::zero(),
+       .persist_cost = Seconds::zero()},
       {.queue_wait = Seconds{123.456},
        .cse_availability = 1e-6,
-       .link_share = 0.125},
+       .link_share = 0.125,
+       .reclaim_wait = Seconds::zero(),
+       .persist_cost = Seconds::zero()},
   };
   for (const auto& c : regimes) {
     const auto recombined = host_side_cost(terms, c) - device_side_cost(terms, c);
@@ -135,14 +153,25 @@ TEST(Equation1, StorageTermsSubtractFromTheDeviceSide) {
   const auto base = net_profit(terms);
 
   const auto reclaiming = net_profit_under_contention(
-      terms, {.reclaim_wait = Seconds{0.25}});
+      terms, {.queue_wait = Seconds::zero(),
+              .cse_availability = 1.0,
+              .link_share = 1.0,
+              .reclaim_wait = Seconds{0.25},
+              .persist_cost = Seconds::zero()});
   EXPECT_NEAR(reclaiming.value(), base.value() - 0.25, 1e-9);
 
   const auto persisting = net_profit_under_contention(
-      terms, {.persist_cost = Seconds{0.4}});
+      terms, {.queue_wait = Seconds::zero(),
+              .cse_availability = 1.0,
+              .link_share = 1.0,
+              .reclaim_wait = Seconds::zero(),
+              .persist_cost = Seconds{0.4}});
   EXPECT_NEAR(persisting.value(), base.value() - 0.4, 1e-9);
 
-  const Eq1Contention both{.reclaim_wait = Seconds{0.25},
+  const Eq1Contention both{.queue_wait = Seconds::zero(),
+                           .cse_availability = 1.0,
+                           .link_share = 1.0,
+                           .reclaim_wait = Seconds{0.25},
                            .persist_cost = Seconds{0.4}};
   EXPECT_NEAR(net_profit_under_contention(terms, both).value(),
               base.value() - 0.65, 1e-9);
@@ -159,10 +188,18 @@ TEST(Equation1, StorageTermsRejectNegatives) {
                        .ds_processed = Bytes{0},
                        .bw_d2h = gb_per_s(5.0)};
   EXPECT_THROW(static_cast<void>(net_profit_under_contention(
-                   terms, {.reclaim_wait = Seconds{-0.1}})),
+                   terms, {.queue_wait = Seconds::zero(),
+                           .cse_availability = 1.0,
+                           .link_share = 1.0,
+                           .reclaim_wait = Seconds{-0.1},
+                           .persist_cost = Seconds::zero()})),
                Error);
   EXPECT_THROW(static_cast<void>(net_profit_under_contention(
-                   terms, {.persist_cost = Seconds{-0.1}})),
+                   terms, {.queue_wait = Seconds::zero(),
+                           .cse_availability = 1.0,
+                           .link_share = 1.0,
+                           .reclaim_wait = Seconds::zero(),
+                           .persist_cost = Seconds{-0.1}})),
                Error);
 }
 
@@ -174,15 +211,24 @@ TEST(Equation1, ContentionRejectsBadFractions) {
                        .bw_d2h = gb_per_s(5.0)};
   EXPECT_THROW(static_cast<void>(net_profit_under_contention(
                    terms, {.queue_wait = Seconds::zero(),
-                           .cse_availability = 0.0})),
+                           .cse_availability = 0.0,
+                           .link_share = 1.0,
+                           .reclaim_wait = Seconds::zero(),
+                           .persist_cost = Seconds::zero()})),
                Error);
   EXPECT_THROW(static_cast<void>(net_profit_under_contention(
                    terms, {.queue_wait = Seconds::zero(),
                            .cse_availability = 1.0,
-                           .link_share = 1.5})),
+                           .link_share = 1.5,
+                           .reclaim_wait = Seconds::zero(),
+                           .persist_cost = Seconds::zero()})),
                Error);
   EXPECT_THROW(static_cast<void>(net_profit_under_contention(
-                   terms, {.queue_wait = Seconds{-1.0}})),
+                   terms, {.queue_wait = Seconds{-1.0},
+                           .cse_availability = 1.0,
+                           .link_share = 1.0,
+                           .reclaim_wait = Seconds::zero(),
+                           .persist_cost = Seconds::zero()})),
                Error);
 }
 

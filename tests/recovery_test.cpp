@@ -58,7 +58,7 @@ FtlConfig journaled_ftl(double overprovision = 0.3) {
 
 TEST(FtlJournal, MetaWritesVisibleInWriteAmplification) {
   Ftl ftl(journaled_ftl());
-  for (Lpn lpn = 0; lpn < 40; ++lpn) ftl.write(lpn);
+  for (Lpn lpn = 0; lpn < 40; ++lpn) ftl.write_span(lpn, 1);
 
   const auto& s = ftl.stats();
   EXPECT_EQ(s.host_writes, 40u);
@@ -74,7 +74,7 @@ TEST(FtlJournal, DisabledJournalChargesNothingAndCannotCrash) {
   FtlConfig config = journaled_ftl();
   config.journal.enabled = false;
   Ftl ftl(config);
-  for (Lpn lpn = 0; lpn < 40; ++lpn) ftl.write(lpn);
+  for (Lpn lpn = 0; lpn < 40; ++lpn) ftl.write_span(lpn, 1);
 
   EXPECT_FALSE(ftl.journaling());
   EXPECT_EQ(ftl.stats().meta_writes, 0u);
@@ -87,7 +87,7 @@ TEST(FtlJournal, CheckpointFoldBoundsJournalReplay) {
   Ftl ftl(journaled_ftl());
   Rng rng(5);
   for (int i = 0; i < 300; ++i) {
-    ftl.write(rng.uniform_u64(0, ftl.logical_pages() - 1));
+    ftl.write_span(rng.uniform_u64(0, ftl.logical_pages() - 1), 1);
   }
   EXPECT_GE(ftl.stats().checkpoint_folds, 2u);
 
@@ -111,15 +111,15 @@ TEST(FtlRecovery, RemountRestoresEveryDurableMapping) {
   Ftl ftl(journaled_ftl());
   std::map<Lpn, flash::Ppn> before;
   for (Lpn lpn = 0; lpn < 50; ++lpn) {
-    ftl.write(lpn);
+    ftl.write_span(lpn, 1);
     before[lpn] = *ftl.translate(lpn);
   }
 
   ftl.power_loss();
   EXPECT_FALSE(ftl.mounted());
-  EXPECT_THROW(ftl.write(0), Error);
+  EXPECT_THROW(ftl.write_span(0, 1), Error);
   EXPECT_THROW(static_cast<void>(ftl.translate(0)), Error);
-  EXPECT_THROW(ftl.trim(0), Error);
+  EXPECT_THROW(ftl.trim_span(0, 1), Error);
   EXPECT_THROW(ftl.check_invariants(), Error);
 
   const auto rec = ftl.recover();
@@ -133,8 +133,8 @@ TEST(FtlRecovery, RemountRestoresEveryDurableMapping) {
   }
   ftl.check_invariants();
   // The remounted FTL is fully operational.
-  ftl.write(3);
-  ftl.trim(4);
+  ftl.write_span(3, 1);
+  ftl.trim_span(4, 1);
   ftl.check_invariants();
 }
 
@@ -143,8 +143,8 @@ TEST(FtlRecovery, VolatileTailRescuedFromOob) {
   // Two mapping updates stay buffered (4 entries fill a journal page), so
   // the crash loses them from the journal — but not from the media: each
   // data-page program stamped lpn+seq out of band.
-  ftl.write(10);
-  ftl.write(11);
+  ftl.write_span(10, 1);
+  ftl.write_span(11, 1);
   EXPECT_EQ(ftl.journal_tail_updates(), 2u);
 
   const auto crash = ftl.power_loss();
@@ -161,10 +161,10 @@ TEST(FtlRecovery, VolatileTailRescuedFromOob) {
 TEST(FtlRecovery, BufferedTrimIsTheOnlyRealLoss) {
   Ftl ftl(journaled_ftl());
   // Four writes program a full journal page: lpn 7's mapping is durable.
-  for (Lpn lpn = 4; lpn < 8; ++lpn) ftl.write(lpn);
+  for (Lpn lpn = 4; lpn < 8; ++lpn) ftl.write_span(lpn, 1);
   EXPECT_EQ(ftl.journal_tail_updates(), 0u);
   // The trim stays in the volatile tail; nothing on media records it.
-  ftl.trim(7);
+  ftl.trim_span(7, 1);
   EXPECT_FALSE(ftl.translate(7).has_value());
 
   const auto crash = ftl.power_loss();
@@ -179,9 +179,9 @@ TEST(FtlRecovery, BufferedTrimIsTheOnlyRealLoss) {
 
 TEST(FtlRecovery, NewestTailWriteWinsAfterRemount) {
   Ftl ftl(journaled_ftl());
-  ftl.write(3);
+  ftl.write_span(3, 1);
   const auto first = *ftl.translate(3);
-  ftl.write(3);  // supersedes within the volatile tail
+  ftl.write_span(3, 1);  // supersedes within the volatile tail
   const auto second = *ftl.translate(3);
   ASSERT_NE(first, second);
 
@@ -197,7 +197,7 @@ TEST(FtlRecovery, RetirementSurvivesPowerLoss) {
   Ftl ftl(journaled_ftl(/*overprovision=*/0.5));
   Rng rng(13);
   for (int i = 0; i < 200; ++i) {
-    ftl.write(rng.uniform_u64(0, ftl.logical_pages() - 1));
+    ftl.write_span(rng.uniform_u64(0, ftl.logical_pages() - 1), 1);
   }
   ftl.retire_block(5);
   ftl.retire_block(9);
@@ -209,7 +209,7 @@ TEST(FtlRecovery, RetirementSurvivesPowerLoss) {
   ftl.check_invariants();
   // Retired blocks stay excluded from allocation across the remount.
   for (int i = 0; i < 200; ++i) {
-    ftl.write(rng.uniform_u64(0, ftl.logical_pages() - 1));
+    ftl.write_span(rng.uniform_u64(0, ftl.logical_pages() - 1), 1);
   }
   EXPECT_EQ(ftl.retired_blocks(), 2u);
   ftl.check_invariants();
@@ -221,13 +221,13 @@ TEST(FtlRecovery, RetirementSurvivesPowerLoss) {
 // numbers.
 TEST(FtlRecovery, SecondCutKeepsOobRescuedPages) {
   Ftl ftl(journaled_ftl());
-  ftl.write(10);
-  ftl.write(11);
+  ftl.write_span(10, 1);
+  ftl.write_span(11, 1);
   ftl.power_loss();
   EXPECT_EQ(ftl.recover().tail_updates_rescued, 2u);
 
   // Four writes program one journal page and fold nothing.
-  for (Lpn lpn = 20; lpn < 24; ++lpn) ftl.write(lpn);
+  for (Lpn lpn = 20; lpn < 24; ++lpn) ftl.write_span(lpn, 1);
   EXPECT_EQ(ftl.journal_tail_updates(), 0u);
   EXPECT_EQ(ftl.stats().checkpoint_folds, 0u);
 
@@ -242,9 +242,9 @@ TEST(FtlRecovery, SecondCutKeepsOobRescuedPages) {
 
 // ---------------------------------------------------------------------------
 // Multi-crash property, both backends: a random write/overwrite/trim stream
-// (scalar and extent ops) with 2-8 power cuts 1-40 ops apart, so cuts land
-// between checkpoint folds and remounts follow each other with no fold in
-// between.  After every remount each acknowledged, untrimmed write still
+// (one-page and longer extents) with 2-8 power cuts 1-40 ops apart, so cuts
+// land between checkpoint folds and remounts follow each other with no fold
+// in between.  After every remount each acknowledged, untrimmed write still
 // maps; every page mapped before the cut maps to the same physical page;
 // and the only extra mappings are trims issued since the previous remount
 // whose records were still buffered (docs/fault-model.md: a lost trim may
@@ -298,14 +298,10 @@ TEST_P(CrashChurn, AcknowledgedWritesSurviveEveryCut) {
       const bool span = rng.next_double() < 0.25;
       const std::uint64_t len =
           span ? rng.uniform_u64(1, std::min<std::uint64_t>(8, n - first)) : 1;
-      if (write && span) {
+      if (write) {
         dev.write_span(first, len);
-      } else if (write) {
-        dev.write(first);
-      } else if (span) {
-        dev.trim_span(first, len);
       } else {
-        dev.trim(first);
+        dev.trim_span(first, len);
       }
       for (Lpn lpn = first; lpn < first + len; ++lpn) {
         live[lpn] = write;
@@ -346,7 +342,7 @@ TEST_P(CrashChurn, AcknowledgedWritesSurviveEveryCut) {
 
     // The device is writable again.
     const Lpn probe = rng.uniform_u64(0, n - 1);
-    dev.write(probe);
+    dev.write_span(probe, 1);
     live[probe] = 1;
     ASSERT_TRUE(dev.translate(probe).has_value());
   }
@@ -479,7 +475,7 @@ TEST(DevicePowerCycle, RemountsJournaledFtlAndChargesMediaReads) {
   csd::CsdDevice device(simulator, csd::CsdConfig{});
   ASSERT_TRUE(device.storage().journaling()) << "a real CSD journals by default";
 
-  for (Lpn lpn = 0; lpn < 64; ++lpn) device.storage().write(lpn);
+  for (Lpn lpn = 0; lpn < 64; ++lpn) device.storage().write_span(lpn, 1);
 
   const auto outcome = device.power_cycle();
   EXPECT_TRUE(device.storage().mounted());

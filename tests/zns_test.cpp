@@ -19,6 +19,7 @@
 #include "common/rng.hpp"
 #include "flash/ftl.hpp"
 #include "obs/metrics.hpp"
+#include "storage_oracle.hpp"
 #include "zns/zns.hpp"
 
 namespace isp::zns {
@@ -83,7 +84,7 @@ TEST(Zns, GeometryAndInitialState) {
 TEST(Zns, TranslateAfterWrite) {
   ZnsDevice zns(small_zns());
   EXPECT_FALSE(zns.translate(0).has_value());
-  zns.write(0);
+  zns.write_span(0, 1);
   ASSERT_TRUE(zns.translate(0).has_value());
   zns.check_invariants();
 }
@@ -104,7 +105,7 @@ TEST(Zns, ZoneAppendReturnsWritePointerSlot) {
 
 TEST(Zns, OutOfRangeRejected) {
   ZnsDevice zns(small_zns());
-  EXPECT_THROW(zns.write(zns.logical_pages()), Error);
+  EXPECT_THROW(zns.write_span(zns.logical_pages(), 1), Error);
   EXPECT_THROW(static_cast<void>(zns.translate(zns.logical_pages())), Error);
   EXPECT_THROW(zns.zone_append(0, 0), Error);  // metadata zone
   EXPECT_THROW(zns.zone_append(zns.zone_count(), 0), Error);
@@ -122,7 +123,7 @@ TEST(Zns, WritePointerMonotoneAndOpenLimitUnderRandomWrites) {
   std::vector<std::uint32_t> wp(zns.zone_count(), 0);
   std::uint64_t resets_seen = 0;
   for (int step = 0; step < 4000; ++step) {
-    zns.write(rng.uniform_u64(0, zns.logical_pages() - 1));
+    zns.write_span(rng.uniform_u64(0, zns.logical_pages() - 1), 1);
     EXPECT_LE(zns.open_zones(), zns.config().max_open_zones);
     bool receded = false;
     for (std::uint64_t z = 1; z < zns.zone_count(); ++z) {
@@ -178,7 +179,7 @@ TEST(Zns, ResetOfLiveZoneRejectedUntilTrimmed) {
   EXPECT_THROW(zns.zone_append(zone, 0), Error);  // full zones reject
   // Resetting live data would lose it: the model rejects loudly.
   EXPECT_THROW(zns.reset_zone(zone), Error);
-  for (std::uint32_t i = 0; i < zns.zone_pages(); ++i) zns.trim(i);
+  for (std::uint32_t i = 0; i < zns.zone_pages(); ++i) zns.trim_span(i, 1);
   zns.reset_zone(zone);
   EXPECT_EQ(zns.zone_state(zone), ZoneState::Empty);
   EXPECT_EQ(zns.write_pointer(zone), 0u);
@@ -201,7 +202,7 @@ TEST(Zns, SteadyStateOverwritesTriggerHostReclaim) {
   ZnsDevice zns(small_zns());
   Rng rng(0x2718ULL);
   for (int i = 0; i < 3000; ++i) {
-    zns.write(rng.uniform_u64(0, zns.logical_pages() - 1));
+    zns.write_span(rng.uniform_u64(0, zns.logical_pages() - 1), 1);
   }
   const auto& stats = zns.stats();
   EXPECT_GT(stats.reclaim_invocations, 0u);
@@ -244,7 +245,7 @@ TEST(Zns, RecordMetricsExportsZnsPrefix) {
   ZnsDevice zns(small_zns());
   Rng rng(7);
   for (int i = 0; i < 500; ++i) {
-    zns.write(rng.uniform_u64(0, zns.logical_pages() - 1));
+    zns.write_span(rng.uniform_u64(0, zns.logical_pages() - 1), 1);
   }
   obs::MetricsRegistry registry;
   zns.record_metrics(registry);
@@ -275,8 +276,8 @@ TEST(Zns, WritesJournalLessMetadataThanFtl) {
   Rng rng(0x5eedULL);
   for (int i = 0; i < 800; ++i) {
     const flash::Lpn lpn = rng.uniform_u64(0, span - 1);
-    ftl.write(lpn);
-    zns.write(lpn);
+    ftl.write_span(lpn, 1);
+    zns.write_span(lpn, 1);
   }
   EXPECT_GT(ftl.counters().meta_pages, 0u);
   EXPECT_LT(zns.counters().meta_pages, ftl.counters().meta_pages);
@@ -293,7 +294,7 @@ TEST(Zns, RecoveryPreservesEveryDurableMapping) {
   ZnsDevice zns(small_zns(/*journal=*/true));
   Rng rng(0xabcdULL);
   for (int i = 0; i < 700; ++i) {
-    zns.write(rng.uniform_u64(0, zns.logical_pages() - 1));
+    zns.write_span(rng.uniform_u64(0, zns.logical_pages() - 1), 1);
   }
   std::set<flash::Lpn> mapped_before;
   for (flash::Lpn lpn = 0; lpn < zns.logical_pages(); ++lpn) {
@@ -303,7 +304,7 @@ TEST(Zns, RecoveryPreservesEveryDurableMapping) {
   const auto crash = zns.power_loss();
   EXPECT_EQ(crash.lost_trims, 0u);  // write-only: nothing buffered to lose
   EXPECT_FALSE(zns.mounted());
-  EXPECT_THROW(zns.write(0), Error);  // unmounted device rejects IO
+  EXPECT_THROW(zns.write_span(0, 1), Error);  // unmounted device rejects IO
   const auto rec = zns.recover();
   EXPECT_TRUE(zns.mounted());
   EXPECT_EQ(rec.mappings_recovered, mapped_before.size());
@@ -325,8 +326,8 @@ TEST(Zns, DurablyJournaledTrimsStayTrimmedAcrossCrash) {
   ZnsDevice zns(config);
   // 64-byte pages / 16-byte entries: 4 trims fill and program one journal
   // page, making those trims durable.
-  for (flash::Lpn lpn = 0; lpn < 8; ++lpn) zns.write(lpn);
-  for (flash::Lpn lpn = 0; lpn < 4; ++lpn) zns.trim(lpn);
+  for (flash::Lpn lpn = 0; lpn < 8; ++lpn) zns.write_span(lpn, 1);
+  for (flash::Lpn lpn = 0; lpn < 4; ++lpn) zns.trim_span(lpn, 1);
   EXPECT_GT(zns.counters().meta_pages, 0u);
 
   zns.power_loss();
@@ -377,17 +378,17 @@ TEST(Zns, CrashPointSweepMatchesNoCrashDigest) {
   std::uint64_t reference = 0;
   {
     ZnsDevice zns(config);
-    for (const auto lpn : ops) zns.write(lpn);
+    for (const auto lpn : ops) zns.write_span(lpn, 1);
     reference = occupancy_digest(zns);
   }
 
   for (int point = 0; point < kPoints; ++point) {
     const int crash_after = 2 + point * 5;  // 2, 7, ..., 247 — all < kOps
     ZnsDevice zns(config);
-    for (int i = 0; i < crash_after; ++i) zns.write(ops[i]);
+    for (int i = 0; i < crash_after; ++i) zns.write_span(ops[i], 1);
     zns.power_loss();
     zns.recover();
-    for (int i = crash_after; i < kOps; ++i) zns.write(ops[i]);
+    for (int i = crash_after; i < kOps; ++i) zns.write_span(ops[i], 1);
     zns.check_invariants();
     EXPECT_EQ(occupancy_digest(zns), reference)
         << "crash after op " << crash_after << " diverged";
@@ -395,168 +396,48 @@ TEST(Zns, CrashPointSweepMatchesNoCrashDigest) {
 }
 
 // ---------------------------------------------------------------------------
-// Extent (span) data plane: the batched ops must be bit-for-bit the scalar
-// loops, through zone fills, implicit opens, reclaim and crash/remount.
+// Extent data plane: the shared storage oracle on the zoned backend.
 
-struct SpanOp {
-  bool is_trim = false;
-  flash::Lpn first = 0;
-  std::uint64_t count = 0;
-};
-
-std::vector<SpanOp> random_span_ops(std::uint64_t seed, std::uint64_t logical,
-                                    int n, double trim_share) {
-  Rng rng(seed);
-  std::vector<SpanOp> ops;
-  ops.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    SpanOp op;
-    op.first = rng.uniform_u64(0, logical - 1);
-    op.count =
-        rng.uniform_u64(1, std::min<std::uint64_t>(24, logical - op.first));
-    op.is_trim = rng.next_double() < trim_share;
-    ops.push_back(op);
-  }
-  return ops;
-}
-
-void apply_scalar(flash::StorageBackend& dev, const SpanOp& op) {
-  for (std::uint64_t i = 0; i < op.count; ++i) {
-    if (op.is_trim) {
-      dev.trim(op.first + i);
-    } else {
-      dev.write(op.first + i);
-    }
-  }
-}
-
-void apply_span(flash::StorageBackend& dev, const SpanOp& op) {
-  if (op.is_trim) {
-    dev.trim_span(op.first, op.count);
-  } else {
-    dev.write_span(op.first, op.count);
-  }
-}
-
-void expect_identical(const ZnsDevice& scalar, const ZnsDevice& span) {
-  ASSERT_EQ(scalar.logical_pages(), span.logical_pages());
-  for (flash::Lpn lpn = 0; lpn < scalar.logical_pages(); ++lpn) {
-    ASSERT_EQ(scalar.translate(lpn), span.translate(lpn))
-        << "mapping diverged at lpn " << lpn;
-  }
-  for (std::uint64_t z = 0; z < scalar.zone_count(); ++z) {
-    EXPECT_EQ(scalar.zone_state(z), span.zone_state(z)) << "zone " << z;
-    EXPECT_EQ(scalar.write_pointer(z), span.write_pointer(z)) << "zone " << z;
-    EXPECT_EQ(scalar.live_pages(z), span.live_pages(z)) << "zone " << z;
-  }
-  const auto& a = scalar.stats();
-  const auto& b = span.stats();
-  EXPECT_EQ(a.host_appends, b.host_appends);
-  EXPECT_EQ(a.reclaim_copies, b.reclaim_copies);
-  EXPECT_EQ(a.meta_appends, b.meta_appends);
-  EXPECT_EQ(a.zone_resets, b.zone_resets);
-  EXPECT_EQ(a.erases, b.erases);
-  EXPECT_EQ(a.reclaim_invocations, b.reclaim_invocations);
-  EXPECT_EQ(a.checkpoint_folds, b.checkpoint_folds);
-  EXPECT_EQ(a.implicit_closes, b.implicit_closes);
-  EXPECT_EQ(a.zones_retired, b.zones_retired);
-  EXPECT_EQ(a.recoveries, b.recoveries);
-  EXPECT_DOUBLE_EQ(a.write_amplification(), b.write_amplification());
-  EXPECT_EQ(scalar.open_zones(), span.open_zones());
-  EXPECT_EQ(scalar.free_zones(), span.free_zones());
-  scalar.check_invariants();
-  span.check_invariants();
-  scalar.check_invariants_incremental();
-  span.check_invariants_incremental();
-}
-
-// Mixed write/trim extents through zone fills and watermark reclaim: the
-// reclaim invocation count must match exactly, including the per-append
-// invocations of the scalar path in the at-watermark regime.
+// Each extent whole against the same extent as one-page extents
+// (storage_oracle.hpp), through zone fills, implicit opens and watermark
+// reclaim.
 class ZnsSpanDiff : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ZnsSpanDiff, SpanOpsMatchScalarOpsExactly) {
-  ZnsDevice scalar(small_zns(/*journal=*/true));
-  ZnsDevice span(small_zns(/*journal=*/true));
-  const auto ops =
-      random_span_ops(GetParam(), scalar.logical_pages(), 400, 0.15);
-  for (const auto& op : ops) {
-    apply_scalar(scalar, op);
-    apply_span(span, op);
-  }
-  EXPECT_GT(span.stats().reclaim_invocations, 0u)
-      << "workload too light to exercise the watermark fallback";
-  expect_identical(scalar, span);
+  storage_oracle::expect_spans_match_pages<ZnsDevice>(
+      small_zns(/*journal=*/true), GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ZnsSpanDiff,
                          ::testing::Values(5, 17, 43, 61, 89));
 
-// The acceptance sweep on the span path: >= 50 crash points in a
-// span-driven workload, each compared against a scalar twin crash-driven at
-// the same point — recovery counters, stats, zone table and mapping all
-// bit-for-bit equal.
+// The same comparison across power cuts at 50 points of the workload.
 TEST(ZnsSpanCrash, FiftyPointSweepMatchesScalarTwin) {
-  constexpr int kPoints = 50;
-  std::vector<SpanOp> ops;
-  {
-    const ZnsDevice probe(small_zns(/*journal=*/true));
-    ops = random_span_ops(0xfeedULL, probe.logical_pages(), 120, 0.1);
-  }
-  for (int point = 0; point < kPoints; ++point) {
-    const std::size_t crash_after = 2 + static_cast<std::size_t>(point) * 2;
-    ASSERT_LT(crash_after, ops.size());
-    ZnsDevice scalar(small_zns(/*journal=*/true));
-    ZnsDevice span(small_zns(/*journal=*/true));
-    for (std::size_t i = 0; i < crash_after; ++i) {
-      apply_scalar(scalar, ops[i]);
-      apply_span(span, ops[i]);
-    }
-    const auto crash_a = scalar.power_loss();
-    const auto crash_b = span.power_loss();
-    EXPECT_EQ(crash_a.lost_tail_updates, crash_b.lost_tail_updates);
-    EXPECT_EQ(crash_a.lost_trims, crash_b.lost_trims);
-    const auto rec_a = scalar.recover();
-    const auto rec_b = span.recover();
-    EXPECT_EQ(rec_a.checkpoint_pages_read, rec_b.checkpoint_pages_read);
-    EXPECT_EQ(rec_a.journal_pages_read, rec_b.journal_pages_read);
-    EXPECT_EQ(rec_a.journal_entries_replayed, rec_b.journal_entries_replayed);
-    EXPECT_EQ(rec_a.blocks_scanned, rec_b.blocks_scanned);
-    EXPECT_EQ(rec_a.pages_scanned, rec_b.pages_scanned);
-    EXPECT_EQ(rec_a.mappings_recovered, rec_b.mappings_recovered);
-    EXPECT_EQ(rec_a.tail_updates_rescued, rec_b.tail_updates_rescued);
-    EXPECT_EQ(rec_a.stale_mappings_dropped, rec_b.stale_mappings_dropped);
-    for (std::size_t i = crash_after; i < ops.size(); ++i) {
-      apply_scalar(scalar, ops[i]);
-      apply_span(span, ops[i]);
-    }
-    expect_identical(scalar, span);
-  }
+  storage_oracle::expect_crash_sweep_matches_pages<ZnsDevice>(
+      small_zns(/*journal=*/true));
 }
 
-// recover() runs the incremental remount check; the exhaustive sweep must
-// agree with it — both checkers pass on the device at every remount.
 TEST(ZnsSpanCrash, IncrementalAndExhaustiveRemountVerifyAgree) {
-  ZnsDevice zns(small_zns(/*journal=*/true));
-  const auto ops = random_span_ops(0xabcdULL, zns.logical_pages(), 150, 0.2);
-  std::size_t cursor = 0;
-  for (int cycle = 0; cycle < 3; ++cycle) {
-    for (std::size_t i = 0; i < 40; ++i, ++cursor) {
-      apply_span(zns, ops[cursor % ops.size()]);
-    }
-    zns.power_loss();
-    const auto rec = zns.recover();
-    EXPECT_GT(rec.mappings_recovered, 0u);
-    zns.check_invariants();
-    zns.check_invariants_incremental();
-  }
+  storage_oracle::expect_remount_checks_agree<ZnsDevice>(
+      small_zns(/*journal=*/true));
 }
+
+// The map model (storage_oracle.hpp) on the zoned backend.
+class ZnsMapModel : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ZnsMapModel, LastWriteWinsAndTrimsUnmap) {
+  ZnsDevice zns(small_zns(/*journal=*/true));
+  storage_oracle::expect_matches_map_model(zns, GetParam());
+  zns.check_invariants();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ZnsMapModel, ::testing::Values(3, 31, 71));
 
 TEST(ZnsSpan, ReadSpanMatchesTranslateLoop) {
   ZnsDevice zns(small_zns());
-  for (flash::Lpn lpn = 10; lpn < 40; ++lpn) zns.write(lpn);
-  zns.trim(15);
-  zns.trim(33);
+  for (flash::Lpn lpn = 10; lpn < 40; ++lpn) zns.write_span(lpn, 1);
+  zns.trim_span(15, 1);
+  zns.trim_span(33, 1);
   std::vector<flash::Ppn> collected;
   const auto mapped = zns.read_span(0, zns.logical_pages(), &collected);
   std::vector<flash::Ppn> expected;
