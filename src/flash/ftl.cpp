@@ -100,4 +100,22 @@ FtlRecovery Ftl::recover() {
   return rec;
 }
 
+void Ftl::check_invariants() const {
+  pool_.check_invariants();
+  check_blocks();
+}
+
+void Ftl::check_invariants_incremental() const {
+  pool_.check_invariants_incremental();
+  check_blocks();
+}
+
+void Ftl::check_blocks() const {
+  for (std::uint64_t b = 0; b < pool_.units(); ++b) {
+    ISP_CHECK(pool_.is_full(b) == (!pool_.retired(b) &&
+                                   pool_.written(b) == pool_.unit_pages()),
+              "full-block bitset drift at block " << b);
+  }
+}
+
 }  // namespace isp::flash

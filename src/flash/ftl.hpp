@@ -174,18 +174,20 @@ class Ftl final : public StorageBackend {
 
   /// Validate every invariant; throws isp::Error on violation.  Cheap enough
   /// to call from property tests after every operation.
-  void check_invariants() const override { pool_.check_invariants(); }
+  void check_invariants() const override;
 
   /// The remount-time subset of check_invariants(): O(blocks) bitmap
   /// popcount cross-checks over the whole device, deep per-page checks only
   /// on the blocks dirtied since the last checkpoint fold.  recover() runs
   /// this on every remount; public so tests can check it alongside the
   /// full sweep.
-  void check_invariants_incremental() const {
-    pool_.check_invariants_incremental();
-  }
+  void check_invariants_incremental() const;
 
  private:
+  /// A block is full exactly when it is healthy and completely written
+  /// (the FTL never closes a block early, unlike a ZNS finish).
+  void check_blocks() const;
+
   UnitPool::Hooks hooks_;  // the FTL adds no steps to the pool's
   UnitPool pool_;
 };

@@ -170,11 +170,6 @@ Ppn UnitPool::write_at(std::uint64_t unit, Lpn lpn) {
   return ppn;
 }
 
-void UnitPool::write_one(Lpn lpn) {
-  if (is_full(host_)) host_ = allocate();
-  write_at(host_, lpn);
-}
-
 void UnitPool::write_span(Lpn first, std::uint64_t count) {
   check_span(first, count);
   Lpn lpn = first;
@@ -185,7 +180,7 @@ void UnitPool::write_span(Lpn first, std::uint64_t count) {
     // At or below the low watermark every page re-runs the watermark loop
     // (stand-downs included: each counts an invocation), so go page by page.
     if (free_count_ <= config_.low_watermark) {
-      write_one(lpn);
+      write_at(host_, lpn);
       ++lpn;
       --left;
       continue;
@@ -335,11 +330,13 @@ void UnitPool::retire(std::uint64_t unit) {
                              << ": too few healthy " << config_.names.units
                              << " would remain");
 
-  // The append points must not sit on a dying unit.
+  // The append points must not sit on a dying unit.  A free one (a reset
+  // ZNS append zone) leaves the free pool first, so allocate() cannot hand
+  // it straight back.
+  if (is_free(unit)) take(unit);
   if (unit == reclaim_) reclaim_ = allocate();
   if (unit == host_) host_ = allocate();
   relocate(unit);
-  if (is_free(unit)) take(unit);
   wipe(unit);  // the decommission erase
   free_pages_ -= unit_pages_;
   retired_[unit] = 1;

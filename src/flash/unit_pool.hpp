@@ -209,9 +209,6 @@ class UnitPool {
   void check_span(Lpn first, std::uint64_t count) const;
   /// Lowest free unit, taken and opened.
   std::uint64_t allocate();
-  /// The at-watermark step of write_span: one page at the host append
-  /// point, then the watermark check.
-  void write_one(Lpn lpn);
   /// Append `lpn` at `unit`'s append pointer (the unit must have room).
   Ppn append(std::uint64_t unit, Lpn lpn);
   /// Drop `lpn`'s old location, if any.

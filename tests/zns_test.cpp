@@ -241,6 +241,30 @@ TEST(Zns, RetireZoneGoesOfflineAndPreservesData) {
   zns.check_invariants();
 }
 
+TEST(Zns, RetiringAResetAppendZoneKeepsWritesLanding) {
+  // A reset host append zone is Empty and the lowest free zone again;
+  // retiring it must move the append point to another zone, not hand the
+  // dying zone straight back, or every later write meets an Offline zone.
+  auto config = small_zns();
+  config.overprovision = 0.5;
+  ZnsDevice zns(config);
+  zns.write_span(0, 1);
+  const std::uint64_t zone = *zns.translate(0) / zns.zone_pages();
+  zns.trim_span(0, 1);
+  zns.reset_zone(zone);
+  EXPECT_EQ(zns.zone_state(zone), ZoneState::Empty);
+  zns.retire_zone(zone);
+  EXPECT_EQ(zns.zone_state(zone), ZoneState::Offline);
+  zns.check_invariants();
+  for (flash::Lpn lpn = 0; lpn < 2 * zns.zone_pages(); ++lpn) {
+    zns.write_span(lpn, 1);
+    ASSERT_TRUE(zns.translate(lpn).has_value());
+    EXPECT_NE(*zns.translate(lpn) / zns.zone_pages(), zone)
+        << "write landed on the retired zone";
+  }
+  zns.check_invariants();
+}
+
 TEST(Zns, RecordMetricsExportsZnsPrefix) {
   ZnsDevice zns(small_zns());
   Rng rng(7);
