@@ -131,6 +131,8 @@ class Ftl final : public StorageBackend {
     return pool_.retired_units();
   }
   [[nodiscard]] std::uint64_t total_blocks() const { return pool_.units(); }
+  /// The block pool, for tests that pin its state.
+  [[nodiscard]] const UnitPool& pool() const { return pool_; }
 
   [[nodiscard]] bool journaling() const override {
     return pool_.journaling();

@@ -200,6 +200,8 @@ class ZnsDevice final : public flash::StorageBackend,
   }
   /// Sum of every data zone's write pointer (gauge: total WP advance).
   [[nodiscard]] std::uint64_t write_pointer_pages() const;
+  /// The zone pool, for tests that pin its state.
+  [[nodiscard]] const flash::UnitPool& pool() const { return pool_; }
 
   /// Append one logical page to `zone`; returns the physical page the
   /// device assigned (the write pointer's slot).  Empty and Closed zones

@@ -14,6 +14,7 @@
 
 #include "apps/registry.hpp"
 #include "baseline/baselines.hpp"
+#include "common/digest.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "csd/device.hpp"
@@ -25,6 +26,7 @@
 #include "nvme/queue.hpp"
 #include "recovery/recovery.hpp"
 #include "runtime/engine.hpp"
+#include "storage_oracle.hpp"
 #include "sim/simulator.hpp"
 #include "system/model.hpp"
 #include "zns/zns.hpp"
@@ -361,6 +363,149 @@ std::vector<ChurnCase> churn_cases() {
 
 INSTANTIATE_TEST_SUITE_P(Backends, CrashChurn,
                          ::testing::ValuesIn(churn_cases()));
+
+// ---------------------------------------------------------------------------
+// Storage goldens, both backends: exact digests of a journaled device
+// through reclaim churn, a relocation-only step and power cuts.  Journal
+// pages hold four records and folds come every few pages, so journal-page
+// programs and checkpoint folds land inside reclaim copies and inside
+// multi-page trims: any change to which sequence number, record or fold an
+// update gets moves a digest.  Folded in: every physical page's OOB stamp,
+// every mapping, the pool's counters, the buffered journal tail, and every
+// cut's StorageCrash and remount's StorageRecovery.
+
+template <typename Device>
+std::uint64_t fold_state(std::uint64_t h, const Device& dev) {
+  const flash::UnitPool& pool = dev.pool();
+  for (flash::Ppn ppn = 0; ppn < pool.units() * pool.unit_pages(); ++ppn) {
+    const flash::Oob oob = pool.log().stamp(ppn);
+    h = fnv1a(fnv1a(h, oob.lpn), oob.seq);
+  }
+  for (Lpn lpn = 0; lpn < dev.logical_pages(); ++lpn) {
+    h = fnv1a(h, dev.translate(lpn).value_or(flash::kNoPage));
+  }
+  const flash::PoolStats& s = pool.stats();
+  for (const std::uint64_t v :
+       {s.host_pages, s.reclaim_pages, s.meta_pages, s.erases,
+        s.reclaim_invocations, s.checkpoint_folds, s.units_retired,
+        s.recoveries, pool.log().buffered()}) {
+    h = fnv1a(h, v);
+  }
+  return h;
+}
+
+struct GoldenCut {
+  flash::StorageCrash crash;
+  flash::StorageRecovery rec;
+};
+
+template <typename Device>
+GoldenCut golden_cut(std::uint64_t& h, Device& dev) {
+  GoldenCut cut{dev.power_loss(), {}};
+  cut.rec = dev.recover();
+  dev.check_invariants();
+  for (const std::uint64_t v :
+       {cut.crash.lost_tail_updates, cut.crash.lost_trims,
+        cut.rec.checkpoint_pages_read, cut.rec.journal_pages_read,
+        cut.rec.journal_entries_replayed, cut.rec.blocks_scanned,
+        cut.rec.pages_scanned, cut.rec.mappings_recovered,
+        cut.rec.tail_updates_rescued, cut.rec.stale_mappings_dropped}) {
+    h = fnv1a(h, v);
+  }
+  h = fold_state(h, dev);
+  return cut;
+}
+
+/// The golden run: 300 random extents (30% trims), then `relocate` (a
+/// step that only relocates) and a cut, then a written-and-trimmed extent
+/// and a cut, then 300 more extents with a cut every 50.  `step(dev, i)`
+/// runs before extent i (ZNS adds zone appends).
+template <typename Device, typename Config, typename Relocate, typename Step>
+std::uint64_t storage_golden(const Config& config, Relocate relocate,
+                             Step step) {
+  Device dev(config);
+  const auto ops = storage_oracle::random_span_ops(
+      0x601dULL, dev.logical_pages(), 600, 0.3);
+  std::uint64_t h = kFnvOffset;
+  for (std::size_t i = 0; i < 300; ++i) {
+    step(dev, i);
+    storage_oracle::apply_span(dev, ops[i]);
+  }
+  h = fold_state(h, dev);
+
+  // A cut right after a relocation-only step: the volatile tail since the
+  // last journal page (FTL) or fold (ZNS) is reclaim copies.
+  const std::uint64_t copied = dev.pool().stats().reclaim_pages;
+  const std::uint64_t host = dev.pool().stats().host_pages;
+  relocate(dev);
+  const std::uint64_t moved = dev.pool().stats().reclaim_pages - copied;
+  EXPECT_GT(moved, dev.pool().log().buffered());
+  EXPECT_EQ(dev.pool().stats().host_pages, host);
+  h = fold_state(h, dev);
+  const GoldenCut reloc = golden_cut(h, dev);
+  EXPECT_GT(reloc.rec.tail_updates_rescued, 0u);
+
+  // A cut whose lost tail holds trims: a freshly written extent trimmed
+  // whole, one trim record per page.
+  const Lpn first = dev.logical_pages() / 4;
+  dev.write_span(first, 24);
+  dev.trim_span(first, 23);
+  h = fold_state(h, dev);
+  const GoldenCut trims = golden_cut(h, dev);
+  EXPECT_GT(trims.crash.lost_trims, 0u);
+
+  for (std::size_t i = 300; i < ops.size(); ++i) {
+    step(dev, i);
+    storage_oracle::apply_span(dev, ops[i]);
+    if (i % 50 == 49) golden_cut(h, dev);
+  }
+  return fold_state(h, dev);
+}
+
+/// Retire the first full unit with valid pages that is no append point:
+/// its relocation, then the watermark reclaim behind it.
+template <typename Retire>
+void retire_first_valid_unit(const flash::UnitPool& pool, Retire retire) {
+  for (std::uint64_t u = 0; u < pool.units(); ++u) {
+    if (pool.is_full(u) && pool.valid(u) > 0 && u != pool.host_point() &&
+        u != pool.reclaim_point()) {
+      retire(u);
+      return;
+    }
+  }
+  FAIL() << "no full unit holds valid pages";
+}
+
+TEST(StorageGolden, FtlReclaimTrimsAndCuts) {
+  const std::uint64_t digest = storage_golden<Ftl>(
+      journaled_ftl(),
+      [](Ftl& ftl) {
+        retire_first_valid_unit(ftl.pool(),
+                                [&](std::uint64_t b) { ftl.retire_block(b); });
+      },
+      [](Ftl&, std::size_t) {});
+  EXPECT_EQ(digest, 2667899125365828563ULL);
+}
+
+TEST(StorageGolden, ZnsReclaimTrimsAndCuts) {
+  zns::ZnsConfig config = journaled_zns();
+  config.overprovision = 0.5;                    // room to retire one zone
+  config.journal.checkpoint_interval_pages = 2;  // a fold per 8 programs
+  const std::uint64_t digest = storage_golden<zns::ZnsDevice>(
+      config,
+      [](zns::ZnsDevice& dev) {
+        retire_first_valid_unit(
+            dev.pool(), [&](std::uint64_t z) { dev.retire_zone(z); });
+      },
+      [](zns::ZnsDevice& dev, std::size_t i) {
+        // Now and then a zone append at the host append point.
+        const std::uint64_t zone = dev.pool().host_point();
+        if (i % 37 == 0 && dev.zone_state(zone) != zns::ZoneState::Full) {
+          dev.zone_append(zone, i % dev.logical_pages());
+        }
+      });
+  EXPECT_EQ(digest, 9448340999213051873ULL);
+}
 
 // ---------------------------------------------------------------------------
 // NVMe controller reset: in-flight commands abort exactly once and requeue.
