@@ -46,60 +46,67 @@ MetadataLog::MetadataLog(const JournalConfig& config,
   journal_.reserve(fold_entries());
 }
 
-std::uint64_t MetadataLog::program(std::uint64_t unit, Ppn ppn, Lpn lpn) {
-  const std::uint64_t seq = ++seq_;
-  // Programs land at a unit's append point in sequence order, so the
-  // newest stamp is the unit's max and its page ends the programmed prefix.
-  max_seq_[unit] = seq;
-  programmed_[unit] = static_cast<std::uint32_t>(ppn - unit * unit_pages_ + 1);
-  bit_set(dirty_, unit);
-  if (!config_.enabled) return 0;
-  media_.set(ppn, Oob{lpn, seq});
-  if (journal_programs_) return append(lpn, ppn, seq);
-  ++programs_since_fold_;
-  return 0;
-}
-
-std::uint64_t MetadataLog::program_run(std::uint64_t unit, Ppn first, Lpn lpn,
-                                       std::uint64_t count) {
+template <typename LpnAt>
+std::uint64_t MetadataLog::stamp_run(std::uint64_t unit, Ppn first,
+                                     std::uint64_t count, LpnAt lpn_at) {
   ISP_DCHECK(count > 0, "empty program run");
+  ISP_DCHECK(count <= run_room(), "program run crosses its room");
   const std::uint64_t seq0 = seq_;
   seq_ += count;
+  // Programs land at a unit's append point in sequence order, so the run's
+  // last stamp is the unit's max and its page ends the programmed prefix.
   max_seq_[unit] = seq_;
   programmed_[unit] =
       static_cast<std::uint32_t>(first + count - unit * unit_pages_);
   bit_set(dirty_, unit);
   if (!config_.enabled) return 0;
-  // lpn, ppn and seq all advance by one per page: straight sequential fills.
-  for (std::uint64_t i = 0; i < count; ++i) {
-    media_.set(first + i, Oob{lpn + i, seq0 + i + 1});
-  }
-  if (!journal_programs_) {
+  Record* records = nullptr;
+  if (journal_programs_) {
+    records = reserve_records(count);
+  } else {
     programs_since_fold_ += count;
-    return 0;
   }
-  ISP_DCHECK(count <= run_room(), "program run crosses a journal page");
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const Lpn lpn = lpn_at(i);
+    const std::uint64_t seq = seq0 + i + 1;
+    media_.set(first + i, Oob{lpn, seq});
+    if (records != nullptr) {
+      records[i] = Record{static_cast<std::uint32_t>(lpn),
+                          static_cast<std::uint32_t>(first + i), seq};
+    }
+  }
+  return records != nullptr ? program_page_if_full() : 0;
+}
+
+std::uint64_t MetadataLog::program_run(std::uint64_t unit, Ppn first, Lpn lpn,
+                                       std::uint64_t count) {
+  return stamp_run(unit, first, count,
+                   [lpn](std::uint64_t i) { return lpn + i; });
+}
+
+std::uint64_t MetadataLog::program_run(std::uint64_t unit, Ppn first,
+                                       const Lpn* lpns, std::uint64_t count) {
+  return stamp_run(unit, first, count,
+                   [lpns](std::uint64_t i) { return lpns[i]; });
+}
+
+std::uint64_t MetadataLog::trim_run(const Lpn* lpns, std::uint64_t count) {
+  const std::uint64_t seq0 = seq_;
+  seq_ += count;
+  if (!config_.enabled) return 0;
+  ISP_DCHECK(count <= record_room(), "trim run crosses a journal page");
+  Record* records = reserve_records(count);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    records[i] = Record{static_cast<std::uint32_t>(lpns[i]), kTrimRecord,
+                        seq0 + i + 1};
+  }
+  return program_page_if_full();
+}
+
+MetadataLog::Record* MetadataLog::reserve_records(std::uint64_t count) {
   const std::size_t base = buffer_.size();
   buffer_.resize(base + count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    buffer_[base + i] = Record{static_cast<std::uint32_t>(lpn + i),
-                               static_cast<std::uint32_t>(first + i),
-                               seq0 + i + 1};
-  }
-  return program_page_if_full();
-}
-
-std::uint64_t MetadataLog::trim(Lpn lpn) {
-  const std::uint64_t seq = ++seq_;
-  if (!config_.enabled) return 0;
-  return append(lpn, kNoPage, seq);
-}
-
-std::uint64_t MetadataLog::append(Lpn lpn, Ppn ppn, std::uint64_t seq) {
-  buffer_.push_back(Record{
-      static_cast<std::uint32_t>(lpn),
-      ppn == kNoPage ? kTrimRecord : static_cast<std::uint32_t>(ppn), seq});
-  return program_page_if_full();
+  return buffer_.data() + base;
 }
 
 std::uint64_t MetadataLog::program_page_if_full() {

@@ -61,6 +61,7 @@ UnitPool::UnitPool(const PoolConfig& config, Hooks& hooks)
   bits_set_range(free_bits_, first_unit_, units);
   free_count_ = static_cast<std::uint32_t>(units - first_unit_);
   free_pages_ = (units - first_unit_) * unit_pages_;
+  run_lpns_.reserve(unit_pages_);
 }
 
 // ---- map layer ------------------------------------------------------------
@@ -101,26 +102,12 @@ std::uint64_t UnitPool::read_span(Lpn first, std::uint64_t count,
   return mapped;
 }
 
-void UnitPool::invalidate(Lpn lpn) {
-  // No journal record: validity follows from the newest mapping at remount.
-  if (const Ppn old = l2p_[lpn]; old != kNoPage) {
-    p2l_.set(old, kNoPage);
-    bit_clear(valid_bits_, old);
-    std::uint32_t& valid = valid_[page_unit(old)];
-    ISP_DCHECK(valid > 0, "valid-count underflow");
-    --valid;
-  } else {
-    ++mapped_count_;
-  }
-}
-
-void UnitPool::install(Lpn lpn, Ppn ppn) {
-  l2p_.set(lpn, ppn);
-  p2l_.set(ppn, lpn);
-  bit_set(valid_bits_, ppn);
-  const std::uint64_t unit = page_unit(ppn);
-  ++valid_[unit];
-  persist(log_.program(unit, ppn, lpn));
+void UnitPool::drop(Ppn ppn) {
+  p2l_.set(ppn, kNoPage);
+  bit_clear(valid_bits_, ppn);
+  std::uint32_t& valid = valid_[page_unit(ppn)];
+  ISP_DCHECK(valid > 0, "valid-count underflow");
+  --valid;
 }
 
 void UnitPool::persist(std::uint64_t journal_pages) {
@@ -132,86 +119,107 @@ void UnitPool::persist(std::uint64_t journal_pages) {
   ++stats_.checkpoint_folds;
 }
 
-void UnitPool::trim_one(Lpn lpn) {
-  if (l2p_[lpn] == kNoPage) return;
-  invalidate(lpn);
-  l2p_.set(lpn, kNoPage);
-  --mapped_count_;
-  persist(log_.trim(lpn));
-}
-
 void UnitPool::trim_span(Lpn first, std::uint64_t count) {
   check_span(first, count);
-  for (std::uint64_t i = 0; i < count; ++i) trim_one(first + i);
+  const Lpn end = first + count;
+  Lpn lpn = first;
+  while (lpn < end) {
+    // A run of mapped pages that fits the open journal page: the page fill,
+    // and any fold it brings, lands at the run's end, where a page-by-page
+    // trim would meet it.  An unmapped page takes no record.  The unit-size
+    // cap only bounds the scratch buffer (the journal off is unbounded).
+    const std::uint64_t room =
+        std::min<std::uint64_t>(log_.record_room(), unit_pages_);
+    run_lpns_.clear();
+    for (; lpn < end && run_lpns_.size() < room; ++lpn) {
+      const Ppn old = l2p_[lpn];
+      if (old == kNoPage) continue;
+      drop(old);
+      l2p_.set(lpn, kNoPage);
+      run_lpns_.push_back(lpn);
+    }
+    if (run_lpns_.empty()) return;
+    mapped_count_ -= run_lpns_.size();
+    persist(log_.trim_run(run_lpns_.data(), run_lpns_.size()));
+  }
 }
 
 // ---- appends --------------------------------------------------------------
 
-Ppn UnitPool::append(std::uint64_t unit, Lpn lpn) {
-  ISP_DCHECK(written_[unit] < unit_pages_, "append past the unit's end");
-  invalidate(lpn);
-  const Ppn ppn = first_page(unit) + written_[unit];
-  ++written_[unit];
-  ISP_DCHECK(free_pages_ > 0, "free-page count underflow");
-  --free_pages_;
-  install(lpn, ppn);
-  if (written_[unit] == unit_pages_) {
+Ppn UnitPool::claim(std::uint64_t unit, std::uint64_t count) {
+  std::uint32_t& written = written_[unit];
+  ISP_DCHECK(count <= unit_pages_ - written, "run past the unit's end");
+  const Ppn start = first_page(unit) + written;
+  // The run's pages were unprogrammed, so no mapping dropped for it lies
+  // inside it: its valid bits go in with whole-word masks.
+  bits_set_range(valid_bits_, start, start + count);
+  written += static_cast<std::uint32_t>(count);
+  valid_[unit] += static_cast<std::uint32_t>(count);
+  ISP_DCHECK(free_pages_ >= count, "free-page count underflow");
+  free_pages_ -= count;
+  if (written == unit_pages_) {
     bit_set(full_bits_, unit);
     hooks_.filled(unit);
   }
-  return ppn;
+  return start;
+}
+
+void UnitPool::write_run(std::uint64_t unit, Lpn lpn, std::uint64_t count) {
+  const Ppn start = claim(unit, count);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    // No journal record for the old location: validity follows from the
+    // newest mapping at remount.
+    if (const Ppn old = l2p_[lpn + i]; old != kNoPage) {
+      drop(old);
+    } else {
+      ++mapped_count_;
+    }
+    l2p_.set(lpn + i, start + i);
+    p2l_.set(start + i, lpn + i);
+  }
+  stats_.host_pages += count;
+  persist(log_.program_run(unit, start, lpn, count));
+}
+
+void UnitPool::copy_run(std::uint64_t unit, const Lpn* lpns,
+                        std::uint64_t count) {
+  const Ppn start = claim(unit, count);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    l2p_.set(lpns[i], start + i);
+    p2l_.set(start + i, lpns[i]);
+  }
+  stats_.reclaim_pages += count;
+  persist(log_.program_run(unit, start, lpns, count));
 }
 
 Ppn UnitPool::write_at(std::uint64_t unit, Lpn lpn) {
   hooks_.open(unit);
-  const Ppn ppn = append(unit, lpn);
-  ++stats_.host_pages;
+  const Ppn ppn = first_page(unit) + written_[unit];
+  write_run(unit, lpn, 1);
   if (free_count_ <= config_.low_watermark) reclaim();
   return ppn;
 }
 
 void UnitPool::write_span(Lpn first, std::uint64_t count) {
   check_span(first, count);
+  const Lpn end = first + count;
   Lpn lpn = first;
-  std::uint64_t left = count;
-  while (left > 0) {
+  while (lpn < end) {
     if (is_full(host_)) host_ = allocate();
     hooks_.open(host_);
     // At or below the low watermark every page re-runs the watermark loop
     // (stand-downs included: each counts an invocation), so go page by page.
     if (free_count_ <= config_.low_watermark) {
-      write_at(host_, lpn);
-      ++lpn;
-      --left;
+      write_at(host_, lpn++);
       continue;
     }
     // Bulk run: no page in it allocates or reclaims, and the journal page
     // program or fold the log owes lands exactly at its end, so the
     // per-page checks hoist out.
-    std::uint32_t& written = written_[host_];
     const std::uint64_t run = std::min<std::uint64_t>(
-        {left, unit_pages_ - written, log_.run_room()});
-    const Ppn start = first_page(host_) + written;
-    // The run's pages were unprogrammed, so no old mapping invalidated below
-    // lies inside it: its valid bits go in with whole-word masks.
-    bits_set_range(valid_bits_, start, start + run);
-    const Lpn lpn0 = lpn;
-    for (std::uint64_t i = 0; i < run; ++i, ++lpn) {
-      invalidate(lpn);
-      l2p_.set(lpn, start + i);
-      p2l_.set(start + i, lpn);
-    }
-    written += static_cast<std::uint32_t>(run);
-    valid_[host_] += static_cast<std::uint32_t>(run);
-    stats_.host_pages += run;
-    ISP_DCHECK(free_pages_ >= run, "free-page count underflow");
-    free_pages_ -= run;
-    if (written == unit_pages_) {
-      bit_set(full_bits_, host_);
-      hooks_.filled(host_);
-    }
-    persist(log_.program_run(host_, start, lpn0, run));
-    left -= run;
+        {end - lpn, unit_pages_ - written_[host_], log_.run_room()});
+    write_run(host_, lpn, run);
+    lpn += run;
   }
 }
 
@@ -288,17 +296,29 @@ void UnitPool::reclaim() {
 }
 
 void UnitPool::relocate(std::uint64_t unit) {
-  // Ascending valid-bit walk: the page order, and so the sequence numbers,
-  // of a page-by-page scan.  append() clears the source bit (under the
-  // cursor) and sets one in the reclaim point, never this unit.
+  // Gather the valid lpns in ascending page order, the order (and so the
+  // sequence numbers) of a page-by-page copy, and drop the unit's reverse
+  // map, valid bits and count in bulk.
   const Ppn first = first_page(unit);
+  run_lpns_.clear();
   bits_for_each(valid_bits_, first, first + written_[unit], [&](Ppn src) {
+    run_lpns_.push_back(p2l_[src]);
+    bit_clear(valid_bits_, src);
+  });
+  p2l_.clear(first, written_[unit]);
+  valid_[unit] = 0;
+  // Copy them in runs that fit the reclaim point and the log's run_room():
+  // an allocation can only come between runs, and a journal page or fold
+  // only at a run's end, as in a page-by-page copy.
+  const std::uint64_t n = run_lpns_.size();
+  for (std::uint64_t done = 0; done < n;) {
     if (is_full(reclaim_)) reclaim_ = allocate();
     hooks_.open(reclaim_);
-    append(reclaim_, p2l_[src]);
-    ++stats_.reclaim_pages;
-  });
-  ISP_DCHECK(valid_[unit] == 0, "unit not fully relocated");
+    const std::uint64_t run = std::min<std::uint64_t>(
+        {n - done, unit_pages_ - written_[reclaim_], log_.run_room()});
+    copy_run(reclaim_, run_lpns_.data() + done, run);
+    done += run;
+  }
 }
 
 void UnitPool::wipe(std::uint64_t unit) {

@@ -17,6 +17,28 @@
 //   * the MetadataLog (flash/metadata_log.hpp) and the page counters both
 //     backends report.
 //
+// Every page program, reclaim copy and trim goes through the log in runs,
+// so the per-page work is a few stores and the per-update bookkeeping (the
+// hooks, the unit header, the journal record append, the fold check) is
+// paid once per run:
+//   * a host write appends runs bounded by the host unit's room and the
+//     log's run_room(); at or below the low watermark it goes one page at
+//     a time (a one-page run), because the watermark loop follows each;
+//   * relocation gathers the victim's valid lpns in ascending page order
+//     and drops its reverse map, valid bits and count in bulk, then copies
+//     them in runs bounded by the reclaim unit's room and run_room();
+//   * a trim collects the extent's mapped lpns in runs bounded by the open
+//     journal page's free records, record_room() (trims are journaled on
+//     both backends, so ZNS's run_room(), which counts unjournaled programs
+//     toward the fold, is not their bound).
+// Exactness: sequence numbers follow the same page order as one update at
+// a time, and because a run fits its room, the journal page program it
+// owes, and the checkpoint fold that page or the fold cadence may bring,
+// falls on its last update, where the one-at-a-time path would meet it.
+// A fold snapshots the map only at a run's end, where it equals the
+// one-at-a-time map, so meta pages, folds, crash tails and remounts are
+// unchanged (StorageGolden.* pins them).
+//
 // What differs comes in through Hooks: ZNS keeps its zone state machine and
 // open-zone LRU behind open()/filled()/erased(); the FTL needs none of them.
 // Compaction of stray partial blocks at remount (FTL) and finishing stray
@@ -122,8 +144,8 @@ class UnitPool {
                           std::vector<Ppn>* out) const;
   [[nodiscard]] std::optional<Ppn> translate(Lpn lpn) const;
 
-  /// One host page appended to `unit` (which must have room), then the
-  /// watermark check: ZNS's zone_append.
+  /// One host page appended to `unit` (which must have room) as a one-page
+  /// run, then the watermark check: ZNS's zone_append.
   Ppn write_at(std::uint64_t unit, Lpn lpn);
 
   // ---- Units ------------------------------------------------------------
@@ -135,7 +157,7 @@ class UnitPool {
   /// strictly the fewest valid pages, never an append point.  units() when
   /// there is none or it is fully valid (relocating it frees nothing).
   [[nodiscard]] std::uint64_t victim() const;
-  /// Relocate `unit`'s valid pages to the reclaim append point.
+  /// Relocate `unit`'s valid pages to the reclaim append point, in runs.
   void relocate(std::uint64_t unit);
   /// Erase `unit` (its valid pages relocated) back into the free pool.
   void erase(std::uint64_t unit);
@@ -209,12 +231,20 @@ class UnitPool {
   void check_span(Lpn first, std::uint64_t count) const;
   /// Lowest free unit, taken and opened.
   std::uint64_t allocate();
-  /// Append `lpn` at `unit`'s append pointer (the unit must have room).
-  Ppn append(std::uint64_t unit, Lpn lpn);
-  /// Drop `lpn`'s old location, if any.
-  void invalidate(Lpn lpn);
-  void install(Lpn lpn, Ppn ppn);
-  void trim_one(Lpn lpn);
+  /// Take `count` pages at `unit`'s append pointer (the unit must have
+  /// room): their valid bits, the pointer, the unit's valid count, the
+  /// free-page count and, if the run fills the unit, its full bit and
+  /// filled() hook.  Returns the first page.
+  Ppn claim(std::uint64_t unit, std::uint64_t count);
+  /// Host pages lpn, lpn + 1, ... appended to `unit`, their old locations
+  /// dropped.  The run must fit the unit and the log's run_room().
+  void write_run(std::uint64_t unit, Lpn lpn, std::uint64_t count);
+  /// Reclaim copies of lpns[0, count) appended to `unit`; their old
+  /// locations are already dropped.  Fits like write_run().
+  void copy_run(std::uint64_t unit, const Lpn* lpns, std::uint64_t count);
+  /// Drop physical page `ppn` from the reverse map, the valid bits and its
+  /// unit's valid count.
+  void drop(Ppn ppn);
   /// Charge the journal pages a log update programmed, then fold the
   /// checkpoint if it is due.
   void persist(std::uint64_t journal_pages);
@@ -243,6 +273,8 @@ class UnitPool {
   std::uint64_t free_pages_ = 0;
   std::uint64_t host_ = 0;     // host append point
   std::uint64_t reclaim_ = 0;  // reclaim copy append point
+  // Scratch for one run's lpns: a victim's valid pages, a trim run.
+  std::vector<Lpn> run_lpns_;
 
   // ---- durable state (survives power_loss) ----------------------------
   MetadataLog log_;  // OOB stamps, unit headers, journal, checkpoint
