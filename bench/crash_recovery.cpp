@@ -72,7 +72,7 @@ bool sweep_app(const std::string& app_name, std::uint64_t stride,
 
 int main(int argc, char** argv) {
   using namespace isp;
-  exec::reject_unknown_flags(argc, argv, {"--jobs", "--quick"});
+  exec::reject_unknown_flags(argc, argv, {"--jobs"}, {"--quick"});
   const unsigned jobs = exec::jobs_from_args(argc, argv);
   // --quick: one app, coarse stride (sanitizer CI).
   const bool quick = exec::flag_present(argc, argv, "--quick");

@@ -490,9 +490,9 @@ Section run_obs(const Spec& spec, unsigned jobs, bool strict) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  exec::reject_unknown_flags(argc, argv,
-                             {"--scenario", "--jobs", "--quick", "--strict",
-                              "--trace-out", "--metrics-out"});
+  exec::reject_unknown_flags(
+      argc, argv, {"--scenario", "--jobs", "--trace-out", "--metrics-out"},
+      {"--quick", "--strict"});
   const std::vector<const char*> scenarios = {"capacity", "chaos", "backend",
                                               "obs", "all"};
   const std::size_t pick =

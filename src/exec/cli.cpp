@@ -40,30 +40,41 @@ const char* flag_value(int argc, char** argv, const char* name) {
 }  // namespace
 
 const char* unknown_flag(int argc, char** argv,
-                         const std::vector<const char*>& known) {
+                         const std::vector<const char*>& valued,
+                         const std::vector<const char*>& switches) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--", 2) != 0) continue;
+    if (std::strncmp(arg, "--", 2) != 0) return arg;  // a stray word
     const std::size_t len = std::strcspn(arg, "=");
     const auto matches = [&](const char* name) {
       return std::strlen(name) == len && std::strncmp(arg, name, len) == 0;
     };
-    if (std::none_of(known.begin(), known.end(), matches)) return arg;
+    if (std::any_of(valued.begin(), valued.end(), matches)) {
+      if (arg[len] != '=') ++i;  // the next word is the value
+    } else if (std::none_of(switches.begin(), switches.end(), matches)) {
+      return arg;
+    }
   }
   return nullptr;
 }
 
 void reject_unknown_flags(int argc, char** argv,
-                          const std::vector<const char*>& known) {
-  const char* bad = unknown_flag(argc, argv, known);
+                          const std::vector<const char*>& valued,
+                          const std::vector<const char*>& switches) {
+  const char* bad = unknown_flag(argc, argv, valued, switches);
   if (bad == nullptr) return;
   std::string accepted;
-  for (const char* name : known) {
-    accepted += accepted.empty() ? "" : " ";
-    accepted += name;
+  for (const auto* names : {&valued, &switches}) {
+    for (const char* name : *names) {
+      accepted += accepted.empty() ? "" : " ";
+      accepted += name;
+    }
   }
-  die(std::string("unknown flag '") + bad + "'; this harness takes: " +
-      accepted);
+  const std::string what =
+      std::strncmp(bad, "--", 2) == 0
+          ? std::string("unknown flag '") + bad + "'"
+          : std::string("'") + bad + "' is not a flag or a flag's value";
+  die(what + "; this harness takes: " + accepted);
 }
 
 bool flag_present(int argc, char** argv, const char* name) {

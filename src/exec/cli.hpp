@@ -8,8 +8,9 @@
 // rather than being silently clamped or — worse — atoi'd to zero.  The
 // helpers below are that convention in one place, so the harnesses stop
 // re-growing private parse-and-validate snippets.  Each harness first hands
-// reject_unknown_flags() every flag it reads, so a misspelt or retired flag
-// fails loudly instead of running the defaults.
+// reject_unknown_flags() every flag it reads, split into flags that take a
+// value and flags that do not, so a misspelt or retired flag, or a stray
+// word, fails loudly instead of running the defaults.
 #pragma once
 
 #include <cstdint>
@@ -18,17 +19,22 @@
 
 namespace isp::exec {
 
-/// The first argument that starts with "--" and is not one of `known`
-/// (compared up to any '=', so `--name=V` is `--name`), or nullptr when
-/// every flag is known (pure — unit-testable without exiting).  Arguments
-/// without the "--" prefix, such as flag values, are not checked.
+/// The first argument that is neither a declared flag nor the value of a
+/// declared value-taking flag, or nullptr when there is none (pure —
+/// unit-testable without exiting).  `valued` flags take a value (`--name V`
+/// or `--name=V`); `switches` take none.  A flag is compared up to any '=',
+/// so `--name=V` is `--name`.  The word after a valued flag is its value,
+/// whatever it looks like; any other word without the "--" prefix is a
+/// stray argument and is returned like an undeclared flag.
 [[nodiscard]] const char* unknown_flag(int argc, char** argv,
-                                       const std::vector<const char*>& known);
+                                       const std::vector<const char*>& valued,
+                                       const std::vector<const char*>& switches);
 
-/// Exit with status 2 when unknown_flag() finds one, naming it and the
-/// flags the harness takes.
+/// Exit with status 2 when unknown_flag() finds an undeclared flag or a
+/// stray word, naming it and the flags the harness takes.
 void reject_unknown_flags(int argc, char** argv,
-                          const std::vector<const char*>& known);
+                          const std::vector<const char*>& valued,
+                          const std::vector<const char*>& switches = {});
 
 /// True if `--name` appears in argv (boolean flag, no value).  Exits with
 /// status 2 on the `--name=V` spelling, which reject_unknown_flags() lets

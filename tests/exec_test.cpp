@@ -317,17 +317,28 @@ TEST(Cli, DoubleFlagParsesBothSpellingsWithinTheRange) {
 }
 
 TEST(Cli, UnknownFlagAcceptsDeclaredFlagsInBothSpellings) {
-  const std::vector<const char*> known = {"--jobs", "--quick", "--trace-out"};
-  // Values (even negative numbers) and positional words are not flags.
-  const char* argv[] = {"prog",  "--jobs",   "3",       "--quick",
-                        "-1",    "capacity", "--trace-out=a.json"};
-  EXPECT_EQ(unknown_flag(7, const_cast<char**>(argv), known), nullptr);
+  const std::vector<const char*> valued = {"--jobs", "--trace-out"};
+  const std::vector<const char*> switches = {"--quick"};
+  // The word after a valued flag is its value, even a negative number or
+  // one that looks like a flag.
+  const char* argv[] = {"prog",    "--jobs",       "3",  "--quick",
+                        "--jobs",  "-1",           "--trace-out",
+                        "--quick", "--trace-out=a.json"};
+  EXPECT_EQ(unknown_flag(9, const_cast<char**>(argv), valued, switches),
+            nullptr);
   const char* none[] = {"prog"};
-  EXPECT_EQ(unknown_flag(1, const_cast<char**>(none), known), nullptr);
+  EXPECT_EQ(unknown_flag(1, const_cast<char**>(none), valued, switches),
+            nullptr);
+  // A valued flag as the last word: its missing value is flag_value()'s
+  // error, not a stray word.
+  const char* last[] = {"prog", "--jobs"};
+  EXPECT_EQ(unknown_flag(2, const_cast<char**>(last), valued, switches),
+            nullptr);
 }
 
 TEST(Cli, UnknownFlagNamesTheFirstUndeclaredFlag) {
-  const std::vector<const char*> known = {"--jobs", "--quick"};
+  const std::vector<const char*> valued = {"--jobs"};
+  const std::vector<const char*> switches = {"--quick"};
   const char* shapes[] = {
       "--bogus",      // never declared
       "--job",        // a prefix of a declared flag
@@ -339,10 +350,38 @@ TEST(Cli, UnknownFlagNamesTheFirstUndeclaredFlag) {
   };
   for (const char* bad : shapes) {
     const char* argv[] = {"prog", "--jobs", "2", bad, "--other"};
-    EXPECT_EQ(unknown_flag(5, const_cast<char**>(argv), known), bad) << bad;
+    EXPECT_EQ(unknown_flag(5, const_cast<char**>(argv), valued, switches),
+              bad)
+        << bad;
   }
   const char* two[] = {"prog", "--first", "--second"};
-  EXPECT_STREQ(unknown_flag(3, const_cast<char**>(two), known), "--first");
+  EXPECT_STREQ(unknown_flag(3, const_cast<char**>(two), valued, switches),
+               "--first");
+}
+
+TEST(Cli, UnknownFlagNamesAStrayWord) {
+  const std::vector<const char*> valued = {"--experiment", "--jobs"};
+  const std::vector<const char*> switches = {"--quick"};
+  struct Case {
+    std::vector<const char*> args;
+    const char* stray;
+  };
+  const Case cases[] = {
+      {{"E1", "--experiment", "E7"}, "E1"},         // positional first
+      {{"--quick", "stray"}, "stray"},              // after a switch
+      {{"--jobs", "2", "4"}, "4"},                  // a second value
+      {{"--jobs=2", "4"}, "4"},                     // after --name=V
+      {{"--experiment", "E1", "E2", "--quick"}, "E2"},
+  };
+  for (const Case& c : cases) {
+    std::vector<const char*> argv = {"prog"};
+    argv.insert(argv.end(), c.args.begin(), c.args.end());
+    EXPECT_STREQ(unknown_flag(static_cast<int>(argv.size()),
+                              const_cast<char**>(argv.data()), valued,
+                              switches),
+                 c.stray)
+        << c.stray;
+  }
 }
 
 TEST(Cli, FlagPresentRejectsAValue) {
