@@ -50,14 +50,10 @@ std::unique_ptr<flash::StorageBackend> make_storage(const CsdConfig& config) {
 
 }  // namespace
 
-CsdDevice::CsdDevice(sim::Simulator& simulator, CsdConfig config)
+CsdDevice::CsdDevice(CsdConfig config)
     : config_(config),
       cse_(config.cse),
       flash_(config.nand_geometry, config.nand_timing),
-      controller_(
-          simulator, flash_, [this] { return &storage(); }, config.controller),
-      io_queue_(/*id=*/1, config.queue_depth),
-      call_queue_(config.call_queue_depth),
       status_queue_(config.status_queue_depth) {
   check_backend_config(config_);
 }
@@ -80,7 +76,6 @@ void CsdDevice::apply_gc_pressure() {
 
 PowerCycleOutcome CsdDevice::power_cycle() {
   PowerCycleOutcome out;
-  out.commands_requeued = controller_.power_cycle();
   cse_.reset_counters();  // perf counters are volatile
   flash::StorageBackend& backend = storage();
   if (backend.journaling() && backend.mounted()) {

@@ -1,5 +1,7 @@
 // The computational storage device: CSE + flash + device DRAM + the NVMe
-// control plane ActivePy talks through (Figure 1 of the paper).
+// control plane ActivePy talks through (Figure 1 of the paper).  The control
+// plane is charged analytically: call_overhead() per short call, and the
+// status queue the engine posts its per-line progress records to.
 #pragma once
 
 #include <memory>
@@ -9,10 +11,7 @@
 #include "flash/flash_array.hpp"
 #include "flash/ftl.hpp"
 #include "mem/address_space.hpp"
-#include "nvme/call_queue.hpp"
-#include "nvme/controller.hpp"
-#include "nvme/queue.hpp"
-#include "sim/simulator.hpp"
+#include "nvme/control_plane.hpp"
 
 namespace isp::csd {
 
@@ -33,15 +32,12 @@ struct CsdConfig {
   std::uint32_t zns_zone_blocks = 8;
   std::uint32_t zns_max_open_zones = 6;
   Bytes device_dram = 8_GiB;
-  std::uint32_t queue_depth = 64;
-  std::uint32_t call_queue_depth = 64;
   std::uint32_t status_queue_depth = 256;
   nvme::ControllerConfig controller;
 };
 
 /// What one whole-device power cycle did and cost.
 struct PowerCycleOutcome {
-  std::uint64_t commands_requeued = 0;   // aborted + requeued NVMe commands
   flash::StorageCrash crash;             // volatile backend state lost
   flash::StorageRecovery recovery;       // remount replay/scan statistics
   Seconds remount_time;                  // recovery media reads × page_read
@@ -53,10 +49,7 @@ class CsdDevice {
   /// throws Error at construction, with the backend's own message), but
   /// allocates the backend and its per-page maps only on first storage()
   /// use: most runs never drive storage.
-  CsdDevice(sim::Simulator& simulator, CsdConfig config);
-  /// The controller reaches the backend through this device's address.
-  CsdDevice(const CsdDevice&) = delete;
-  CsdDevice& operator=(const CsdDevice&) = delete;
+  explicit CsdDevice(CsdConfig config);
 
   [[nodiscard]] Cse& cse() { return cse_; }
   [[nodiscard]] const Cse& cse() const { return cse_; }
@@ -67,9 +60,6 @@ class CsdDevice {
   [[nodiscard]] flash::StorageBackend& storage();
   /// Has storage() built the backend yet?
   [[nodiscard]] bool storage_built() const { return storage_ != nullptr; }
-  [[nodiscard]] nvme::Controller& controller() { return controller_; }
-  [[nodiscard]] nvme::QueuePair& io_queue() { return io_queue_; }
-  [[nodiscard]] nvme::CallQueue& call_queue() { return call_queue_; }
   [[nodiscard]] nvme::StatusQueue& status_queue() { return status_queue_; }
   [[nodiscard]] const CsdConfig& config() const { return config_; }
 
@@ -82,15 +72,13 @@ class CsdDevice {
   /// a derated internal bandwidth.  Builds the backend if needed.
   void apply_gc_pressure();
 
-  /// Whole-device power cycle: reset the NVMe controller (in-flight
-  /// commands complete with Status::Aborted and are requeued by the host),
-  /// clear the CSE's volatile state, crash and remount the storage backend
-  /// (checkpoint + journal replay, OOB tail scan).  Returns the outcome;
-  /// remount_time converts the remount's media reads through NandTiming.
-  /// The controller is left quiescent — the recovery orchestration calls
-  /// controller().restart() once the power_cycle downtime has elapsed.
-  /// Builds the backend if needed, so the outcome never depends on whether
-  /// anything touched storage first.
+  /// Whole-device power cycle: clear the CSE's volatile perf counters, then
+  /// crash and remount a journaling storage backend (checkpoint + journal
+  /// replay, OOB tail scan).  Returns the outcome; remount_time converts the
+  /// remount's media reads through NandTiming.  The caller charges the
+  /// reset downtime itself (FaultConfig::power_cycle).  Builds the backend
+  /// if needed, so the outcome never depends on whether anything touched
+  /// storage first.
   PowerCycleOutcome power_cycle();
 
  private:
@@ -98,9 +86,6 @@ class CsdDevice {
   Cse cse_;
   flash::FlashArray flash_;
   std::unique_ptr<flash::StorageBackend> storage_;  // null until storage()
-  nvme::Controller controller_;
-  nvme::QueuePair io_queue_;
-  nvme::CallQueue call_queue_;
   nvme::StatusQueue status_queue_;
 };
 

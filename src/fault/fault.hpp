@@ -29,7 +29,11 @@ namespace isp::fault {
 
 /// Named injection sites, one per device-stack layer.
 enum class Site : std::uint8_t {
-  NvmeCommand = 0,  // command timeout/abort in the NVMe controller
+  // Command timeout/abort in the NVMe controller.  The engine charges the
+  // control plane analytically and never draws this site; only the
+  // event-driven controller oracle (tests/oracle/) does.  It keeps index 0
+  // because each site's fault stream is seeded by its index.
+  NvmeCommand = 0,
   FlashReadEcc,     // page read returns an ECC error
   FlashProgram,     // transient program/erase failure
   DmaTransfer,      // DMA transfer stall on the host link
@@ -71,8 +75,6 @@ struct FaultConfig {
   std::uint64_t seed = 0;
   std::array<SiteConfig, kSiteCount> sites{};
   RetryPolicy retry;
-  /// Host-visible timeout before the controller requeues a lost command.
-  Seconds nvme_command_timeout = Seconds{50e-6};
   /// Core restart cost after a CSE crash (firmware re-dispatch).
   Seconds cse_restart = Seconds{200e-6};
   /// Escalation when an uncorrectable read exhausts retries: device-side
@@ -94,7 +96,9 @@ struct FaultConfig {
   /// own recovery machinery, and DeviceFailure is a fleet-level permanent
   /// death (its rate is a per-virtual-second hazard the serving loop turns
   /// into a first-arrival instant, not a per-opportunity Bernoulli).  Both
-  /// are enabled explicitly via set_rate(site, r).
+  /// are enabled explicitly via set_rate(site, r).  NvmeCommand is set too,
+  /// but engine runs never draw it: that rate reaches only the controller
+  /// oracle under tests/oracle/.
   void set_rate_all(double rate);
   [[nodiscard]] double rate(Site site) const;
   /// True if any site can fire (a rate above zero).
@@ -177,16 +181,16 @@ class Injector {
   bool lost(Site site, SimTime now);
 
   /// Raw deterministic draw with no bookkeeping, for callers that run their
-  /// own recovery machinery event-by-event (the NVMe controller's
+  /// own recovery (the engine's power cycle; the controller oracle's
   /// timeout/requeue path) and record the episode via note_outcome() once
   /// its outcome is known.
   [[nodiscard]] bool draw(Site site) {
     return plan_.enabled() && plan_.fires(site);
   }
 
-  /// Record an op outcome decided by the caller (the NVMe controller walks
-  /// its timeout/requeue machinery event-by-event rather than through
-  /// attempt(), but the books must match).
+  /// Record an op outcome decided by the caller (a power cycle's downtime;
+  /// the controller oracle's timeout/requeue episode), so the books match
+  /// those of attempt().
   void note_outcome(Site site, SimTime now, std::uint32_t faults,
                     Seconds penalty, bool exhausted);
 

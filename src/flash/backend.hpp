@@ -7,10 +7,10 @@
 // this term: writes become append-only within zones, the device runs no
 // background GC of its own, and reclaim is an explicit host-coordinated
 // copy-forward + zone_reset.  StorageBackend is the interface both models
-// implement so every layer above — the NVMe controller, the CSD device, the
-// execution engine, the crash-recovery sweep and the serving fleet — is
-// written once against the seam and a device picks its backend by
-// configuration (`CsdConfig::backend`).
+// implement so every layer above — the CSD device, the execution engine,
+// the crash-recovery sweep and the serving fleet — is written once against
+// the seam and a device picks its backend by configuration
+// (`CsdConfig::backend`).
 //
 // Both backends own one flash::UnitPool (flash/unit_pool.hpp): the map,
 // the erase-unit accounting, victim selection and the watermark loop are

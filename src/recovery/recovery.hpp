@@ -1,9 +1,9 @@
 // Crash-recovery validation: output digests and the crash-point sweep.
 //
 // The power-loss fault site (fault::Site::PowerLoss) can cut the whole
-// device at any virtual-time event boundary; the device stack recovers —
-// NVMe reset with abort+requeue, firmware reboot, FTL remount from the
-// durable journal/checkpoint — and the engine restarts lost offloaded work.
+// device at any virtual-time event boundary; the device recovers — a fixed
+// reset downtime, then the storage backend remounts from its durable
+// journal/checkpoint — and the engine restarts lost offloaded work.
 // This subsystem is how that claim is *checked*: run an application once
 // fault-free to fix its reference output, then deterministically crash it
 // at every K-th event boundary, recover, and assert that

@@ -174,8 +174,8 @@ struct DeviceStorage {
            flash->timing().block_erase * static_cast<double>(resets);
   }
 
-  /// Power-cycle the device at `now` (NVMe reset, CSE state cleared,
-  /// backend crash and remount); returns the downtime.
+  /// Power-cycle the device at `now` (CSE counters cleared, backend crash
+  /// and remount); returns the downtime.
   Seconds apply_power_loss(SimTime now) {
     const auto outcome = csd->power_cycle();
     const Seconds downtime =
@@ -501,19 +501,14 @@ void read_inputs(RunState& s, LineWalk& w) {
   w.instructions = w.line.cost.instructions_for(n_elems);
 }
 
-/// 3. Control (code image, call-queue invocation, dispatch), then the
+/// 3. Control (code image, the CSD group's short call, dispatch), then the
 /// marshalling of the inputs.
 void control(RunState& s, LineWalk& w) {
   if (w.placement == ir::Placement::Csd) {
     distribute_code(s, w.rec);
     if (w.low.enters_csd_group && !s.migrated) {
-      // Enqueue on the call queue; the CSE fetches when free.
+      // One short call per CSD group, charged analytically.
       ++s.report.csd_calls;
-      s.csd.call_queue().submit(nvme::CallEntry{
-          .function_id = s.report.csd_calls,
-          .first_line = static_cast<std::uint32_t>(w.i),
-          .arg_block = 0});
-      (void)s.csd.call_queue().fetch();  // firmware picks it up immediately
       spend(s, w.rec.overhead, s.csd.call_overhead());
     }
   }

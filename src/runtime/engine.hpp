@@ -21,7 +21,7 @@
 //        side's objects over the host link (BAR penalty for objects a
 //        migration left behind);
 //     3. control: code-image distribution before the first CSD call, the
-//        call-queue invocation entering a CSD group, interpreter dispatch,
+//        short call entering a CSD group, interpreter dispatch,
 //        then input marshalling (mode-dependent);
 //     4. compute: on the host, or in chunks through the CSE availability
 //        schedule, where each chunk boundary is a crash opportunity and

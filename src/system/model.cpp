@@ -9,7 +9,7 @@ SystemModel::SystemModel(SystemConfig config)
       host_(config.host),
       link_(config.link),
       dma_(link_),
-      csd_(std::make_unique<csd::CsdDevice>(simulator_, config.csd)),
+      csd_(std::make_unique<csd::CsdDevice>(config.csd)),
       address_space_(mem::AddressSpace::standard_layout(
           config.host_dram, config.csd.device_dram)) {}
 

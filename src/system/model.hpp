@@ -1,6 +1,7 @@
 // SystemModel: one assembled heterogeneous computer (Figure 1) — host CPU,
-// host link, and a CSD — sharing a unified address space and one virtual
-// clock.  Everything above this layer (profiler, planner, engine) takes a
+// host link, and a CSD — sharing a unified address space.  It holds no
+// clock: the engine walks virtual time analytically and each run starts its
+// own.  Everything above this layer (profiler, planner, engine) takes a
 // SystemModel and never constructs hardware itself.
 #pragma once
 
@@ -11,7 +12,6 @@
 #include "interconnect/dma.hpp"
 #include "interconnect/link.hpp"
 #include "mem/address_space.hpp"
-#include "sim/simulator.hpp"
 #include "system/config.hpp"
 
 namespace isp::system {
@@ -21,7 +21,6 @@ class SystemModel {
   explicit SystemModel(SystemConfig config = SystemConfig::paper_platform());
 
   [[nodiscard]] const SystemConfig& config() const { return config_; }
-  [[nodiscard]] sim::Simulator& simulator() { return simulator_; }
   [[nodiscard]] host::HostCpu& host_cpu() { return host_; }
   [[nodiscard]] const host::HostCpu& host_cpu() const { return host_; }
   [[nodiscard]] csd::CsdDevice& csd_device() { return *csd_; }
@@ -43,7 +42,6 @@ class SystemModel {
 
  private:
   SystemConfig config_;
-  sim::Simulator simulator_;
   host::HostCpu host_;
   interconnect::Link link_;
   interconnect::DmaEngine dma_;

@@ -284,7 +284,7 @@ TEST_P(MigrationUnderFault, PreservesResultsAndAccountsVirtualTime) {
   }
 }
 
-// Engine-path sites (NvmeCommand is exercised through the controller in
+// Engine-path sites (NvmeCommand is exercised on the controller oracle in
 // nvme_test.cpp); each shard sweeps the first-fault positions.
 INSTANTIATE_TEST_SUITE_P(SitesAndCuts, MigrationUnderFault,
                          ::testing::Range(1, 6));

@@ -1,23 +1,25 @@
 // Unit tests for the deterministic fault-injection subsystem: the FaultPlan
 // schedule itself (seed determinism, per-site independence, skip_first), the
 // Injector's bounded-retry accounting, and the per-site recovery paths in
-// the flash array, the DMA engine, and the CSD firmware.  Every exhausted
-// retry must surface a typed isp::Status in bounded virtual time — never a
-// hang.  NVMe command timeout/requeue is covered in nvme_test.cpp; the
-// engine-level degradation ladder in engine_property_test.cpp.
+// the flash array, the DMA engine, and the CSD firmware oracle.  Every
+// exhausted retry must surface a typed isp::Status in bounded virtual time —
+// never a hang.  NVMe command timeout/requeue is covered on the controller
+// oracle in nvme_test.cpp; the engine-level degradation ladder in
+// engine_property_test.cpp.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "common/status.hpp"
 #include "csd/cse.hpp"
-#include "csd/firmware.hpp"
 #include "fault/fault.hpp"
 #include "flash/flash_array.hpp"
 #include "interconnect/dma.hpp"
 #include "interconnect/link.hpp"
-#include "nvme/call_queue.hpp"
-#include "sim/simulator.hpp"
+#include "nvme/control_plane.hpp"
+#include "oracle/firmware.hpp"
+#include "oracle/nvme_queues.hpp"
+#include "oracle/simulator.hpp"
 
 namespace isp {
 namespace {

@@ -1,4 +1,5 @@
-// Unit tests: NVMe rings, controller command processing, ActivePy queues.
+// Unit tests: the production ring and status queue, and the controller
+// oracle's command processing over SQ/CQ queue pairs.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -6,10 +7,10 @@
 #include "fault/fault.hpp"
 #include "flash/flash_array.hpp"
 #include "flash/ftl.hpp"
-#include "nvme/call_queue.hpp"
-#include "nvme/controller.hpp"
-#include "nvme/queue.hpp"
-#include "sim/simulator.hpp"
+#include "nvme/control_plane.hpp"
+#include "oracle/nvme_controller.hpp"
+#include "oracle/nvme_queues.hpp"
+#include "oracle/simulator.hpp"
 
 namespace isp::nvme {
 namespace {
@@ -268,9 +269,10 @@ TEST_F(ControllerTest, ExhaustedRetriesCompleteOnceWithTypedError) {
   // Virtual time covers every timeout + exponential backoff: with the
   // default policy, 4 x 50us timeouts plus 10+20+40+80us of backoff.
   const auto& retry = config.retry;
+  const Seconds timeout = OracleControllerConfig{}.command_timeout;
   Seconds expected = Seconds::zero();
   for (std::uint32_t a = 1; a <= retry.max_attempts; ++a) {
-    expected += config.nvme_command_timeout + retry.backoff_before(a);
+    expected += timeout + retry.backoff_before(a);
   }
   EXPECT_GE(simulator_.now().seconds(), expected.value());
   EXPECT_LT(simulator_.now().seconds(), expected.value() + 1e-3);

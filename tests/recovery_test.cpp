@@ -1,7 +1,8 @@
 // Power-loss crash consistency, bottom to top: the storage backends' durable
-// journal/checkpoint remount, the NVMe controller's abort+requeue reset,
-// the firmware's reboot-and-restart path, the whole-device power cycle,
-// and the engine-level crash-point sweep asserting host-identical output.
+// journal/checkpoint remount, the controller oracle's abort+requeue reset,
+// the firmware oracle's reboot-and-restart path, the whole-device power
+// cycle, and the engine-level crash-point sweep asserting host-identical
+// output.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,16 +19,16 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "csd/device.hpp"
-#include "csd/firmware.hpp"
 #include "fault/fault.hpp"
 #include "flash/ftl.hpp"
-#include "nvme/call_queue.hpp"
-#include "nvme/controller.hpp"
-#include "nvme/queue.hpp"
+#include "nvme/control_plane.hpp"
+#include "oracle/firmware.hpp"
+#include "oracle/nvme_controller.hpp"
+#include "oracle/nvme_queues.hpp"
+#include "oracle/simulator.hpp"
 #include "recovery/recovery.hpp"
 #include "runtime/engine.hpp"
 #include "storage_oracle.hpp"
-#include "sim/simulator.hpp"
 #include "system/model.hpp"
 #include "zns/zns.hpp"
 
@@ -616,8 +617,7 @@ TEST(FirmwarePowerCycle, InterruptedFunctionRestartsAndCompletes) {
 // Whole-device power cycle.
 
 TEST(DevicePowerCycle, RemountsJournaledFtlAndChargesMediaReads) {
-  sim::Simulator simulator;
-  csd::CsdDevice device(simulator, csd::CsdConfig{});
+  csd::CsdDevice device(csd::CsdConfig{});
   ASSERT_TRUE(device.storage().journaling()) << "a real CSD journals by default";
 
   for (Lpn lpn = 0; lpn < 64; ++lpn) device.storage().write_span(lpn, 1);

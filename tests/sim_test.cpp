@@ -6,7 +6,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "sim/availability.hpp"
-#include "sim/simulator.hpp"
+#include "oracle/simulator.hpp"
 
 namespace isp::sim {
 namespace {
