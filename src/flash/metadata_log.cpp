@@ -172,7 +172,7 @@ StorageCrash MetadataLog::lose_tail() {
   return crash;
 }
 
-StorageRecovery MetadataLog::replay(PageMap<Ppn>& map) {
+StorageRecovery MetadataLog::replay_records(PageMap<Ppn>& map) {
   StorageRecovery rec;
   const std::uint64_t horizon = std::min(durable_seq_, held_horizon_);
 
@@ -205,16 +205,6 @@ StorageRecovery MetadataLog::replay(PageMap<Ppn>& map) {
       map.set(oob.lpn, ppn);
       replay_seq_[oob.lpn] = oob.seq;
       ++rec.tail_updates_rescued;
-    }
-  }
-
-  // 4. Media confirm: a mapped page erased since its record (a relocation
-  //    or reset whose record sat in the lost tail) is stale; the scan
-  //    already supplied any newer location.
-  for (Lpn lpn = 0; lpn < map.size(); ++lpn) {
-    if (map[lpn] != kNoPage && media_[map[lpn]].lpn != lpn) {
-      map.set(lpn, kNoPage);
-      ++rec.stale_mappings_dropped;
     }
   }
 

@@ -12,7 +12,8 @@
 //   * the checkpoint (a snapshot of the whole map) and the fold accounting;
 //   * the units touched since the last fold, the scope of incremental
 //     remount verification;
-//   * replay(), recovery steps 1-4 for both backends.
+//   * replay(), recovery steps 1-4 for both backends, step 4 (the media
+//     confirm) fused with the caller's rebuild of its volatile state.
 //
 // The backends differ only in what they journal.  The FTL journals every
 // mapping update.  On ZNS the append order is the mapping, so data-page
@@ -135,10 +136,15 @@ class MetadataLog {
   ///      entry, so only a newer OOB stamp can map the page again;
   ///   3. the OOB scan of every unit whose header has a stamp above the
   ///      scan horizon: a stamp newer than the lpn's entry wins;
-  ///   4. the media confirm: a mapped page whose OOB no longer names the
-  ///      lpn was erased, so the entry is dropped.
+  ///   4. the media confirm, one pass over the lpns: a mapped page whose
+  ///      OOB no longer names the lpn was erased, so the entry is dropped;
+  ///      every other mapping is handed to `install(lpn, ppn)`, in
+  ///      ascending lpn order, so the caller rebuilds its reverse state in
+  ///      the same pass.
+  /// `map`'s prior contents are irrelevant: step 1 overwrites all of it.
   /// Fills every StorageRecovery field but mappings_recovered.
-  StorageRecovery replay(PageMap<Ppn>& map);
+  template <typename Install>
+  StorageRecovery replay(PageMap<Ppn>& map, Install&& install);
 
   // ---- Durable state, for the backends' rebuild and invariant checks ----
 
@@ -179,6 +185,8 @@ class MetadataLog {
   template <typename LpnAt>
   std::uint64_t stamp_run(std::uint64_t unit, Ppn first, std::uint64_t count,
                           LpnAt lpn_at);
+  /// Recovery steps 1-3 of replay().
+  StorageRecovery replay_records(PageMap<Ppn>& map);
   /// `count` fresh records at the end of the open journal page.
   Record* reserve_records(std::uint64_t count);
   std::uint64_t program_page_if_full();
@@ -214,5 +222,24 @@ class MetadataLog {
   // power cycles reuse the allocation.
   std::vector<std::uint64_t> replay_seq_;
 };
+
+template <typename Install>
+StorageRecovery MetadataLog::replay(PageMap<Ppn>& map, Install&& install) {
+  StorageRecovery rec = replay_records(map);
+  // 4. Media confirm: a mapped page erased since its record (a relocation
+  //    or reset whose record sat in the lost tail) is stale; the scan
+  //    already supplied any newer location.
+  for (Lpn lpn = 0; lpn < map.size(); ++lpn) {
+    const Ppn ppn = map[lpn];
+    if (ppn == kNoPage) continue;
+    if (media_[ppn].lpn != lpn) {
+      map.set(lpn, kNoPage);
+      ++rec.stale_mappings_dropped;
+    } else {
+      install(lpn, ppn);
+    }
+  }
+  return rec;
+}
 
 }  // namespace isp::flash

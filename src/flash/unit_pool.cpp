@@ -36,6 +36,10 @@ std::uint64_t UnitPool::checked_logical_pages(const PoolConfig& config) {
                 << " logical " << n.units << " + 2 " << n.append << " + "
                 << config.high_watermark << " watermark > " << pool_units
                 << " " << n.pool);
+  // page_unit() divides page numbers in 32 bits.
+  ISP_CHECK(config.geometry.total_pages() - 1 <= ExactDivider::kMaxDividend,
+            "page numbers past 32 bits: " << config.geometry.total_pages()
+                                          << " pages");
   return logical_pages;
 }
 
@@ -45,6 +49,7 @@ UnitPool::UnitPool(const PoolConfig& config, Hooks& hooks)
       unit_pages_(config_.unit_blocks * config_.geometry.pages_per_block),
       first_unit_(config_.reserved_units),
       logical_pages_(checked_logical_pages(config_)),
+      unit_of_page_(unit_pages_),
       l2p_(logical_pages_),
       p2l_(config_.geometry.total_pages()),
       log_(config_.journal, config_.geometry, logical_pages_,
@@ -378,8 +383,10 @@ StorageCrash UnitPool::power_loss() {
   // Everything volatile is gone: the maps, the unit bookkeeping and the
   // buffered journal tail.  The log's durable state (OOB stamps, unit
   // headers, journal pages, checkpoint) and the retired table survive.
+  // l2p_ is left stale (nothing reads it unmounted, and the replay
+  // overwrites it whole); the reverse state is cleared for the rebuild,
+  // which installs only the confirmed mappings.
   const StorageCrash crash = log_.lose_tail();
-  l2p_.clear();
   p2l_.clear();
   std::fill(valid_.begin(), valid_.end(), 0);
   std::fill(written_.begin(), written_.end(), 0);
@@ -395,7 +402,16 @@ StorageCrash UnitPool::power_loss() {
 StorageRecovery UnitPool::remount(std::vector<std::uint64_t>& partial) {
   ISP_CHECK(config_.journal.enabled, "recover() requires journal mode");
   ISP_CHECK(!mounted_, "recover() on a mounted " << config_.names.backend);
-  StorageRecovery rec = log_.replay(l2p_);
+  // The media confirm hands over each surviving mapping: install its
+  // reverse entry, valid bit and unit count in the same pass.
+  std::uint64_t mapped = 0;
+  StorageRecovery rec = log_.replay(l2p_, [&](Lpn lpn, Ppn ppn) {
+    p2l_.set(ppn, lpn);
+    bit_set(valid_bits_, ppn);
+    ++valid_[page_unit(ppn)];
+    ++mapped;
+  });
+  mapped_count_ = mapped;
 
   // Programs land strictly prefix-ordered, so each unit's append pointer is
   // its durable programmed-prefix header.
@@ -412,14 +428,6 @@ StorageRecovery UnitPool::remount(std::vector<std::uint64_t>& partial) {
     } else {
       partial.push_back(u);
     }
-  }
-  for (Lpn lpn = 0; lpn < logical_pages_; ++lpn) {
-    const Ppn ppn = l2p_[lpn];
-    if (ppn == kNoPage) continue;
-    p2l_.set(ppn, lpn);
-    bit_set(valid_bits_, ppn);
-    ++valid_[page_unit(ppn)];
-    ++mapped_count_;
   }
   rec.mappings_recovered = mapped_count_;
   mounted_ = true;

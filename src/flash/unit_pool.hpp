@@ -58,6 +58,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/divide.hpp"
 #include "flash/backend.hpp"
 #include "flash/metadata_log.hpp"
 #include "flash/nand.hpp"
@@ -226,7 +227,7 @@ class UnitPool {
     return unit * unit_pages_;
   }
   [[nodiscard]] std::uint64_t page_unit(Ppn ppn) const {
-    return ppn / unit_pages_;
+    return unit_of_page_(ppn);
   }
   void check_span(Lpn first, std::uint64_t count) const;
   /// Lowest free unit, taken and opened.
@@ -256,10 +257,12 @@ class UnitPool {
   std::uint32_t unit_pages_;
   std::uint32_t first_unit_;
   std::uint64_t logical_pages_;
+  // page_unit()'s divide-free ppn / unit_pages_ (every ppn fits 32 bits).
+  ExactDivider unit_of_page_;
   bool mounted_ = true;
 
   // ---- volatile state (lost on power_loss) ----------------------------
-  PageMap<Ppn> l2p_;  // kNoPage = unmapped
+  PageMap<Ppn> l2p_;  // kNoPage = unmapped; stale while unmounted
   PageMap<Lpn> p2l_;  // kNoPage = invalid or unprogrammed
   std::vector<std::uint32_t> valid_;    // valid pages per unit
   std::vector<std::uint32_t> written_;  // append pointer per unit

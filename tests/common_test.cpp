@@ -8,6 +8,7 @@
 
 #include "bench/bench_util.hpp"
 #include "common/digest.hpp"
+#include "common/divide.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
@@ -241,6 +242,34 @@ TEST(Digest, DoubleBitsIsExact) {
   // +0.0 and -0.0 compare equal as doubles but are distinct states; the
   // digest must see the difference.
   EXPECT_NE(double_bits(0.0), double_bits(-0.0));
+}
+
+// The storage pool's page-to-unit map divides by a multiply; it must agree
+// with the hardware divide on every 32-bit dividend, at both ends of the
+// divisor range and around every multiple of the divisor.
+TEST(ExactDivider, MatchesHardwareDivideOver32Bits) {
+  constexpr std::uint64_t kMax = ExactDivider::kMaxDividend;
+  Rng rng(0xd1u);
+  for (const std::uint32_t d :
+       {1u, 2u, 3u, 7u, 8u, 255u, 256u, 1000u, 1024u, 4096u, 65'535u,
+        65'536u, 0x7FFF'FFFFu, 0x8000'0000u, 0xFFFF'FFFEu, 0xFFFF'FFFFu}) {
+    const ExactDivider div(d);
+    for (std::uint64_t n = 0; n < 4096; ++n) {
+      ASSERT_EQ(div(n), n / d) << n << " / " << d;
+      ASSERT_EQ(div(kMax - n), (kMax - n) / d) << kMax - n << " / " << d;
+    }
+    for (int i = 0; i < 4096; ++i) {
+      const std::uint64_t n = rng.uniform_u64(0, kMax);
+      ASSERT_EQ(div(n), n / d) << n << " / " << d;
+      // Just below, at and just past a multiple of d.
+      const std::uint64_t m = n / d * d;
+      for (const std::uint64_t k : {m - (m > 0 ? 1 : 0), m, m + 1}) {
+        if (k <= kMax) {
+          ASSERT_EQ(div(k), k / d) << k << " / " << d;
+        }
+      }
+    }
+  }
 }
 
 TEST(Log, LevelGate) {

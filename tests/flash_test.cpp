@@ -593,5 +593,17 @@ TEST(UnitPool, FeasibilityChecksKeepTheirMessages) {
   pool.check_invariants();
 }
 
+// page_unit() divides page numbers in 32 bits, so a geometry whose last
+// page number does not fit is rejected before anything is allocated.
+TEST(UnitPool, PageNumbersMustFit32Bits) {
+  PoolConfig config = small_pool();
+  config.geometry.blocks_per_die = 1u << 30;  // 2^32 pages of 4
+  EXPECT_NO_THROW((void)UnitPool::checked_logical_pages(config));
+  config.geometry.blocks_per_die += 1;
+  EXPECT_TRUE(throws_message(
+      [&] { (void)UnitPool::checked_logical_pages(config); },
+      "page numbers past 32 bits: 4294967300 pages"));
+}
+
 }  // namespace
 }  // namespace isp::flash

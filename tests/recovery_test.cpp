@@ -119,11 +119,15 @@ TEST(FtlRecovery, RemountRestoresEveryDurableMapping) {
   }
 
   ftl.power_loss();
+  // A crashed FTL refuses every data-plane call: its logical map is stale
+  // until recover() replays the durable metadata over it.
   EXPECT_FALSE(ftl.mounted());
   EXPECT_THROW(ftl.write_span(0, 1), Error);
   EXPECT_THROW(static_cast<void>(ftl.translate(0)), Error);
+  EXPECT_THROW(static_cast<void>(ftl.read_span(0, 1, nullptr)), Error);
   EXPECT_THROW(ftl.trim_span(0, 1), Error);
   EXPECT_THROW(ftl.check_invariants(), Error);
+  EXPECT_THROW(ftl.check_invariants_incremental(), Error);
 
   const auto rec = ftl.recover();
   EXPECT_TRUE(ftl.mounted());
@@ -240,6 +244,46 @@ TEST(FtlRecovery, SecondCutKeepsOobRescuedPages) {
   for (const Lpn lpn : {10, 11, 20, 21, 22, 23}) {
     EXPECT_TRUE(ftl.translate(lpn).has_value()) << "lost lpn " << lpn;
   }
+  ftl.check_invariants();
+}
+
+// The durable map can name a page erased since its record: a trim whose
+// record is still buffered empties a block, GC erases it (an empty victim
+// relocates nothing, so no record is written), and the cut loses the trim.
+// The remount's media confirm must drop that mapping: the page's OOB stamp
+// no longer names the lpn.
+TEST(FtlRecovery, ReclaimedBlockDropsItsStaleMapping) {
+  Ftl ftl(journaled_ftl());
+  const flash::UnitPool& pool = ftl.pool();
+  ASSERT_EQ(pool.host_point(), 0u);
+  ftl.write_span(0, 8);   // block 0: lpns 0-7
+  ftl.write_span(8, 8);   // block 2 (block 1 is the GC append point)
+  ftl.write_span(1, 15);  // lpn 0 is block 0's only valid page; block 2 empty
+  ASSERT_EQ(pool.valid(0), 1u);
+  ASSERT_EQ(pool.valid(2), 0u);
+  // Fill until one block above the low watermark is free and the host
+  // block is full: the next write allocates and runs GC.
+  for (Lpn lpn = 16;
+       ftl.free_blocks() != 3 || !pool.is_full(pool.host_point());
+       lpn = lpn + 1 < ftl.logical_pages() ? lpn + 1 : 16) {
+    ftl.write_span(lpn, 1);
+  }
+  ASSERT_EQ(ftl.journal_tail_updates(), 0u);
+  const std::uint64_t erases = ftl.stats().erases;
+
+  ftl.trim_span(0, 1);   // buffered; block 0 now holds no valid page
+  ftl.write_span(1, 1);  // GC erases blocks 0 and 2: no copies, no records
+  ASSERT_EQ(ftl.journal_tail_updates(), 2u) << "the trim must stay buffered";
+  ASSERT_TRUE(pool.is_free(0)) << "GC did not erase block 0";
+  ASSERT_GT(ftl.stats().erases, erases);
+
+  const auto crash = ftl.power_loss();
+  EXPECT_EQ(crash.lost_trims, 1u);
+  const auto rec = ftl.recover();
+  EXPECT_EQ(rec.stale_mappings_dropped, 1u);
+  EXPECT_FALSE(ftl.translate(0).has_value())
+      << "lpn 0 still maps into an erased block";
+  EXPECT_TRUE(ftl.translate(1).has_value());
   ftl.check_invariants();
 }
 

@@ -327,8 +327,16 @@ TEST(Zns, RecoveryPreservesEveryDurableMapping) {
 
   const auto crash = zns.power_loss();
   EXPECT_EQ(crash.lost_trims, 0u);  // write-only: nothing buffered to lose
+  // A crashed device refuses every data-plane call: its logical map is
+  // stale until recover() replays the durable metadata over it.
   EXPECT_FALSE(zns.mounted());
-  EXPECT_THROW(zns.write_span(0, 1), Error);  // unmounted device rejects IO
+  EXPECT_THROW(zns.write_span(0, 1), Error);
+  EXPECT_THROW(zns.trim_span(0, 1), Error);
+  EXPECT_THROW(static_cast<void>(zns.read_span(0, 1, nullptr)), Error);
+  EXPECT_THROW(static_cast<void>(zns.translate(0)), Error);
+  EXPECT_THROW(zns.zone_append(zns.zone_count() - 1, 0), Error);
+  EXPECT_THROW(zns.check_invariants(), Error);
+  EXPECT_THROW(zns.check_invariants_incremental(), Error);
   const auto rec = zns.recover();
   EXPECT_TRUE(zns.mounted());
   EXPECT_EQ(rec.mappings_recovered, mapped_before.size());
