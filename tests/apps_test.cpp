@@ -351,6 +351,78 @@ TEST(KernelGolden, MixedgemmThroughLogits) {
                  "logits");
 }
 
+// Dataset goldens: the FNV-1a of every generated dataset (name, virtual
+// size, physical bytes, in program order), recorded before the generators
+// were optimised.  The generators are a bit-exact contract; these constants
+// never change.
+std::uint64_t dataset_digest(const ir::Program& program) {
+  std::uint64_t h = kFnvOffset;
+  for (const auto& dataset : program.datasets()) {
+    const auto bytes = dataset.object.physical.as<std::byte>();
+    h = fnv1a(h, dataset.object.name);
+    h = fnv1a(h, dataset.object.virtual_bytes.count());
+    h = fnv1a(h, static_cast<std::uint64_t>(bytes.size()));
+    h = fnv1a_bytes(h, bytes.data(), bytes.size());
+  }
+  return h;
+}
+
+struct DatasetCase {
+  const char* app;
+  double size_factor;
+  std::uint64_t seed;
+  std::uint64_t digest;
+};
+
+void expect_datasets(const std::vector<DatasetCase>& cases) {
+  for (const auto& c : cases) {
+    AppConfig config;
+    config.size_factor = c.size_factor;
+    config.seed = c.seed;
+    const auto digest = dataset_digest(make_app(c.app, config));
+    EXPECT_EQ(digest, c.digest)
+        << c.app << " size_factor " << c.size_factor << " seed " << c.seed
+        << ": got 0x" << std::hex << digest;
+  }
+}
+
+// Every registered app at the pipeline benchmark's size, at the default
+// seed and one other.
+TEST(DatasetGolden, AllAppsAtPipelineSize) {
+  expect_datasets({
+      {"tpch-q1", 0.05, 42, 0xed827620c8c39c6fULL},
+      {"tpch-q1", 0.05, 7, 0xef24328818821f67ULL},
+      {"tpch-q6", 0.05, 42, 0xed827620c8c39c6fULL},
+      {"tpch-q6", 0.05, 7, 0xef24328818821f67ULL},
+      {"tpch-q14", 0.05, 42, 0xda65f75389fd72b3ULL},
+      {"tpch-q14", 0.05, 7, 0x00544af9710c5c0aULL},
+      {"blackscholes", 0.05, 42, 0xe037b25cf78436b2ULL},
+      {"blackscholes", 0.05, 7, 0x4ce146f4ae10a4cdULL},
+      {"kmeans", 0.05, 42, 0x50dfcc9ad04c885cULL},
+      {"kmeans", 0.05, 7, 0x88039caa2b00a699ULL},
+      {"lightgbm", 0.05, 42, 0x54c8d5ba593d57acULL},
+      {"lightgbm", 0.05, 7, 0x2ec1bbcca6680371ULL},
+      {"matrixmul", 0.05, 42, 0xacd6b0de10816e82ULL},
+      {"matrixmul", 0.05, 7, 0xd01c6fcbcd92a2f8ULL},
+      {"mixedgemm", 0.05, 42, 0xf7e7d6409c662b67ULL},
+      {"mixedgemm", 0.05, 7, 0x6bae94805b251973ULL},
+      {"pagerank", 0.05, 42, 0xf83ab07685be85b2ULL},
+      {"pagerank", 0.05, 7, 0xa8d32814bfb064a2ULL},
+      {"sparsemv", 0.05, 42, 0x6466604b7436a5f8ULL},
+      {"sparsemv", 0.05, 7, 0xb7efe73e8705d701ULL},
+  });
+}
+
+// The serving benchmark's other classes (kmeans at 0.05 is above).
+TEST(DatasetGolden, ServeClasses) {
+  expect_datasets({
+      {"tpch-q6", 0.2, 42, 0xf89646c7a0b3fe54ULL},
+      {"tpch-q6", 0.2, 7, 0x450c9394ef8773d9ULL},
+      {"tpch-q6", 0.02, 42, 0xf6a77afe98fd341bULL},
+      {"tpch-q6", 0.02, 7, 0x5aec8c36f63e0560ULL},
+  });
+}
+
 // Property: functional results are identical for host-only, all-CSD and the
 // programmer-directed placements (placement must never change semantics).
 class PlacementEquivalence

@@ -7,6 +7,7 @@
 
 #include "apps/registry.hpp"
 #include "baseline/baselines.hpp"
+#include "common/digest.hpp"
 #include "runtime/active_runtime.hpp"
 
 namespace isp {
@@ -122,6 +123,62 @@ TEST_P(FullPipeline, MigrationKeepsResultsCorrectUnderContention) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllApps, FullPipeline,
+                         ::testing::Values("blackscholes", "kmeans",
+                                           "lightgbm", "matrixmul",
+                                           "mixedgemm", "pagerank", "tpch-q1",
+                                           "tpch-q6", "tpch-q14", "sparsemv"));
+
+// The reproduction's comparators must not depend on what ran on the model
+// before them, or they cannot be computed once per app and shared between
+// experiments: the exhaustive oracle's host-only and best latencies and the
+// C baseline's total are bit-identical on a fresh SystemModel and on one that
+// already ran other apps (ActiveCpp under contention, their baselines and
+// their oracles).
+class Comparators : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(Comparators, IdenticalOnUsedAndFreshModel) {
+  apps::AppConfig config;
+  config.size_factor = 0.05;
+  const auto program = apps::make_app(GetParam(), config);
+
+  system::SystemModel fresh_baseline_system;
+  const auto fresh_baseline =
+      baseline::run_host_only(fresh_baseline_system, program);
+  system::SystemModel fresh_oracle_system;
+  const auto fresh_oracle =
+      baseline::programmer_directed_plan(fresh_oracle_system, program);
+
+  system::SystemModel used;
+  for (const char* other : {"pagerank", "tpch-q14", "kmeans"}) {
+    const auto earlier = apps::make_app(other, config);
+    runtime::RunConfig rc;
+    rc.engine.contention.enabled = true;
+    rc.engine.contention.at_csd_progress = 0.5;
+    rc.engine.contention.availability = 0.1;
+    runtime::ActiveRuntime active(used);
+    (void)active.run(earlier, rc);
+    (void)baseline::run_host_only(used, earlier);
+    (void)baseline::programmer_directed_plan(used, earlier);
+  }
+  // Twice each, so a comparator that left state behind shows up too.
+  for (int round = 0; round < 2; ++round) {
+    const auto baseline = baseline::run_host_only(used, program);
+    const auto oracle = baseline::programmer_directed_plan(used, program);
+    EXPECT_EQ(double_bits(baseline.total.value()),
+              double_bits(fresh_baseline.total.value()))
+        << "round " << round;
+    EXPECT_EQ(double_bits(oracle.host_only_latency.value()),
+              double_bits(fresh_oracle.host_only_latency.value()))
+        << "round " << round;
+    EXPECT_EQ(double_bits(oracle.best_latency.value()),
+              double_bits(fresh_oracle.best_latency.value()))
+        << "round " << round;
+    EXPECT_EQ(oracle.best.placement, fresh_oracle.best.placement)
+        << "round " << round;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllApps, Comparators,
                          ::testing::Values("blackscholes", "kmeans",
                                            "lightgbm", "matrixmul",
                                            "mixedgemm", "pagerank", "tpch-q1",
