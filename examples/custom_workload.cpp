@@ -45,8 +45,9 @@ ir::Program make_log_analytics() {
   logs.elem_bytes = sizeof(LogRecord);
   {
     Rng rng(2026);
+    const ZipfDraw source(100000, 0.8);
     for (auto& r : logs.object.physical.as<LogRecord>()) {
-      r.source_id = static_cast<std::uint32_t>(rng.zipf(100000, 0.8));
+      r.source_id = static_cast<std::uint32_t>(source(rng));
       const double p = rng.next_double();
       r.status = p < 0.92 ? 200 : (p < 0.97 ? 404 : 500);
       r.latency_us = rng.uniform_u64(100, 50000);

@@ -68,9 +68,10 @@ void fill_edges_zipf(mem::Buffer& buffer, std::size_t edges,
   ISP_CHECK(vertices > 1, "graph needs at least two vertices");
   buffer.resize_elems<EdgeRecord>(edges);
   auto out = buffer.as<EdgeRecord>();
+  const ZipfDraw vertex(vertices, skew);
   for (auto& e : out) {
-    e.src = rng.zipf(vertices, skew);
-    e.dst = rng.zipf(vertices, skew);
+    e.src = vertex(rng);
+    e.dst = vertex(rng);
     if (e.src == e.dst) e.dst = (e.dst + 1) % vertices;
   }
 }

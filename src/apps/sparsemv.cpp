@@ -149,9 +149,10 @@ ir::Program make_sparsemv(const AppConfig& config) {
       sizeof(TripletRecord), [&](mem::Buffer& b) {
         b.resize_elems<TripletRecord>(nnz);
         Rng rng = Rng{config.seed}.fork(0x50a7);
+        const ZipfDraw id(ids, 0.65);
         for (auto& t : b.as<TripletRecord>()) {
-          t.row = static_cast<std::uint32_t>(rng.zipf(ids, 0.65));
-          t.col = static_cast<std::uint32_t>(rng.zipf(ids, 0.65));
+          t.row = static_cast<std::uint32_t>(id(rng));
+          t.col = static_cast<std::uint32_t>(id(rng));
           t.value = rng.uniform(-1.0, 1.0);
         }
       }));

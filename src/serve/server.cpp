@@ -102,15 +102,15 @@ std::vector<QueuedJob> generate_arrivals(const ServeConfig& config) {
   std::vector<QueuedJob> arrivals;
   arrivals.reserve(config.total_jobs);
   SimTime t = SimTime::zero();
+  const UniformDraw tenant(0, config.tenants.size() - 1);
+  const UniformDraw job_class(0, config.job_classes.size() - 1);
   for (std::uint64_t j = 0; j < config.total_jobs; ++j) {
     const double u = rng.next_double();
     t += Seconds{-std::log(1.0 - u) / config.offered_load};
     QueuedJob& job = arrivals.emplace_back();
     job.id = j;
-    job.tenant = static_cast<std::uint32_t>(
-        rng.uniform_u64(0, config.tenants.size() - 1));
-    job.job_class = static_cast<std::uint32_t>(
-        rng.uniform_u64(0, config.job_classes.size() - 1));
+    job.tenant = static_cast<std::uint32_t>(tenant(rng));
+    job.job_class = static_cast<std::uint32_t>(job_class(rng));
     job.arrival = t;
   }
   return arrivals;

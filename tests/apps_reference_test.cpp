@@ -382,8 +382,9 @@ TEST(DenseIds, MatchesHashRemapOnZipfStreams) {
     for (const double skew : {0.65, 1.2}) {
       detail::DenseIds dense(domain);
       HashIds hash;
+      const ZipfDraw zipf(domain, skew);
       for (int i = 0; i < 20'000; ++i) {
-        const auto key = static_cast<std::uint32_t>(rng.zipf(domain, skew));
+        const auto key = static_cast<std::uint32_t>(zipf(rng));
         ASSERT_EQ(dense.id_of(key), hash.id_of(key))
             << "domain " << domain << " skew " << skew << " key " << key;
       }
