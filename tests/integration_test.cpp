@@ -3,11 +3,14 @@
 // workload at reduced scale.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "apps/registry.hpp"
 #include "baseline/baselines.hpp"
 #include "common/digest.hpp"
+#include "plan/oracle.hpp"
 #include "runtime/active_runtime.hpp"
 
 namespace isp {
@@ -130,11 +133,25 @@ INSTANTIATE_TEST_SUITE_P(AllApps, FullPipeline,
 
 // The reproduction's comparators must not depend on what ran on the model
 // before them, or they cannot be computed once per app and shared between
-// experiments: the exhaustive oracle's host-only and best latencies and the
-// C baseline's total are bit-identical on a fresh SystemModel and on one that
-// already ran other apps (ActiveCpp under contention, their baselines and
-// their oracles).
+// experiments: the exhaustive oracle's host-only and best latencies and
+// placement, the C baseline's total and the true per-line estimates are
+// bit-identical on a fresh SystemModel and on one that already ran other
+// apps (ActiveCpp under contention, their baselines, oracles and true
+// estimates).
 class Comparators : public ::testing::TestWithParam<const char*> {};
+
+/// Every field of every line estimate, by bit pattern.
+std::vector<std::uint64_t> estimate_bits(
+    const std::vector<ir::LineEstimate>& estimates) {
+  std::vector<std::uint64_t> bits;
+  for (const auto& e : estimates) {
+    bits.insert(bits.end(), {double_bits(e.ct_host.value()),
+                             double_bits(e.ct_device.value()),
+                             e.storage_in.count(), e.d_in.count(),
+                             e.d_out.count(), double_bits(e.instructions)});
+  }
+  return bits;
+}
 
 TEST_P(Comparators, IdenticalOnUsedAndFreshModel) {
   apps::AppConfig config;
@@ -147,6 +164,9 @@ TEST_P(Comparators, IdenticalOnUsedAndFreshModel) {
   system::SystemModel fresh_oracle_system;
   const auto fresh_oracle =
       baseline::programmer_directed_plan(fresh_oracle_system, program);
+  system::SystemModel fresh_truth_system;
+  const auto fresh_truth =
+      estimate_bits(plan::measure_true_estimates(fresh_truth_system, program));
 
   system::SystemModel used;
   for (const char* other : {"pagerank", "tpch-q14", "kmeans"}) {
@@ -159,6 +179,7 @@ TEST_P(Comparators, IdenticalOnUsedAndFreshModel) {
     (void)active.run(earlier, rc);
     (void)baseline::run_host_only(used, earlier);
     (void)baseline::programmer_directed_plan(used, earlier);
+    (void)plan::measure_true_estimates(used, earlier);
   }
   // Twice each, so a comparator that left state behind shows up too.
   for (int round = 0; round < 2; ++round) {
@@ -174,6 +195,9 @@ TEST_P(Comparators, IdenticalOnUsedAndFreshModel) {
               double_bits(fresh_oracle.best_latency.value()))
         << "round " << round;
     EXPECT_EQ(oracle.best.placement, fresh_oracle.best.placement)
+        << "round " << round;
+    EXPECT_EQ(estimate_bits(plan::measure_true_estimates(used, program)),
+              fresh_truth)
         << "round " << round;
   }
 }

@@ -2,9 +2,9 @@
 #include <gtest/gtest.h>
 
 #include "apps/registry.hpp"
-#include "host/gpu.hpp"
+#include "bench/gpu.hpp"
+#include "bench/three_way.hpp"
 #include "plan/oracle.hpp"
-#include "plan/three_way.hpp"
 
 namespace isp::plan {
 namespace {
