@@ -771,7 +771,13 @@ Rows dynamics_extra(const Comparators& shared, unsigned jobs) {
   for (int i = 0; i < 200000; ++i) {
     ftl.write_span(rng.uniform_u64(0, ftl.logical_pages() - 1), 1);
   }
-  const double pressure = ftl.gc_pressure();
+  // GC pressure: reclaim + metadata share of all page programs.
+  const flash::StorageCounters churn = ftl.counters();
+  const double host = static_cast<double>(churn.host_pages);
+  const double internal =
+      static_cast<double>(churn.reclaim_pages + churn.meta_pages);
+  const double pressure =
+      host + internal == 0.0 ? 0.0 : internal / (host + internal);
   const std::vector<double> pressures = {0.0, pressure / 2.0, pressure, 0.6};
   const auto gc_runs = exec::run_batch(
       pressures,

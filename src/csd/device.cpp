@@ -54,7 +54,7 @@ CsdDevice::CsdDevice(CsdConfig config)
     : config_(config),
       cse_(config.cse),
       flash_(config.nand_geometry, config.nand_timing),
-      status_queue_(config.status_queue_depth) {
+      status_queue_(kStatusQueueDepth) {
   check_backend_config(config_);
 }
 
@@ -66,12 +66,6 @@ flash::StorageBackend& CsdDevice::storage() {
 Seconds CsdDevice::call_overhead() const {
   return config_.controller.doorbell_to_fetch +
          config_.controller.completion_post;
-}
-
-void CsdDevice::apply_gc_pressure() {
-  const double pressure = storage().gc_pressure();
-  flash_.set_availability(
-      sim::AvailabilitySchedule::constant(1.0 - pressure));
 }
 
 PowerCycleOutcome CsdDevice::power_cycle() {

@@ -15,6 +15,9 @@
 
 namespace isp::csd {
 
+/// Slots in the device's status ring (capacity-1 usable, NVMe semantics).
+inline constexpr std::uint32_t kStatusQueueDepth = 256;
+
 struct CsdConfig {
   CseConfig cse;
   flash::NandGeometry nand_geometry;
@@ -32,7 +35,6 @@ struct CsdConfig {
   std::uint32_t zns_zone_blocks = 8;
   std::uint32_t zns_max_open_zones = 6;
   Bytes device_dram = 8_GiB;
-  std::uint32_t status_queue_depth = 256;
   nvme::ControllerConfig controller;
 };
 
@@ -66,11 +68,6 @@ class CsdDevice {
   /// Round-trip control overhead of one CSD function invocation: doorbell to
   /// fetch plus completion post (the paper's NVMe-style short-latency call).
   [[nodiscard]] Seconds call_overhead() const;
-
-  /// Fold reclaim pressure into the flash array's availability: when the
-  /// backend is relocating pages (FTL GC or ZNS copy-forward), ISP reads see
-  /// a derated internal bandwidth.  Builds the backend if needed.
-  void apply_gc_pressure();
 
   /// Whole-device power cycle: clear the CSE's volatile perf counters, then
   /// crash and remount a journaling storage backend (checkpoint + journal

@@ -1,6 +1,8 @@
 #include "exec/pool.hpp"
 
-#include "common/error.hpp"
+#include <atomic>
+#include <exception>
+#include <thread>
 
 namespace isp::exec {
 
@@ -9,112 +11,29 @@ unsigned default_jobs() {
   return hw == 0 ? 1u : hw;
 }
 
-Pool::Pool(unsigned workers) {
-  ISP_CHECK(workers >= 1, "pool needs at least one worker");
-  queues_.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
-  threads_.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    threads_.emplace_back([this, w] { worker_loop(w); });
-  }
-}
-
-Pool::~Pool() {
-  {
-    std::lock_guard lock(mu_);
-    shutdown_ = true;
-  }
-  batch_cv_.notify_all();
-  for (auto& t : threads_) t.join();
-}
-
-void Pool::parallel_for(std::size_t n,
-                        const std::function<void(std::size_t)>& task) {
-  if (n == 0) return;
+void run_indexed(std::size_t n, unsigned threads,
+                 const std::function<void(std::size_t)>& task) {
   std::vector<std::exception_ptr> errors(n);
-  {
-    std::lock_guard lock(mu_);
-    ISP_CHECK(task_ == nullptr, "parallel_for is not reentrant");
-    task_ = &task;
-    errors_ = &errors;
-    remaining_ = n;
-    // Deal indices round-robin, locking each deque while we fill it.  A
-    // straggler worker from the previous batch can still be scanning the
-    // deques here (it decrements remaining_ before it re-parks), so the
-    // deques are NOT exclusively ours.  Holding q.mu makes the push safe
-    // against a concurrent pop, and its release/acquire pairing also
-    // publishes the task_/errors_ writes above to any worker that pops one
-    // of these indices — including a straggler that never saw the epoch
-    // bump.
-    const std::size_t k = queues_.size();
-    for (std::size_t w = 0; w < k && w < n; ++w) {
-      WorkerQueue& q = *queues_[w];
-      std::lock_guard qlock(q.mu);
-      for (std::size_t i = w; i < n; i += k) q.items.push_back(i);
+  std::atomic<std::size_t> next{0};
+  const auto drain = [&] {
+    for (std::size_t i = next++; i < n; i = next++) {
+      try {
+        task(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
     }
-    ++epoch_;
-  }
-  batch_cv_.notify_all();
+  };
   {
-    std::unique_lock lock(mu_);
-    done_cv_.wait(lock, [&] { return remaining_ == 0; });
-    task_ = nullptr;
-    errors_ = nullptr;
+    // Declared after errors and next, so every worker joins (here, or on
+    // the way out if a thread fails to start) before they are destroyed.
+    std::vector<std::jthread> workers;
+    for (unsigned w = 1; w < threads; ++w) workers.emplace_back(drain);
+    drain();
   }
-  for (auto& e : errors) {
+  for (const std::exception_ptr& e : errors) {
     if (e) std::rethrow_exception(e);
   }
-}
-
-void Pool::worker_loop(std::size_t self) {
-  std::uint64_t seen_epoch = 0;
-  for (;;) {
-    {
-      std::unique_lock lock(mu_);
-      batch_cv_.wait(lock,
-                     [&] { return shutdown_ || epoch_ != seen_epoch; });
-      if (shutdown_) return;
-      seen_epoch = epoch_;
-    }
-    for (;;) {
-      std::size_t index = 0;
-      if (!pop_own(self, index) && !steal(self, index)) break;
-      run_one(index);
-    }
-  }
-}
-
-bool Pool::pop_own(std::size_t self, std::size_t& index) {
-  WorkerQueue& q = *queues_[self];
-  std::lock_guard lock(q.mu);
-  if (q.items.empty()) return false;
-  index = q.items.front();
-  q.items.pop_front();
-  return true;
-}
-
-bool Pool::steal(std::size_t self, std::size_t& index) {
-  for (std::size_t d = 1; d < queues_.size(); ++d) {
-    WorkerQueue& q = *queues_[(self + d) % queues_.size()];
-    std::lock_guard lock(q.mu);
-    if (q.items.empty()) continue;
-    index = q.items.back();
-    q.items.pop_back();
-    return true;
-  }
-  return false;
-}
-
-void Pool::run_one(std::size_t index) {
-  try {
-    (*task_)(index);
-  } catch (...) {
-    (*errors_)[index] = std::current_exception();
-  }
-  std::lock_guard lock(mu_);
-  if (--remaining_ == 0) done_cv_.notify_all();
 }
 
 }  // namespace isp::exec

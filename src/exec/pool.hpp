@@ -1,12 +1,11 @@
 // Deterministic parallel sweep execution.
 //
-// Every heavy harness in this repository — the crash-point sweep, the
-// Equation-1 consistency table, the fault-rate sweep, the dataset-scaling
-// ablation, the fuzz matrices — is an embarrassingly parallel batch of
-// fully independent, seed-deterministic simulations.  `Pool` is a
-// work-stealing thread pool and `run_batch` the one entry point the
-// harnesses use: fan N independent tasks across hardware threads while
-// guaranteeing byte-identical output to the serial order.
+// Every heavy harness in this repository — reproduce's experiments, the
+// crash-point sweep, serve()'s profile batch and waves, the fuzz matrices —
+// is an embarrassingly parallel batch of fully independent,
+// seed-deterministic simulations.  `run_batch` is the one entry point they
+// use: fan N independent tasks across threads while guaranteeing
+// byte-identical output to the serial order.
 //
 // The determinism contract:
 //   * every task owns its state — its SystemModel (device, FTL, queues),
@@ -14,29 +13,22 @@
 //     nothing mutable is shared between tasks;
 //   * results land in a pre-sized vector slot indexed by submission order,
 //     so collection order is independent of scheduling order;
-//   * `jobs == 1` bypasses the pool entirely and runs the tasks inline on
-//     the calling thread — bit-for-bit today's serial behaviour;
-//   * exceptions are captured per task; after the batch settles, the
-//     lowest-index exception is rethrown (again independent of thread
-//     timing).  Workers always join: a throwing task never leaks a thread.
+//   * `jobs <= 1` (or a single task) runs the tasks inline on the calling
+//     thread, in order — bit-for-bit the serial behaviour;
+//   * every task runs even when another throws; after the batch settles,
+//     the lowest-index exception is rethrown (again independent of thread
+//     timing).  Every thread a batch starts is joined before it returns or
+//     throws.
 //
-// Scheduling is work-stealing over per-worker deques: indices are dealt
-// round-robin at submission, each worker drains its own deque from the
-// front and steals from the back of a sibling when it runs dry.  Tasks
-// here are whole simulations (milliseconds and up), so a mutex per deque
-// costs nothing measurable.
+// A batch starts its threads and joins them; nothing persists between
+// batches.  Tasks here are whole simulations (milliseconds and up), so a
+// thread start per worker and one shared index counter cost nothing
+// measurable.
 #pragma once
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -46,59 +38,16 @@ namespace isp::exec {
 /// with a floor of 1 when the runtime cannot tell.
 [[nodiscard]] unsigned default_jobs();
 
-/// Work-stealing thread pool.  One instance serves one caller at a time
-/// (parallel_for is not reentrant); workers persist across batches and are
-/// joined by the destructor.
-class Pool {
- public:
-  explicit Pool(unsigned workers = default_jobs());
-  ~Pool();
+/// Run task(i) for every i in [0, n) on `threads` threads: `threads - 1`
+/// workers plus the calling thread, which all take the next unclaimed index
+/// until none is left, so at most `threads` tasks run at once.  Exceptions
+/// thrown by tasks are captured; once every worker has joined, the
+/// lowest-index exception is rethrown.
+void run_indexed(std::size_t n, unsigned threads,
+                 const std::function<void(std::size_t)>& task);
 
-  Pool(const Pool&) = delete;
-  Pool& operator=(const Pool&) = delete;
-
-  [[nodiscard]] unsigned workers() const {
-    return static_cast<unsigned>(threads_.size());
-  }
-
-  /// Run task(i) for every i in [0, n), blocking until the batch settles.
-  /// Exceptions thrown by tasks are captured; once every task has either
-  /// finished or thrown, the lowest-index exception is rethrown.
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t)>& task);
-
- private:
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<std::size_t> items;
-  };
-
-  void worker_loop(std::size_t self);
-  bool pop_own(std::size_t self, std::size_t& index);
-  bool steal(std::size_t self, std::size_t& index);
-  void run_one(std::size_t index);
-
-  // Batch handshake.  All epoch/remaining transitions happen under mu_.
-  // Indices are dealt while holding both mu_ and each deque's own mutex:
-  // a straggler worker from the previous batch may still be scanning the
-  // deques (it decrements remaining_ before it re-parks), so per-queue
-  // locking is what makes dealing safe against a concurrent pop — and its
-  // release/acquire pairing publishes the task_/errors_ writes to whichever
-  // worker pops each index, epoch-woken or straggler alike.
-  std::mutex mu_;
-  std::condition_variable batch_cv_;  // workers: a new batch is ready
-  std::condition_variable done_cv_;   // caller: the batch has settled
-  std::uint64_t epoch_ = 0;
-  std::size_t remaining_ = 0;
-  bool shutdown_ = false;
-  const std::function<void(std::size_t)>* task_ = nullptr;
-  std::vector<std::exception_ptr>* errors_ = nullptr;
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> threads_;
-};
-
-/// Fan `fn` over [0, n) and collect the results in submission order.
+/// Fan `fn` over [0, n) and collect the results in submission order, with
+/// at most min(jobs, n) tasks in flight.
 /// `fn` must be safe to call concurrently from several threads, which in
 /// this codebase means: construct every mutable thing (SystemModel,
 /// EngineOptions, stores, RNGs) inside the call.  The result type must be
@@ -115,13 +64,12 @@ auto run_batch(std::size_t n, Fn&& fn, unsigned jobs = default_jobs())
   std::vector<R> results(n);
   if (n == 0) return results;
   if (jobs <= 1 || n == 1) {
-    // Serial path: today's behaviour, on the calling thread, in order.
+    // Serial path: on the calling thread, in order.
     for (std::size_t i = 0; i < n; ++i) results[i] = fn(i);
     return results;
   }
-  Pool pool(static_cast<unsigned>(
-      std::min<std::size_t>(jobs, n)));
-  pool.parallel_for(n, [&](std::size_t i) { results[i] = fn(i); });
+  run_indexed(n, static_cast<unsigned>(std::min<std::size_t>(jobs, n)),
+              [&](std::size_t i) { results[i] = fn(i); });
   return results;
 }
 

@@ -158,10 +158,6 @@ class StorageBackend {
   /// and re-verify every invariant.
   virtual StorageRecovery recover() = 0;
 
-  /// Fraction of array bandwidth background storage management has consumed
-  /// over the run so far (reclaim + metadata relative to all write traffic).
-  [[nodiscard]] virtual double gc_pressure() const = 0;
-
   /// Cumulative write amplification (>= 1.0).
   [[nodiscard]] virtual double write_amplification() const = 0;
 

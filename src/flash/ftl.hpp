@@ -4,10 +4,10 @@
 // The FTL is the "storage management workload" the paper names as a source
 // of CSE/bandwidth contention (§II-B(3)).  It maintains the logical→physical
 // page map, performs out-of-place writes, and reclaims space with a greedy
-// min-valid-cost GC policy.  gc_pressure() summarises how much internal
-// bandwidth background storage management (GC plus metadata persistence) is
-// consuming, which the CSD model converts into an availability schedule for
-// the flash array.
+// min-valid-cost GC policy.  counters() tells how much internal bandwidth
+// background storage management (GC plus metadata persistence) consumes
+// beside host writes; E10 converts that share into an availability schedule
+// for the flash array.
 //
 // Durability (journal mode, docs/fault-model.md "Power loss and recovery"):
 // every mapping update is journaled and data-page programs carry (lpn, seq)
@@ -153,14 +153,6 @@ class Ftl final : public StorageBackend {
   /// the maps and block state (UnitPool::remount), re-open the partially
   /// written blocks, and re-verify every invariant.
   FtlRecovery recover() override;
-
-  /// Fraction of array bandwidth background storage management has consumed
-  /// over the run so far: relocated + metadata traffic relative to all
-  /// write traffic.  Used to derate the internal bandwidth visible to ISP
-  /// tasks.
-  [[nodiscard]] double gc_pressure() const override {
-    return pool_.gc_pressure();
-  }
 
   [[nodiscard]] double write_amplification() const override {
     return counters().write_amplification();

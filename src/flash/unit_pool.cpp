@@ -446,14 +446,6 @@ StorageCounters UnitPool::counters() const {
                          .recoveries = stats_.recoveries};
 }
 
-double UnitPool::gc_pressure() const {
-  const double host = static_cast<double>(stats_.host_pages);
-  const double internal =
-      static_cast<double>(stats_.reclaim_pages + stats_.meta_pages);
-  if (host + internal == 0.0) return 0.0;
-  return internal / (host + internal);
-}
-
 // ---- invariants -----------------------------------------------------------
 
 void UnitPool::check_invariants_incremental() const {

@@ -212,8 +212,6 @@ class UnitPool {
   [[nodiscard]] std::uint64_t free_pages() const { return free_pages_; }
   [[nodiscard]] const PoolStats& stats() const { return stats_; }
   [[nodiscard]] StorageCounters counters() const;
-  /// Reclaim + metadata share of all page programs so far.
-  [[nodiscard]] double gc_pressure() const;
   [[nodiscard]] const MetadataLog& log() const { return log_; }
 
   /// The O(units) summary checks plus per-page checks on the units dirtied

@@ -163,9 +163,6 @@ class ZnsDevice final : public flash::StorageBackend,
   }
   flash::StorageCrash power_loss() override;
   flash::StorageRecovery recover() override;
-  [[nodiscard]] double gc_pressure() const override {
-    return pool_.gc_pressure();
-  }
   [[nodiscard]] double write_amplification() const override {
     return counters().write_amplification();
   }

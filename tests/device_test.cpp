@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "csd/device.hpp"
 #include "host/cpu.hpp"
 #include "apps/registry.hpp"
@@ -63,31 +62,6 @@ TEST(CsdDevice, CallOverheadFromControllerConfig) {
               config.controller.doorbell_to_fetch.value() +
                   config.controller.completion_post.value(),
               1e-12);
-}
-
-TEST(CsdDevice, GcPressureDeratesFlash) {
-  csd::CsdConfig config;
-  config.nand_geometry.channels = 1;
-  config.nand_geometry.dies_per_channel = 1;
-  config.nand_geometry.planes_per_die = 1;
-  config.nand_geometry.blocks_per_die = 24;
-  config.nand_geometry.pages_per_block = 8;
-  config.ftl_overprovision = 0.3;
-  csd::CsdDevice device(config);
-
-  // Churn the FTL into GC, then couple the pressure into the array.
-  Rng rng(7);
-  for (int i = 0; i < 5000; ++i) {
-    flash::StorageBackend& storage = device.storage();
-    storage.write_span(rng.uniform_u64(0, storage.logical_pages() - 1), 1);
-  }
-  ASSERT_GT(device.storage().gc_pressure(), 0.0);
-  device.apply_gc_pressure();
-
-  const auto clean = device.flash_array().read_seconds(Bytes{1 << 20});
-  const auto loaded =
-      device.flash_array().read_finish(SimTime::zero(), Bytes{1 << 20});
-  EXPECT_GT(loaded.seconds(), clean.value());
 }
 
 /// Runs `build` and returns the message of the isp::Error it throws ("" if

@@ -9,13 +9,15 @@
 //     exception is the one rethrown (again independent of thread timing).
 #include <gtest/gtest.h>
 
-#include <array>
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/registry.hpp"
@@ -192,7 +194,12 @@ TEST(RunBatch, ThrowingTasksLeakNoThreads) {
                      8),
                  std::runtime_error);
   }
-  // Every Pool destructor joined its workers before the rethrow reached us.
+  // Every batch joined its workers before the rethrow reached us.
+  EXPECT_EQ(live_threads(), before);
+  // And scheduling goes on after a throwing batch.
+  const auto clean = run_batch(
+      std::size_t{16}, [](std::size_t i) { return static_cast<int>(i); }, 8);
+  EXPECT_EQ(std::accumulate(clean.begin(), clean.end(), 0), 120);
   EXPECT_EQ(live_threads(), before);
 }
 
@@ -211,43 +218,57 @@ TEST(RunBatch, RemainingTasksStillRunAfterAnExceptionElsewhere) {
   EXPECT_EQ(completed.load(), 23);
 }
 
-TEST(Pool, ReusableAcrossBatchesIncludingAfterException) {
-  Pool pool(4);
-  EXPECT_EQ(pool.workers(), 4u);
-  std::vector<int> out(8, 0);
-  pool.parallel_for(8, [&](std::size_t i) { out[i] = static_cast<int>(i); });
-  EXPECT_EQ(std::accumulate(out.begin(), out.end(), 0), 28);
-
-  EXPECT_THROW(
-      pool.parallel_for(4, [](std::size_t) { throw std::runtime_error("x"); }),
-      std::runtime_error);
-
-  // The pool survives a throwing batch and keeps scheduling.
-  std::vector<int> out2(16, 0);
-  pool.parallel_for(16, [&](std::size_t i) { out2[i] = 1; });
-  EXPECT_EQ(std::accumulate(out2.begin(), out2.end(), 0), 16);
-}
-
-TEST(Pool, RapidReuseWithStragglersIsRaceFree) {
-  // Regression for a cross-batch race: parallel_for returns as soon as
-  // remaining_ hits zero, but a worker that ran the last task can still be
-  // scanning the deques before it re-parks.  Back-to-back tiny batches make
-  // that straggler window likely, so under TSan this test flags any
-  // unlocked dealing against a concurrent pop or a stale task_ read.
-  Pool pool(4);
+TEST(RunBatch, RapidBackToBackBatchesAreRaceFree) {
+  // Back-to-back tiny batches start and join their workers in quick
+  // succession, so under TSan this test flags any result or exception slot
+  // read before its writer joined, and any unsynchronised index hand-out.
   std::uint64_t checksum = 0;
   for (int batch = 0; batch < 200; ++batch) {
-    std::array<std::uint64_t, 8> out{};
-    pool.parallel_for(out.size(), [&](std::size_t i) {
-      out[i] = static_cast<std::uint64_t>(batch) * 100 + i;
-    });
-    for (const std::uint64_t v : out) checksum += v;
+    struct Slot {
+      std::uint64_t value = 0;
+    };
+    const auto out = run_batch(
+        std::size_t{8},
+        [&](std::size_t i) {
+          return Slot{static_cast<std::uint64_t>(batch) * 100 + i};
+        },
+        4);
+    for (const Slot& s : out) checksum += s.value;
   }
   // sum over batches b of (800*b + 28)
   EXPECT_EQ(checksum, 800ull * (199ull * 200ull / 2ull) + 28ull * 200ull);
 }
 
-TEST(Pool, DefaultJobsIsAtLeastOne) { EXPECT_GE(default_jobs(), 1u); }
+TEST(RunBatch, NeverRunsMoreThanJobsTasksAtOnce) {
+  // Each task holds its slot for a while, so a batch that overshoots its
+  // concurrency would show it; reproduce's peak RSS follows this bound.
+  constexpr std::size_t kTasks = 12;
+  for (const unsigned jobs : {1U, 2U, 4U}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    std::atomic<int> in_flight{0};
+    std::atomic<int> peak{0};
+    run_batch(
+        kTasks,
+        [&](std::size_t i) {
+          const int now = ++in_flight;
+          int seen = peak.load();
+          while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          --in_flight;
+          return static_cast<int>(i);
+        },
+        jobs);
+    if (jobs == 1) {
+      EXPECT_EQ(peak.load(), 1);
+    } else {
+      EXPECT_LE(peak.load(),
+                static_cast<int>(std::min<std::size_t>(jobs, kTasks)));
+    }
+  }
+}
+
+TEST(RunBatch, DefaultJobsIsAtLeastOne) { EXPECT_GE(default_jobs(), 1u); }
 
 TEST(Cli, JobsFromArgsParsesBothSpellings) {
   const char* argv_sep[] = {"prog", "--jobs", "3"};
