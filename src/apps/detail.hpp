@@ -99,4 +99,12 @@ inline constexpr std::size_t kGemmDim = 64;
 /// running 0..63 for every c[i][j] (no fused multiply-add).
 void gemm_tile_bf16(const std::uint16_t* a, const std::uint16_t* b, float* c);
 
+/// The GELU epilogue: out[i] = (0.5 · x) · (1 + tanh(0.7978845608 · (x +
+/// ((0.044715 · x) · x) · x))) with x = logits[i] + 0.1, in float, in that
+/// operation order, no fused multiply-add, and tanh fdlibm's tanhf bit for
+/// bit (glibc's up to 2.40), so no output depends on the C library.  Lanes
+/// of four run branch-free; a short last block repeats its last logit in
+/// the spare lanes.  Throws isp::Error if the spans differ in size.
+void bias_gelu(std::span<const float> logits, std::span<float> out);
+
 }  // namespace isp::apps::detail

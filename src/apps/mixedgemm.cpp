@@ -8,11 +8,12 @@
 // workloads ActivePy chooses to migrate at 50% availability.
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstring>
+#include <span>
 
 #include "apps/data_gen.hpp"
 #include "apps/detail.hpp"
+#include "apps/tanh_lanes.hpp"
 
 namespace isp::apps {
 
@@ -23,6 +24,9 @@ constexpr std::size_t kDim = detail::kGemmDim;
 constexpr std::size_t kColBlock = 16;
 constexpr std::size_t kTileBytesF32 = kDim * kDim * sizeof(float);
 constexpr std::size_t kTileBytesBf16 = kDim * kDim * sizeof(std::uint16_t);
+
+using detail::F4;
+using detail::kLanes;
 
 std::uint16_t to_bf16(float v) {
   std::uint32_t bits;
@@ -37,9 +41,11 @@ float from_bf16(std::uint16_t v) {
   return out;
 }
 
-float gelu(float x) {
-  return 0.5F * x *
-         (1.0F + std::tanh(0.7978845608F * (x + 0.044715F * x * x * x)));
+/// GELU (tanh form) of logit + 0.1, four lanes.
+F4 bias_gelu_lanes(F4 logit) {
+  const F4 x = logit + 0.1F;
+  const F4 cube = ((0.044715F * x) * x) * x;
+  return (0.5F * x) * (1.0F + detail::tanh_lanes(0.7978845608F * (x + cube)));
 }
 
 /// A fp32→bf16 conversion-load line (shared shape for both operands).
@@ -83,6 +89,27 @@ void gemm_tile_bf16(const std::uint16_t* a, const std::uint16_t* b,
       std::copy(acc.begin(), acc.end(), c + i * kDim + j0);
     }
   }
+}
+
+void bias_gelu(std::span<const float> logits, std::span<float> out) {
+  ISP_CHECK(out.size() == logits.size(),
+            logits.size() << " logits, " << out.size() << " outputs");
+  const std::size_t n = logits.size();
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    F4 v{};
+    std::memcpy(&v, logits.data() + i, sizeof(v));
+    v = bias_gelu_lanes(v);
+    std::memcpy(out.data() + i, &v, sizeof(v));
+  }
+  if (i == n) return;
+  // A short last block repeats its last logit in the spare lanes.
+  F4 v{};
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    v[l] = logits[std::min(i + l, n - 1)];
+  }
+  v = bias_gelu_lanes(v);
+  for (std::size_t l = 0; i + l < n; ++l) out[i + l] = v[l];
 }
 
 }  // namespace detail
@@ -145,10 +172,7 @@ ir::Program make_mixedgemm(const AppConfig& config) {
       const auto in = ctx.input(0).physical.as<float>();
       auto& out = ctx.output(0);
       out.physical.resize_elems<float>(in.size());
-      auto dst = out.physical.as<float>();
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        dst[i] = gelu(in[i] + 0.1F);
-      }
+      detail::bias_gelu(in, out.physical.as<float>());
     };
     program.add_line(std::move(line));
   }

@@ -7,6 +7,8 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -15,9 +17,14 @@
 #include <unordered_map>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <gnu/libc-version.h>
+#endif
+
 #include "apps/data_gen.hpp"
 #include "apps/detail.hpp"
 #include "apps/registry.hpp"
+#include "apps/tanh_lanes.hpp"
 #include "profile/sampler.hpp"
 #include "runtime/engine.hpp"
 
@@ -680,6 +687,307 @@ TEST(KmeansKernel, RejectsMismatchedSizes) {
   EXPECT_THROW(detail::kmeans_assign(points, short_table, labels), Error);
   std::vector<std::uint32_t> too_many(4);
   EXPECT_THROW(detail::kmeans_assign(points, centroids, too_many), Error);
+}
+
+// ---- GELU epilogue -------------------------------------------------------
+//
+// The oracle is fdlibm's expm1f and tanhf, as glibc ships them up to 2.40,
+// transcribed branch for branch (errno and exception flags left out), and
+// mixedgemm's scalar GELU over it.  detail::tanh_lanes and detail::bias_gelu
+// must match it bit for bit.
+
+std::uint32_t bits_of(float v) { return std::bit_cast<std::uint32_t>(v); }
+float float_of(std::uint32_t w) { return std::bit_cast<float>(w); }
+
+float expm1f_oracle(float x) {
+  constexpr float kOne = 1.0F;
+  constexpr float kHuge = 1.0e+30F;
+  constexpr float kTiny = 1.0e-30F;
+  constexpr float kOThreshold = 8.8721679688e+01F;
+  constexpr float kLn2Hi = 6.9313812256e-01F;
+  constexpr float kLn2Lo = 9.0580006145e-06F;
+  constexpr float kInvLn2 = 1.4426950216e+00F;
+  constexpr float kQ1 = -3.3333335072e-02F;
+  constexpr float kQ2 = 1.5873016091e-03F;
+  constexpr float kQ3 = -7.9365076090e-05F;
+  constexpr float kQ4 = 4.0082177293e-06F;
+  constexpr float kQ5 = -2.0109921195e-07F;
+  const std::uint32_t xsb = bits_of(x) & 0x80000000U;
+  const std::uint32_t hx = bits_of(x) & 0x7fffffffU;
+  // Huge and non-finite arguments.
+  if (hx >= 0x4195b844U) {  // |x| >= 27 ln2
+    if (hx >= 0x42b17218U) {
+      if (hx > 0x7f800000U) return x + x;  // NaN
+      if (hx == 0x7f800000U) return xsb == 0 ? x : -1.0F;
+      if (x > kOThreshold) return kHuge * kHuge;  // overflow
+    }
+    if (xsb != 0) return kTiny - kOne;
+  }
+  // Argument reduction: x = k ln2 + (hi - lo), c the rounding error.
+  float c = 0.0F;
+  std::int32_t k = 0;
+  if (hx > 0x3eb17218U) {  // |x| > ln2 / 2
+    float hi = 0.0F;
+    float lo = 0.0F;
+    if (hx < 0x3f851592U) {  // and |x| < 3 ln2 / 2
+      if (xsb == 0) {
+        hi = x - kLn2Hi;
+        lo = kLn2Lo;
+        k = 1;
+      } else {
+        hi = x + kLn2Hi;
+        lo = -kLn2Lo;
+        k = -1;
+      }
+    } else {
+      k = static_cast<std::int32_t>(kInvLn2 * x + (xsb == 0 ? 0.5F : -0.5F));
+      const float t = static_cast<float>(k);
+      hi = x - t * kLn2Hi;
+      lo = t * kLn2Lo;
+    }
+    x = hi - lo;
+    c = (hi - x) - lo;
+  } else if (hx < 0x33000000U) {  // |x| < 2^-25
+    const float t = kHuge + x;
+    return x - (t - kHuge);
+  }
+  // x is now in the primary range.
+  const float hfx = 0.5F * x;
+  const float hxs = x * hfx;
+  const float r1 =
+      kOne + hxs * (kQ1 + hxs * (kQ2 + hxs * (kQ3 + hxs * (kQ4 + hxs * kQ5))));
+  float t = 3.0F - r1 * hfx;
+  float e = hxs * ((r1 - t) / (6.0F - x * t));
+  if (k == 0) return x - (x * e - hxs);
+  e = (x * (e - c) - c);
+  e -= hxs;
+  if (k == -1) return 0.5F * (x - e) - 0.5F;
+  if (k == 1) {
+    if (x < -0.25F) return -2.0F * (e - (x + 0.5F));
+    return kOne + 2.0F * (x - e);
+  }
+  const std::uint32_t scale = static_cast<std::uint32_t>(k) << 23;
+  if (k <= -2 || k > 56) {  // exp(x) - 1 suffices
+    float y = kOne - (e - x);
+    if (k == 128) {
+      y = y * 2.0F * 0x1p127F;
+    } else {
+      y = float_of(bits_of(y) + scale);
+    }
+    return y - kOne;
+  }
+  float y = 0.0F;
+  if (k < 23) {
+    t = float_of(0x3f800000U - (0x1000000U >> k));  // 1 - 2^-k
+    y = t - (e - x);
+  } else {
+    t = float_of(static_cast<std::uint32_t>(0x7f - k) << 23);  // 2^-k
+    y = x - (e + t);
+    y += kOne;
+  }
+  return float_of(bits_of(y) + scale);
+}
+
+float tanhf_oracle(float x) {
+  constexpr float kOne = 1.0F;
+  constexpr float kTwo = 2.0F;
+  constexpr float kTiny = 1.0e-30F;
+  const bool negative = (bits_of(x) & 0x80000000U) != 0;
+  const std::uint32_t ix = bits_of(x) & 0x7fffffffU;
+  if (ix >= 0x7f800000U) {  // tanh(±inf) = ±1, tanh(NaN) = NaN
+    return negative ? kOne / x - kOne : kOne / x + kOne;
+  }
+  float z = 0.0F;
+  if (ix < 0x41b00000U) {            // |x| < 22
+    if (ix == 0) return x;           // ±0
+    if (ix < 0x24000000U) return x * (kOne + x);  // |x| < 2^-55
+    if (ix >= 0x3f800000U) {         // |x| >= 1
+      const float t = expm1f_oracle(kTwo * std::fabs(x));
+      z = kOne - kTwo / (t + kTwo);
+    } else {
+      const float t = expm1f_oracle(-kTwo * std::fabs(x));
+      z = -t / (t + kTwo);
+    }
+  } else {  // |x| >= 22: ±1
+    z = kOne - kTiny;
+  }
+  return negative ? -z : z;
+}
+
+float bias_gelu_oracle(float logit) {
+  const float x = logit + 0.1F;
+  return 0.5F * x *
+         (1.0F + tanhf_oracle(0.7978845608F * (x + 0.044715F * x * x * x)));
+}
+
+/// Tanh arguments on fdlibm's branch points, both signs: ±0, subnormals,
+/// infinities, NaNs with payloads (quiet and signalling), and each
+/// threshold word with its neighbours one ulp away.  The thresholds are
+/// tanhf's on |a| (2^-55, 1, 22), the lanes' saturation point 9.1, and
+/// expm1f's on its argument (ln2 / 2, 3 ln2 / 2, 27 ln2, 2^-25), both as
+/// they stand and halved, since tanhf passes expm1f 2|a|.
+std::vector<float> special_args() {
+  std::vector<std::uint32_t> words = {0x00000000U, 0x00000001U, 0x00400000U,
+                                      0x007fffffU, 0x7f800000U, 0x7fc00000U,
+                                      0x7fc12345U, 0x7f800001U, 0x7fa5a5a5U};
+  auto around = [&](std::uint32_t w) {
+    for (const std::uint32_t d : {w - 1, w, w + 1}) words.push_back(d);
+  };
+  for (const std::uint32_t w :
+       {0x24000000U, 0x3f800000U, 0x41b00000U, bits_of(9.1F)}) {
+    around(w);
+  }
+  for (const std::uint32_t w :
+       {0x3eb17218U, 0x3f851592U, 0x4195b844U, 0x33000000U}) {
+    around(w);
+    around(w - 0x00800000U);  // half: exponent one lower
+  }
+  std::vector<float> args;
+  for (const std::uint32_t w : words) {
+    args.push_back(float_of(w));
+    args.push_back(float_of(w | 0x80000000U));
+  }
+  return args;
+}
+
+/// Calls `check` on every `stride`-th float bit pattern from `first` up to
+/// `last`, in chunks of up to 2^16 (a multiple of four lanes).
+template <class Check>
+void sweep(std::uint64_t first, std::uint64_t last, std::uint64_t stride,
+           Check check) {
+  std::vector<float> chunk;
+  for (std::uint64_t w = first; w < last; w += stride) {
+    chunk.push_back(float_of(static_cast<std::uint32_t>(w)));
+    if (chunk.size() == std::size_t{1} << 16) {
+      check(chunk);
+      chunk.clear();
+    }
+  }
+  if (!chunk.empty()) check(chunk);
+}
+
+/// Reports (the first five of) the values whose bits differ and counts them.
+void expect_same_bits(float input, float got, float want, const char* what,
+                      std::size_t& bad) {
+  if (bits_of(got) == bits_of(want)) return;
+  if (++bad <= 5) {
+    ADD_FAILURE() << what << "(0x" << std::hex << bits_of(input) << ") = 0x"
+                  << bits_of(got) << ", oracle 0x" << bits_of(want);
+  }
+}
+
+/// detail::tanh_lanes on `args`, four at a time (a short last block
+/// repeats its last argument), against the oracle.
+void check_tanh_lanes(std::span<const float> args, std::size_t& bad) {
+  for (std::size_t i = 0; i < args.size(); i += detail::kLanes) {
+    detail::F4 v{};
+    for (std::size_t l = 0; l < detail::kLanes; ++l) {
+      v[l] = args[std::min(i + l, args.size() - 1)];
+    }
+    const detail::F4 got = detail::tanh_lanes(v);
+    for (std::size_t l = 0; l < detail::kLanes && i + l < args.size(); ++l) {
+      expect_same_bits(args[i + l], got[l], tanhf_oracle(args[i + l]),
+                       "tanh_lanes", bad);
+    }
+  }
+}
+
+void check_bias_gelu(std::span<const float> logits, std::size_t& bad) {
+  std::vector<float> out(logits.size());
+  detail::bias_gelu(logits, out);
+  for (std::size_t i = 0; i < logits.size(); ++i) {
+    expect_same_bits(logits[i], out[i], bias_gelu_oracle(logits[i]),
+                     "bias_gelu", bad);
+  }
+}
+
+constexpr std::uint64_t kAllFloats = std::uint64_t{1} << 32;
+
+TEST(GeluKernel, LanesMatchScalarOracle) {
+  std::size_t bad = 0;
+  // The tanh lanes: the branch points, a strided sweep of every float, and
+  // a denser one over 2^-27 <= |a| < 10, where every path but the tiny and
+  // saturated ones runs.
+  const auto specials = special_args();
+  check_tanh_lanes(specials, bad);
+  auto tanh = [&](std::span<const float> args) { check_tanh_lanes(args, bad); };
+  sweep(0, kAllFloats, 4099, tanh);
+  for (const std::uint64_t sign : {0U, 0x80000000U}) {
+    sweep(sign + 0x32000000U, sign + 0x41200000U, 127, tanh);
+  }
+  // The whole epilogue: the same arguments as logits, logits whose x =
+  // logit + 0.1 lands at or next to 0, and the same two sweeps with
+  // |logit| < 5 in place of |a| < 10.
+  check_bias_gelu(specials, bad);
+  const std::uint32_t minus_tenth = bits_of(-0.1F);
+  std::vector<float> near_tenth;
+  for (std::uint32_t w = minus_tenth - 64; w <= minus_tenth + 64; ++w) {
+    near_tenth.push_back(float_of(w));
+  }
+  check_bias_gelu(near_tenth, bad);
+  auto gelu = [&](std::span<const float> logits) {
+    check_bias_gelu(logits, bad);
+  };
+  sweep(0, kAllFloats, 4099, gelu);
+  for (const std::uint64_t sign : {0U, 0x80000000U}) {
+    sweep(sign, sign + bits_of(5.0F), 509, gelu);
+  }
+  EXPECT_EQ(bad, 0U);
+
+  // Every tail length, each output in place and nothing written past it.
+  constexpr float kGuard = 12345.0F;
+  const std::vector<float> varied = {-3.5F, 2.25F, -0.1F, 0.7F,
+                                     -1.3F, 9.0F,  -0.6F};
+  for (std::size_t n = 0; n < 8; ++n) {
+    const std::vector<float> logits(varied.begin(), varied.begin() + n);
+    std::vector<float> out(n + detail::kLanes, kGuard);
+    detail::bias_gelu(logits, std::span<float>(out).first(n));
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(bits_of(out[i]), bits_of(bias_gelu_oracle(logits[i])))
+          << "tail " << n << " element " << i;
+    }
+    for (std::size_t i = n; i < out.size(); ++i) {
+      EXPECT_EQ(out[i], kGuard) << "tail " << n << " wrote element " << i;
+    }
+  }
+  std::vector<float> short_out(3);
+  EXPECT_THROW(detail::bias_gelu(specials, short_out), Error);
+}
+
+TEST(GeluKernel, ScalarOracleMatchesLibm) {
+#if defined(__GLIBC__)
+  const char* version = gnu_get_libc_version();
+  int major = 0;
+  int minor = 0;
+  ASSERT_EQ(std::sscanf(version, "%d.%d", &major, &minor), 2) << version;
+  if (major > 2 || (major == 2 && minor >= 41)) {
+    GTEST_SKIP() << "glibc " << version
+                 << " ships CORE-MATH's tanhf, not fdlibm's";
+  }
+#else
+  GTEST_SKIP() << "not glibc: this C library's tanhf need not be fdlibm's";
+#endif
+  std::size_t bad = 0;
+  auto check = [&](std::span<const float> args) {
+    for (const float a : args) {
+      expect_same_bits(a, std::tanh(a), tanhf_oracle(a), "tanhf", bad);
+    }
+  };
+  check(special_args());
+  sweep(0, kAllFloats, 4099, check);
+  for (const std::uint64_t sign : {0U, 0x80000000U}) {
+    sweep(sign + 0x32000000U, sign + 0x41200000U, 251, check);
+  }
+  EXPECT_EQ(bad, 0U);
+}
+
+// All 2^32 floats as tanh arguments.  Run it with
+// --gtest_also_run_disabled_tests --gtest_filter='GeluKernel.DISABLED_*'.
+TEST(GeluKernel, DISABLED_EveryFloat) {
+  std::size_t bad = 0;
+  sweep(0, kAllFloats, 1,
+        [&](std::span<const float> args) { check_tanh_lanes(args, bad); });
+  EXPECT_EQ(bad, 0U);
 }
 
 TEST(ReferencePagerank, MatchesDensePowerIteration) {
