@@ -5,7 +5,7 @@
 namespace isp::codegen {
 
 LoweredProgram lower(const ir::Program& program, const ir::Plan& plan,
-                     const mem::AddressSpace& address_space, ExecMode mode,
+                     const mem::AddressSpace&, ExecMode mode,
                      const LoweringOptions& options,
                      const RuntimeOverheadModel& overhead) {
   ISP_CHECK(plan.placement.size() == program.line_count(),
@@ -13,7 +13,6 @@ LoweredProgram lower(const ir::Program& program, const ir::Plan& plan,
 
   LoweredProgram out;
   out.mode = mode;
-  out.memory = plan_memory(program, plan, address_space, mode);
 
   const bool marshals = overhead.pays_marshalling(mode);
   std::uint64_t csd_lines = 0;
@@ -27,8 +26,6 @@ LoweredProgram lower(const ir::Program& program, const ir::Plan& plan,
       ++csd_lines;
       lowered.enters_csd_group =
           (i == 0 || plan.placement[i - 1] != ir::Placement::Csd);
-      if (lowered.enters_csd_group) ++out.csd_group_count;
-      lowered.status_updates = options.instrument_status;
     }
 
     // Marshalling is a property of the runtime mode: the shared mutable

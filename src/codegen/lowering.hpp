@@ -3,19 +3,23 @@
 //
 // Contiguous runs of CSD-placed lines become one CSD function each — the
 // unit ActivePy enqueues on the call queue — because Algorithm 1 already
-// priced the boundary transfers of each run.  Every CSD line is instrumented
-// with the patched status-update code; host lines are not.  The generated
+// priced the boundary transfers of each run.  Every CSD line carries the
+// patched status-update code; host lines do not.  The generated
 // CSD binary is "emitted into the target device memory location" at start of
 // run, which the engine charges as a CodeImage transfer.
+//
+// Lowering plans no memory.  Where each object lives (§III-C(a)) is the
+// engine's residency tracking, and which boundary copies the shared address
+// space absorbs is RuntimeOverheadModel::pays_marshalling.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "codegen/exec_mode.hpp"
-#include "codegen/memory_plan.hpp"
 #include "ir/plan.hpp"
 #include "ir/program.hpp"
+#include "mem/address_space.hpp"
 
 namespace isp::codegen {
 
@@ -23,15 +27,12 @@ struct LoweredLine {
   std::uint32_t index = 0;
   ir::Placement placement = ir::Placement::Host;
   bool enters_csd_group = false;  // first line of a CSD run: call invocation
-  bool status_updates = false;    // patched per-chunk progress reports
   bool marshalling = false;       // boundary copies paid under this mode
 };
 
 struct LoweredProgram {
   ExecMode mode = ExecMode::CompiledNoCopy;
   std::vector<LoweredLine> lines;
-  MemoryPlan memory;
-  std::uint32_t csd_group_count = 0;
   Bytes csd_code_image;      // generated device binary size
   Seconds compile_latency;   // charged once before execution
 };
@@ -39,14 +40,12 @@ struct LoweredProgram {
 struct LoweringOptions {
   /// Generated machine code per CSD line (drives the code-image transfer).
   Bytes code_bytes_per_line = Bytes{32 * 1024};
-  /// Instrument CSD lines with status updates (off to model a framework
-  /// without feedback, e.g. the static C baseline).
-  bool instrument_status = true;
 };
 
+// The AddressSpace is unread; perfbench/pipeline.cpp still passes it.
 [[nodiscard]] LoweredProgram lower(const ir::Program& program,
                                    const ir::Plan& plan,
-                                   const mem::AddressSpace& address_space,
+                                   const mem::AddressSpace&,
                                    ExecMode mode,
                                    const LoweringOptions& options = {},
                                    const RuntimeOverheadModel& overhead = {});

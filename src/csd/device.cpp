@@ -53,8 +53,7 @@ std::unique_ptr<flash::StorageBackend> make_storage(const CsdConfig& config) {
 CsdDevice::CsdDevice(CsdConfig config)
     : config_(config),
       cse_(config.cse),
-      flash_(config.nand_geometry, config.nand_timing),
-      status_queue_(kStatusQueueDepth) {
+      flash_(config.nand_geometry, config.nand_timing) {
   check_backend_config(config_);
 }
 

@@ -1,22 +1,27 @@
 // The computational storage device: CSE + flash + device DRAM + the NVMe
 // control plane ActivePy talks through (Figure 1 of the paper).  The control
-// plane is charged analytically: call_overhead() per short call, and the
-// status queue the engine posts its per-line progress records to.
+// plane (§III-C(b)) is charged analytically: call_overhead() per short call,
+// and a fixed charge per status update, which the engine feeds straight to
+// its runtime monitor.  The queues themselves (SQ/CQ pairs, call queue,
+// status ring) exist only in the event-driven test oracle under
+// tests/oracle/, which checks these charges.
 #pragma once
 
 #include <memory>
 
+#include "common/units.hpp"
 #include "csd/cse.hpp"
 #include "flash/backend.hpp"
 #include "flash/flash_array.hpp"
 #include "flash/ftl.hpp"
-#include "mem/address_space.hpp"
-#include "nvme/control_plane.hpp"
 
 namespace isp::csd {
 
-/// Slots in the device's status ring (capacity-1 usable, NVMe semantics).
-inline constexpr std::uint32_t kStatusQueueDepth = 256;
+/// Latencies of one NVMe-style short call.
+struct ControllerConfig {
+  Seconds doorbell_to_fetch = Seconds{2e-6};
+  Seconds completion_post = Seconds{1e-6};
+};
 
 struct CsdConfig {
   CseConfig cse;
@@ -35,7 +40,7 @@ struct CsdConfig {
   std::uint32_t zns_zone_blocks = 8;
   std::uint32_t zns_max_open_zones = 6;
   Bytes device_dram = 8_GiB;
-  nvme::ControllerConfig controller;
+  ControllerConfig controller;
 };
 
 /// What one whole-device power cycle did and cost.
@@ -62,7 +67,6 @@ class CsdDevice {
   [[nodiscard]] flash::StorageBackend& storage();
   /// Has storage() built the backend yet?
   [[nodiscard]] bool storage_built() const { return storage_ != nullptr; }
-  [[nodiscard]] nvme::StatusQueue& status_queue() { return status_queue_; }
   [[nodiscard]] const CsdConfig& config() const { return config_; }
 
   /// Round-trip control overhead of one CSD function invocation: doorbell to
@@ -83,7 +87,6 @@ class CsdDevice {
   Cse cse_;
   flash::FlashArray flash_;
   std::unique_ptr<flash::StorageBackend> storage_;  // null until storage()
-  nvme::StatusQueue status_queue_;
 };
 
 }  // namespace isp::csd

@@ -4,8 +4,8 @@
 // through PCIe BARs (or RDMA under NVMe-oF), so host and CSD code share one
 // address space and migration only has to move data, never re-point it.
 // AddressSpace models that single space as disjoint windows, one per memory
-// kind, and answers "which memory does this address live in?" — the question
-// the near-consumer allocator and the migration cost model both ask.
+// kind, and answers "which memory does this address live in?".  The engine
+// tracks residency per object (DataObject::location) and asks it nothing.
 #pragma once
 
 #include <cstdint>

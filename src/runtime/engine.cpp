@@ -533,14 +533,14 @@ void compute_on_host(RunState& s, LineWalk& w, Seconds work) {
 /// when the status stream recorded progress, else from the top.  Returns
 /// false when the cut used up the retry budget and the line gives up.
 bool restart_after_power_loss(RunState& s, LineWalk& w, std::uint32_t& c,
-                              bool last_attempt, bool post_status) {
+                              bool last_attempt) {
   const SimTime crash_start = s.t;
   lose_power(s, w.rec);
   const bool give_up = last_attempt && s.options.migration;
   if (give_up) {
     abandon_csd_run(s, w, w.line.chunks - c, true);
   } else {
-    if (!post_status) c = 0;  // no durable progress record: from the top
+    if (!s.options.monitoring) c = 0;  // no progress record: from the top
     // Re-stage the code and the inputs' tail, then re-invoke.
     distribute_code(s, w.rec);
     move_input_tails(s, w,
@@ -572,8 +572,10 @@ bool cse_gives_up(RunState& s, LineWalk& w, std::uint32_t c,
 }
 
 /// Patched status-update code (§III-C(b)), absent from conventional static
-/// frameworks (monitoring off).  Returns true if the update was lost.
-bool post_status(RunState& s, LineWalk& w, std::uint32_t c) {
+/// frameworks (monitoring off).  The update is charged analytically; one
+/// that arrives reaches the monitor through consider_migration().  Returns
+/// true if the update was lost.
+bool post_status(RunState& s, LineWalk& w) {
   const bool lost =
       s.injector && s.injector->lost(fault::Site::StatusLoss, s.t);
   if (lost) {
@@ -581,13 +583,6 @@ bool post_status(RunState& s, LineWalk& w, std::uint32_t c) {
     w.rec.faults += 1;
     if (s.monitor) s.monitor->note_lost_update();
   } else {
-    s.csd.status_queue().post(nvme::StatusEntry{
-        .line = static_cast<std::uint32_t>(w.i),
-        .chunk = c,
-        .chunks_total = w.line.chunks,
-        .instructions_retired = s.csd_instructions_cum,
-        .timestamp = s.t,
-        .high_priority_request = false});
     ++s.report.status_updates;
   }
   spend(s, w.rec.overhead, Seconds{2e-7});
@@ -661,7 +656,6 @@ void run_csd_chunks(RunState& s, LineWalk& w) {
   const double chunk_instr =
       w.instructions / static_cast<double>(line.chunks);
   const double chunk_cycles = chunk_wall.value() * cse.config().clock.value();
-  const bool status = w.low.status_updates && s.options.monitoring;
   const std::uint32_t max_crashes = s.options.fault.retry.max_attempts;
   const auto& contention = s.options.contention;
   const SimTime compute_start = s.t;
@@ -669,7 +663,7 @@ void run_csd_chunks(RunState& s, LineWalk& w) {
   for (std::uint32_t c = 0; c < line.chunks; ++c) {
     if (crashes < max_crashes && s.storage.power_lost()) {
       ++crashes;
-      if (!restart_after_power_loss(s, w, c, crashes >= max_crashes, status)) {
+      if (!restart_after_power_loss(s, w, c, crashes >= max_crashes)) {
         break;
       }
     }
@@ -681,7 +675,7 @@ void run_csd_chunks(RunState& s, LineWalk& w) {
     s.csd_instructions_cum += chunk_instr;
     cse.retire(chunk_instr, chunk_cycles);
     ++s.csd_chunks_done;
-    const bool update_lost = status && post_status(s, w, c);
+    const bool update_lost = s.options.monitoring && post_status(s, w);
     // Contention trigger (Figure 5 methodology).
     if (contention.enabled && !s.contention_fired && s.csd_chunks_total > 0 &&
         static_cast<double>(s.csd_chunks_done) /
@@ -695,7 +689,7 @@ void run_csd_chunks(RunState& s, LineWalk& w) {
         s.monitor->raise_high_priority();
       }
     }
-    if (s.monitor && w.low.status_updates && !update_lost) {
+    if (s.monitor && !update_lost) {
       consider_migration(s, w, c);
     }
     if (w.aborted_mid_line) break;

@@ -42,7 +42,6 @@ bool Monitor::observe(SimTime now, double instructions_cumulative) {
   } else {
     decreasing_streak_ = 0;
   }
-  prev_rate_ = observed_rate_;
   observed_rate_ = rate;
 
   // Condition (2): significantly below the estimate.

@@ -85,7 +85,6 @@ class Monitor {
   MonitorConfig config_;
   double estimated_rate_;
   double observed_rate_ = 0.0;
-  double prev_rate_ = 0.0;
   std::uint32_t decreasing_streak_ = 0;
   bool anomaly_ = false;
   SimTime prev_time_;

@@ -1,4 +1,4 @@
-// Unit tests: exec-mode overhead model, memory planning and lowering edges.
+// Unit tests: exec-mode overhead model and lowering edges.
 #include <gtest/gtest.h>
 
 #include "codegen/exec_mode.hpp"
@@ -74,11 +74,9 @@ TEST(Lowering, HostOnlyHasNoCsdArtifacts) {
   const auto lowered =
       lower(program, ir::Plan::host_only(2), system.address_space(),
             ExecMode::CompiledNoCopy);
-  EXPECT_EQ(lowered.csd_group_count, 0u);
   EXPECT_EQ(lowered.csd_code_image.count(), 0u);
   for (const auto& line : lowered.lines) {
     EXPECT_FALSE(line.enters_csd_group);
-    EXPECT_FALSE(line.status_updates);
   }
 }
 
@@ -96,21 +94,9 @@ TEST(Lowering, AlternatingPlacementsMakeTwoGroups) {
   plan.placement[2] = ir::Placement::Csd;
   const auto lowered = lower(program, plan, system.address_space(),
                              ExecMode::CompiledNoCopy);
-  EXPECT_EQ(lowered.csd_group_count, 2u);
   EXPECT_TRUE(lowered.lines[0].enters_csd_group);
+  EXPECT_FALSE(lowered.lines[1].enters_csd_group);
   EXPECT_TRUE(lowered.lines[2].enters_csd_group);
-}
-
-TEST(Lowering, InstrumentationCanBeDisabled) {
-  system::SystemModel system;
-  const auto program = two_line_program();
-  ir::Plan plan = ir::Plan::host_only(2);
-  plan.placement[0] = ir::Placement::Csd;
-  LoweringOptions options;
-  options.instrument_status = false;
-  const auto lowered = lower(program, plan, system.address_space(),
-                             ExecMode::CompiledNoCopy, options);
-  EXPECT_FALSE(lowered.lines[0].status_updates);
 }
 
 TEST(Lowering, RejectsMismatchedPlan) {
@@ -119,32 +105,6 @@ TEST(Lowering, RejectsMismatchedPlan) {
   EXPECT_THROW(lower(program, ir::Plan::host_only(5),
                      system.address_space(), ExecMode::NativeC),
                Error);
-}
-
-TEST(MemoryPlan, FinalOutputLandsAtHost) {
-  system::SystemModel system;
-  const auto program = two_line_program();
-  ir::Plan plan = ir::Plan::host_only(2);
-  plan.placement[0] = ir::Placement::Csd;
-  plan.placement[1] = ir::Placement::Csd;
-  const auto memory = plan_memory(program, plan, system.address_space(),
-                                  ExecMode::CompiledNoCopy);
-  // "mid" is consumed by a CSD line; "out" has no consumer -> host.
-  EXPECT_EQ(memory.find("mid")->kind, mem::MemKind::DeviceDram);
-  EXPECT_EQ(memory.find("out")->kind, mem::MemKind::HostDram);
-  EXPECT_EQ(memory.find("nonexistent"), nullptr);
-}
-
-TEST(MemoryPlan, AccountsBytesPerSide) {
-  system::SystemModel system;
-  const auto program = two_line_program();
-  ir::Plan plan = ir::Plan::host_only(2);
-  plan.placement[0] = ir::Placement::Csd;
-  plan.placement[1] = ir::Placement::Csd;
-  const auto memory = plan_memory(program, plan, system.address_space(),
-                                  ExecMode::CompiledNoCopy);
-  EXPECT_GT(memory.device_bytes.count(), 0u);
-  EXPECT_GT(memory.host_bytes.count(), 0u);
 }
 
 }  // namespace

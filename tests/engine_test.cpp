@@ -297,11 +297,9 @@ TEST(Lowering, GroupsContiguousCsdLines) {
   const auto lowered =
       codegen::lower(program, plan, system.address_space(),
                      codegen::ExecMode::CompiledNoCopy);
-  EXPECT_EQ(lowered.csd_group_count, 1u);
   EXPECT_TRUE(lowered.lines[0].enters_csd_group);
   EXPECT_FALSE(lowered.lines[1].enters_csd_group);
-  EXPECT_TRUE(lowered.lines[0].status_updates);
-  EXPECT_FALSE(lowered.lines[2].status_updates);
+  EXPECT_FALSE(lowered.lines[2].enters_csd_group);
   EXPECT_EQ(lowered.csd_code_image.count(), 2u * 32u * 1024u);
   EXPECT_GT(lowered.compile_latency.value(), 0.0);
   EXPECT_FALSE(lowered.lines[0].marshalling);  // no-copy mode
@@ -318,27 +316,6 @@ TEST(Lowering, MarshallingFollowsMode) {
   const auto native = codegen::lower(program, plan, system.address_space(),
                                      codegen::ExecMode::NativeC);
   EXPECT_FALSE(native.lines[0].marshalling);
-}
-
-TEST(MemoryPlan, PlacesNearConsumer) {
-  system::SystemModel system;
-  const auto program = pipeline_program();
-  ir::Plan plan = ir::Plan::host_only(3);
-  plan.placement[0] = ir::Placement::Csd;
-  plan.placement[1] = ir::Placement::Csd;
-  const auto memory =
-      codegen::plan_memory(program, plan, system.address_space(),
-                           codegen::ExecMode::CompiledNoCopy);
-  // "hits" is consumed by a CSD line -> device DRAM; "scaled" by a host
-  // line -> host DRAM.
-  const auto* hits = memory.find("hits");
-  const auto* scaled = memory.find("scaled");
-  ASSERT_NE(hits, nullptr);
-  ASSERT_NE(scaled, nullptr);
-  EXPECT_EQ(hits->kind, mem::MemKind::DeviceDram);
-  EXPECT_EQ(scaled->kind, mem::MemKind::HostDram);
-  EXPECT_TRUE(hits->zero_copy);  // producer and consumer both on the CSD
-  EXPECT_GT(memory.zero_copy_objects, 0u);
 }
 
 TEST(Monitor, DetectsRateBelowEstimate) {

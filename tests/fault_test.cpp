@@ -16,7 +16,6 @@
 #include "flash/flash_array.hpp"
 #include "interconnect/dma.hpp"
 #include "interconnect/link.hpp"
-#include "nvme/control_plane.hpp"
 #include "oracle/firmware.hpp"
 #include "oracle/nvme_queues.hpp"
 #include "oracle/simulator.hpp"

@@ -4,10 +4,10 @@
 #   cmake -DROOT=<source tree> -P tests/layering.cmake
 #
 # The event-driven model of the control plane (simulator, NVMe controller,
-# queue pairs, call queue, firmware loop, protocol replay) lives in
-# tests/oracle/, and only test suites link it.  The three-way host/CSD/GPU
-# projection (bench/three_way.*, bench/gpu.*) is analysis behind E12, and
-# only the reproduction driver and its test link it.  The check fails,
+# ring, queue pairs, call and status queues, firmware loop, protocol replay)
+# lives in tests/oracle/, and only test suites link it.  The three-way
+# host/CSD/GPU projection (bench/three_way.*, bench/gpu.*) is analysis behind
+# E12, and only bench/reproduce and its test link it.  The check fails,
 # listing each offending line, if a file under src/, bench/ or examples/
 # includes an oracle header, names one of the oracle's types or its replay,
 # or links its library; or if a file under src/ or examples/ includes a
@@ -20,7 +20,8 @@ endif()
 set(oracle "#include[ \t]*[\"<]oracle/")
 string(APPEND oracle "|sim::Simulator|nvme::Controller([^A-Za-z0-9_]|$)")
 string(APPEND oracle "|csd::Firmware|replay_csd_protocol")
-string(APPEND oracle "|QueuePair|CallQueue|isp_device_oracle")
+string(APPEND oracle "|QueuePair|CallQueue|StatusQueue|StatusEntry|nvme::Ring")
+string(APPEND oracle "|isp_device_oracle")
 set(projection "#include[ \t]*[\"<][^\">]*(three_way|gpu)\\.hpp")
 string(APPEND projection "|explore_three_way|host::Gpu")
 

@@ -1,12 +1,8 @@
-// Unit + property tests: address space, allocator, data objects.
+// Unit tests: address space and data objects.
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "mem/address_space.hpp"
-#include "mem/allocator.hpp"
 #include "mem/data_object.hpp"
 
 namespace isp::mem {
@@ -36,105 +32,6 @@ TEST(AddressSpace, WindowLookup) {
   ASSERT_NE(host, nullptr);
   EXPECT_EQ(host->size.count(), (1_GiB).count());
   EXPECT_EQ(space.window(MemKind::DeviceBar)->size.count(), (512_MiB).count());
-}
-
-TEST(Allocator, FirstFitAndAlignment) {
-  const Window window{MemKind::HostDram, 4096, 1_MiB};
-  Allocator allocator(window);
-  const auto a = allocator.allocate(Bytes{100}, Bytes{64});
-  ASSERT_TRUE(a);
-  EXPECT_EQ(a->address % 64, 0u);
-  EXPECT_GE(a->address, 4096u);
-  const auto b = allocator.allocate(Bytes{100}, Bytes{256});
-  ASSERT_TRUE(b);
-  EXPECT_EQ(b->address % 256, 0u);
-  EXPECT_GE(b->address, a->address + 100);
-  allocator.check_invariants();
-}
-
-TEST(Allocator, ExhaustionReturnsNullopt) {
-  const Window window{MemKind::HostDram, 0, Bytes{1024}};
-  Allocator allocator(window);
-  EXPECT_TRUE(allocator.allocate(Bytes{512}, Bytes{1}));
-  EXPECT_TRUE(allocator.allocate(Bytes{512}, Bytes{1}));
-  EXPECT_FALSE(allocator.allocate(Bytes{1}, Bytes{1}));
-}
-
-TEST(Allocator, ReleaseCoalesces) {
-  const Window window{MemKind::HostDram, 0, Bytes{4096}};
-  Allocator allocator(window);
-  const auto a = allocator.allocate(Bytes{1024}, Bytes{1});
-  const auto b = allocator.allocate(Bytes{1024}, Bytes{1});
-  const auto c = allocator.allocate(Bytes{1024}, Bytes{1});
-  ASSERT_TRUE(a && b && c);
-  allocator.release(*a);
-  allocator.release(*c);
-  allocator.check_invariants();
-  // Freeing b merges everything back into one block.
-  allocator.release(*b);
-  allocator.check_invariants();
-  EXPECT_EQ(allocator.largest_free_block().count(), 4096u);
-}
-
-TEST(Allocator, DoubleFreeDetected) {
-  const Window window{MemKind::HostDram, 0, Bytes{4096}};
-  Allocator allocator(window);
-  const auto a = allocator.allocate(Bytes{128}, Bytes{1});
-  ASSERT_TRUE(a);
-  allocator.release(*a);
-  EXPECT_THROW(allocator.release(*a), Error);
-}
-
-TEST(Allocator, RejectsZeroAndForeign) {
-  const Window window{MemKind::HostDram, 0, Bytes{4096}};
-  Allocator allocator(window);
-  EXPECT_THROW(allocator.allocate(Bytes{0}), Error);
-  EXPECT_THROW(allocator.allocate(Bytes{64}, Bytes{3}), Error);
-  Allocation foreign{0, Bytes{64}, MemKind::DeviceDram};
-  EXPECT_THROW(allocator.release(foreign), Error);
-}
-
-class AllocatorChurn : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(AllocatorChurn, NoOverlapNoLeak) {
-  const Window window{MemKind::HostDram, 1 << 20, 8_MiB};
-  Allocator allocator(window);
-  Rng rng(GetParam());
-  std::vector<Allocation> live;
-
-  for (int i = 0; i < 2000; ++i) {
-    if (live.empty() || rng.next_double() < 0.6) {
-      const auto alloc =
-          allocator.allocate(Bytes{rng.uniform_u64(1, 32 * 1024)});
-      if (alloc) {
-        // No overlap with any live allocation.
-        for (const auto& other : live) {
-          const bool disjoint =
-              alloc->address + alloc->size.count() <= other.address ||
-              other.address + other.size.count() <= alloc->address;
-          ASSERT_TRUE(disjoint);
-        }
-        live.push_back(*alloc);
-      }
-    } else {
-      const auto idx = rng.uniform_u64(0, live.size() - 1);
-      allocator.release(live[idx]);
-      live[idx] = live.back();
-      live.pop_back();
-    }
-    if (i % 100 == 0) allocator.check_invariants();
-  }
-  for (const auto& a : live) allocator.release(a);
-  allocator.check_invariants();
-  EXPECT_EQ(allocator.free_bytes().count(), (8_MiB).count());
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, AllocatorChurn,
-                         ::testing::Values(101, 202, 303, 404, 505, 606));
-
-TEST(PlaceNearConsumer, Policy) {
-  EXPECT_EQ(place_near_consumer(true), MemKind::DeviceDram);
-  EXPECT_EQ(place_near_consumer(false), MemKind::HostDram);
 }
 
 TEST(Buffer, TypedViews) {

@@ -1,5 +1,5 @@
-// Unit tests: the production ring and status queue, and the controller
-// oracle's command processing over SQ/CQ queue pairs.
+// Unit tests: the oracle's ring and status queue, and its controller's
+// command processing over SQ/CQ queue pairs.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -7,7 +7,6 @@
 #include "fault/fault.hpp"
 #include "flash/flash_array.hpp"
 #include "flash/ftl.hpp"
-#include "nvme/control_plane.hpp"
 #include "oracle/nvme_controller.hpp"
 #include "oracle/nvme_queues.hpp"
 #include "oracle/simulator.hpp"

@@ -23,7 +23,6 @@
 #include "common/status.hpp"
 #include "csd/cse.hpp"
 #include "fault/fault.hpp"
-#include "nvme/control_plane.hpp"
 #include "oracle/nvme_queues.hpp"
 #include "oracle/simulator.hpp"
 

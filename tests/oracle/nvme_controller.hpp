@@ -15,10 +15,10 @@
 #include <utility>
 #include <vector>
 
+#include "csd/device.hpp"
 #include "fault/fault.hpp"
 #include "flash/backend.hpp"
 #include "flash/flash_array.hpp"
-#include "nvme/control_plane.hpp"
 #include "oracle/nvme_queues.hpp"
 #include "oracle/simulator.hpp"
 
@@ -28,7 +28,7 @@ namespace isp::nvme {
 /// (CsdConfig::controller), plus the host-visible timeout after which the
 /// host requeues a command the NvmeCommand fault site lost.
 struct OracleControllerConfig {
-  ControllerConfig latency;
+  csd::ControllerConfig latency;
   Seconds command_timeout = Seconds{50e-6};
 };
 

@@ -36,12 +36,15 @@ ProtocolReplayResult replay_csd_protocol(system::SystemModel& system,
   if (groups.empty()) return result;
 
   // The replay's own protocol machinery.  Every group is submitted up
-  // front, so the queues hold them all.
+  // front, so the queues hold them all, and the status queue holds every
+  // group's chunk updates.
   const auto depth = static_cast<std::uint32_t>(groups.size() + 1);
+  const csd::FirmwareConfig firmware_config;
   sim::Simulator simulator;
   auto& device = system.csd_device();
   nvme::QueuePair qp(/*id=*/1, depth);
   nvme::CallQueue calls(depth);
+  nvme::StatusQueue status(depth * firmware_config.chunks);
   nvme::Controller controller(
       simulator, device.flash_array(), [&] { return &device.storage(); },
       {.latency = system.config().csd.controller});
@@ -54,8 +57,8 @@ ProtocolReplayResult replay_csd_protocol(system::SystemModel& system,
     result.execute_time += groups[g].compute;
   }
 
-  csd::Firmware firmware(simulator, device.cse(), calls,
-                         device.status_queue());
+  csd::Firmware firmware(simulator, device.cse(), calls, status,
+                         firmware_config);
   std::uint64_t completed_functions = 0;
   SimTime last_completion = simulator.now();
   firmware.start(
@@ -107,7 +110,7 @@ ProtocolReplayResult replay_csd_protocol(system::SystemModel& system,
                                   << groups.size() << " functions");
 
   while (qp.cq().pop()) ++result.completions;
-  while (device.status_queue().poll()) ++result.status_updates;
+  while (status.poll()) ++result.status_updates;
   const Seconds total = last_completion - start;
   result.protocol_time =
       total - result.execute_time;  // control-plane residue

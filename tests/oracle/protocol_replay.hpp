@@ -28,9 +28,9 @@ struct ProtocolReplayResult {
 /// Replay the CSD groups of `report` through a queue pair, a call queue, a
 /// controller and a firmware instance built for the replay, with the call
 /// latencies of `system`'s config (so an NVMe-oF platform replays its
-/// slower fetch).  The firmware runs on `system`'s CSE and posts to its
-/// status queue.  Uses each group's recorded compute time as the
-/// firmware's service time.
+/// slower fetch).  The firmware runs on `system`'s CSE and posts to the
+/// replay's own status queue.  Uses each group's recorded compute time as
+/// the firmware's service time.
 [[nodiscard]] ProtocolReplayResult replay_csd_protocol(
     system::SystemModel& system, const ExecutionReport& report);
 

@@ -21,7 +21,6 @@
 #include "csd/device.hpp"
 #include "fault/fault.hpp"
 #include "flash/ftl.hpp"
-#include "nvme/control_plane.hpp"
 #include "oracle/firmware.hpp"
 #include "oracle/nvme_controller.hpp"
 #include "oracle/nvme_queues.hpp"
